@@ -35,12 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from singfol.exactpoly import Polynomial
+from singfol.exactpoly import Polynomial, Space, _add_terms, _sum_products
 from singfol.pfaffian import (
     SkewMatrix,
     epsilon_sign,
     index_sets,
     kernel_generators,
+    pfaffian_by_recursion,
     skew_rank,
 )
 from singfol.vectorfield import (
@@ -178,6 +179,15 @@ def kernel_dim_at(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction],
     return F.m - skew_rank(goh.H, at=list(x) + list(p))
 
 
+def _combination(space: Space, kind: str, coeffs: Sequence[Polynomial],
+                 fields: Sequence[VectorField]) -> VectorField:
+    """The field sum over k of coeffs[k] * fields[k], summed componentwise."""
+    return VectorField([
+        _sum_products(space, zip(coeffs, (field.components[k] for field in fields)))
+        for k in range(len(fields[0].components))
+    ], kind)
+
+
 @dataclass(frozen=True)
 class AbnormalGenerator:
     """A kernel generator realized as a phase-space vector field.
@@ -213,9 +223,8 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
         goh = goh_matrix(F)
     generators = []
     for gen in kernel_generators(goh.H, r):
-        Y = VectorField.zero(F.space.phase, "phase")
-        for coeff, hvf in zip(gen.coefficients, (goh.ham_fields[i - 1] for i in gen.I)):
-            Y = Y + VectorField([coeff * c for c in hvf.components], "phase")
+        Y = _combination(F.space.phase, "phase", gen.coefficients,
+                         [goh.ham_fields[i - 1] for i in gen.I])
         entry = AbnormalGenerator(gen.I, r, Y, gen.coefficients,
                                   p_degree=Y.p_homogeneity() if not Y.is_zero() else (None, None))
         if F.normal_form is not None:
@@ -236,16 +245,12 @@ def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None
     if goh is None:
         goh = goh_matrix(F)
     assert goh.reduced is not None
-    from singfol.pfaffian import pfaffian_by_recursion
-
     cache: dict = {}
     red_coeffs = tuple(
         epsilon_sign(g.I, i) * pfaffian_by_recursion(goh.reduced, tuple(k for k in g.I if k != i), cache=cache)
         for i in g.I
     )
-    Z = VectorField.zero(F.space, "base")
-    for coeff, i in zip(red_coeffs, g.I):
-        Z = Z + VectorField([coeff * c for c in F.fields[i - 1].components], "base")
+    Z = _combination(F.space, "base", red_coeffs, [F.fields[i - 1] for i in g.I])
 
     # exact consistency of the projection with the phase generator
     phase = F.space.phase
@@ -292,10 +297,8 @@ class DivergenceCertificate:
 def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
     """Sum over ordered distinct triples (j,k,l) in I of
     eps(I,j) eps(I-j,k) eps(I-jk,l) phi(H, I-jkl) {h^j, {h^k, h^l}}."""
-    from singfol.pfaffian import pfaffian_by_recursion
-
     phase = goh.frame.space.phase
-    acc = Polynomial.zero(phase)
+    acc: dict = {}
     cache: dict = {}
     pair_brackets = {}
     for k in g.I:
@@ -314,9 +317,8 @@ def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
                     continue
                 hkl = pair_brackets[(k, l)] if k < l else -pair_brackets[(l, k)]
                 triple = poisson_bracket(goh.hamiltonians[j - 1], hkl)
-                term = phi * triple
-                acc = acc + (term if sign > 0 else -term)
-    return acc
+                _add_terms(acc, (phi * triple).terms, sign)
+    return Polynomial._trusted(phase, acc)
 
 
 def divergence_certificate(g: AbnormalGenerator, F: Frame,
@@ -338,9 +340,7 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
             raise NormalFormError("generator carries a projection but frame has no normal form")
         space = F.space
         dA = [A.partial(F.n - 1) for A in F.normal_form]  # d(A_j)/dx_n
-        combo = Polynomial.zero(space)
-        for j in g.I:
-            combo = combo + dA[j - 1] * g.Z.components[j - 1]
+        combo = _sum_products(space, ((dA[j - 1], g.Z.components[j - 1]) for j in g.I))
         div_z = divergence(g.Z)
         if combo.is_zero():
             base_constant = Fraction(0)
@@ -369,8 +369,6 @@ def singular_set_equations(F: Frame, r: int, goh: GohMatrix | None = None) -> li
         raise ValueError("r must be even and in 1..m")
     if goh is None:
         goh = goh_matrix(F)
-    from singfol.pfaffian import pfaffian_by_recursion
-
     cache: dict = {}
     return [pfaffian_by_recursion(goh.reduced, I, cache=cache) for I in index_sets(F.m, r)]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -115,6 +116,15 @@ def _certify_rank(F: Frame, goh) -> int:
     return min(r, max(top, 0))
 
 
+def _generator_rank(F: Frame, args, goh) -> int:
+    """The checked ``--rank`` flag, or the default certify rank."""
+    if args.rank is None:
+        return _certify_rank(F, goh)
+    if args.rank % 2 or not 0 <= args.rank < F.m:
+        raise InputError(f"--rank must be an even integer in 0..{F.m - 1}")
+    return args.rank
+
+
 def _index_set_to_str(I) -> str:
     return "{" + ",".join(str(i) for i in I) + "}"
 
@@ -183,7 +193,7 @@ def cmd_pfaffian(F: Frame, args):
 
 def cmd_generators(F: Frame, args):
     goh = abnormal.goh_matrix(F)
-    r = args.rank if args.rank is not None else _certify_rank(F, goh)
+    r = _generator_rank(F, args, goh)
     gens = abnormal.abnormal_generators(F, r, goh)
     lines = [f"kernel generators at rank {r} ({len(gens)} index sets)"]
     for g in gens:
@@ -193,7 +203,7 @@ def cmd_generators(F: Frame, args):
 
 def cmd_certify(F: Frame, args):
     goh = abnormal.goh_matrix(F)
-    r = args.rank if args.rank is not None else _certify_rank(F, goh)
+    r = _generator_rank(F, args, goh)
     gens = abnormal.abnormal_generators(F, r, goh)
     lines = [f"divergence certificates at rank {r}"]
     results = []
@@ -228,6 +238,8 @@ def cmd_singular_set(F: Frame, args):
     goh = abnormal.goh_matrix(F)
     if args.rank is not None:
         r = args.rank
+        if r % 2 or not 0 <= r <= F.m:
+            raise InputError(f"--rank must be an even integer in 0..{F.m}")
     else:
         # the locus equations live at the full generic rank, even when m is
         # too small to admit generators there
@@ -245,6 +257,8 @@ def cmd_singular_set(F: Frame, args):
 
 
 def cmd_stratify(F: Frame, args):
+    if args.samples < 1:
+        raise InputError("--samples must be >= 1")
     box = _parse_box(args.box)
     config = abnormal.SamplerConfig(seed=args.seed, count=args.samples,
                                     box=(Fraction(box[0]).limit_denominator(10 ** 6),
@@ -278,6 +292,8 @@ def cmd_stratify(F: Frame, args):
 def cmd_normalform(F: Frame, args):
     from singfol.normalform import JetFrame, normalize_frame
 
+    if args.order < 0:
+        raise InputError("--order must be >= 0")
     JF = JetFrame.from_frame(F, args.order)
     N = normalize_frame(JF)
     lines = [f"normal form at jet order {args.order} (stage {N.stage})"]
@@ -293,10 +309,13 @@ def cmd_normalform(F: Frame, args):
 
 
 def _pick_generator(F: Frame, args, goh):
-    r = args.rank if args.rank is not None else _certify_rank(F, goh)
+    r = _generator_rank(F, args, goh)
     gens = abnormal.abnormal_generators(F, r, goh)
     if args.field:
-        wanted = tuple(sorted(int(v) for v in args.field.split(",")))
+        try:
+            wanted = tuple(sorted(int(v) for v in args.field.split(",")))
+        except ValueError as exc:
+            raise InputError(f"--field expects comma-separated integers: {exc}") from exc
         for g in gens:
             if g.I == wanted:
                 return g, r
@@ -307,11 +326,18 @@ def _pick_generator(F: Frame, args, goh):
 def cmd_integrate(F: Frame, args):
     if F.normal_form is None:
         raise InputError("integrate needs a corank-1 frame")
-    goh = abnormal.goh_matrix(F)
-    g, r = _pick_generator(F, args, goh)
-    x0 = [float(v) for v in args.start.split(",")]
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise InputError("--h must be a positive finite number")
+    if not (math.isfinite(args.T) and args.T >= 0):
+        raise InputError("--T must be a finite number >= 0")
+    try:
+        x0 = [float(v) for v in args.start.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--from expects comma-separated numbers: {exc}") from exc
     if len(x0) != F.n:
         raise InputError(f"--from needs {F.n} coordinates")
+    goh = abnormal.goh_matrix(F)
+    g, r = _pick_generator(F, args, goh)
     try:
         traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance)
     except dynamics.BlowUpError as exc:
@@ -335,6 +361,8 @@ def cmd_integrate(F: Frame, args):
 def cmd_scan_div(F: Frame, args):
     if F.normal_form is None:
         raise InputError("scan-div needs a corank-1 frame")
+    if not args.cutoff > 0:
+        raise InputError("--cutoff must be positive")
     goh = abnormal.goh_matrix(F)
     g, r = _pick_generator(F, args, goh)
     box = _parse_box(args.box)
@@ -355,7 +383,10 @@ def cmd_scan_div(F: Frame, args):
 
 
 def cmd_bracket_check(F: Frame, args):
-    x = [Fraction(v).limit_denominator(10 ** 6) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
+    try:
+        x = [Fraction(v).limit_denominator(10 ** 6) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
+    except ValueError as exc:
+        raise InputError(f"--at expects comma-separated numbers: {exc}") from exc
     if len(x) != F.n:
         raise InputError(f"--at needs {F.n} coordinates")
     depth = F.bracket_generation_depth(x, args.depth)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from singfol.abnormal import AbnormalGenerator
+from singfol.abnormal import AbnormalGenerator, goh_matrix
 from singfol.vectorfield import Frame, VectorField, divergence
 
 __all__ = [
@@ -142,8 +142,6 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
         raise ValueError("certified integration needs a corank-1 generator with projection")
     traj = integrate_field(g.Z, x0, T, h)
     m = F.m
-    from singfol.abnormal import goh_matrix
-
     goh = goh_matrix(F)
     assert goh.reduced is not None
     coeff_by_index = {i: c for i, c in zip(g.I, g.reduced_coefficients)}

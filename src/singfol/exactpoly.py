@@ -16,6 +16,17 @@ Printing sorts terms by descending (total degree, exponent tuple), i.e. a
 graded lexicographic order with x1 < ... < xn < p1 < ... < pn, so output is
 deterministic and round-trips through :func:`parse_expression`.
 
+Term-dictionary invariants.  Every stored dictionary has tuple keys of
+length ``space.nvars`` and nonzero ``Fraction`` values.  The public
+constructor enforces them; library code that already guarantees them builds
+results with ``Polynomial._trusted`` and sums with :func:`_add_terms`, which
+adds one term dictionary into another in place.  The insertion order of each
+dictionary is part of the contract, although equality ignores it:
+``eval_float`` sums terms in that order, and ``scan-div`` prints the
+resulting ``ratio_sup`` with ``repr``, so a different order can change the
+last digits of CLI output.  Every kernel below fills its dictionary in the
+order the plain term-by-term loops would.
+
 The module also provides truncated power series in the base variables
 (:class:`JetSeries`) and a recursive-descent parser for the expression
 grammar used by the CLI input format.
@@ -25,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -119,6 +132,82 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
+def _add_terms(acc: dict, terms: Mapping[tuple, Fraction], sign: int = 1) -> None:
+    """Add ``terms`` into ``acc`` in place (subtract when ``sign`` < 0).
+
+    Keys already in ``acc`` keep their position, new keys are appended, and
+    a key whose coefficient cancels is removed, exactly as a fresh
+    ``acc + terms`` would leave them.
+    """
+    for exps, coeff in terms.items():
+        old = acc.get(exps)
+        if old is None:
+            acc[exps] = coeff if sign > 0 else -coeff
+            continue
+        new = old + coeff if sign > 0 else old - coeff
+        if new:
+            acc[exps] = new
+        else:
+            del acc[exps]
+
+
+def _integer_terms(terms: Mapping[tuple, Fraction]) -> tuple[list, int]:
+    """Items with coefficients scaled to ints by the common denominator d."""
+    ratios = [(e, c.as_integer_ratio()) for e, c in terms.items()]
+    d = lcm(*{q for _, (_, q) in ratios})
+    return [(e, p * (d // q)) for e, (p, q) in ratios], d
+
+
+def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
+               order: int | None = None) -> dict:
+    """Product of two term dictionaries, skipping every pair whose total
+    degree exceeds ``order`` (when given).
+
+    Pairs are visited row by row (terms of ``a`` outside, of ``b`` inside),
+    so keys are inserted, cancelled and re-inserted as by the plain double
+    loop.  Coefficients run on ints scaled by the common denominators; the
+    scale is a nonzero constant, so every zero test agrees with a Fraction
+    loop.
+    """
+    if not a or not b:
+        return {}
+    a_items, da = _integer_terms(a)
+    b_items, db = _integer_terms(b)
+    inner_by_limit: dict[int, list] = {}
+    out: dict = {}
+    for ea, ca in a_items:
+        inner = b_items
+        if order is not None:
+            limit = order - sum(ea)
+            inner = inner_by_limit.get(limit)
+            if inner is None:
+                inner = [(eb, cb) for eb, cb in b_items if sum(eb) <= limit]
+                inner_by_limit[limit] = inner
+        for eb, cb in inner:
+            key = tuple(map(add, ea, eb))
+            old = out.get(key)
+            if old is None:
+                out[key] = ca * cb
+                continue
+            new = old + ca * cb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    scale = da * db
+    if scale == 1:
+        return {e: Fraction(v) for e, v in out.items()}
+    return {e: Fraction(v, scale) for e, v in out.items()}
+
+
+def _sum_products(space: Space, pairs) -> "Polynomial":
+    """The sum of ``a * b`` over ``pairs``, added into one dictionary in order."""
+    acc: dict = {}
+    for a, b in pairs:
+        _add_terms(acc, (a * b).terms)
+    return Polynomial._trusted(space, acc)
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -139,6 +228,18 @@ class Polynomial:
                     )
                 clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, space: Space, terms: dict) -> "Polynomial":
+        """Wrap ``terms`` without validation or copying.
+
+        Only for library code whose dictionary already meets the invariants
+        in the module docstring and is not modified afterwards.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "space", space)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -220,32 +321,26 @@ class Polynomial:
         if self.space != other.space:
             raise SpaceMismatchError(f"space mismatch: {self.space} vs {other.space}")
 
-    def __add__(self, other) -> "Polynomial":
+    def _plus(self, other, sign: int) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.space, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_space(other)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps, 0) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.space, out)
+        _add_terms(out, other.terms, sign)
+        return Polynomial._trusted(self.space, out)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.space, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.space, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -255,20 +350,11 @@ class Polynomial:
             c = _as_fraction(other)
             if c == 0:
                 return Polynomial(self.space)
-            return Polynomial(self.space, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._trusted(self.space, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_space(other)
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return Polynomial(self.space, out)
+        return Polynomial._trusted(self.space, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -295,9 +381,8 @@ class Polynomial:
             e = exps[pos]
             if e == 0:
                 continue
-            key = exps[:pos] + (e - 1,) + exps[pos + 1:]
-            out[key] = out.get(key, 0) + coeff * e
-        return Polynomial(self.space, out)
+            out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = coeff * e
+        return Polynomial._trusted(self.space, out)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -353,17 +438,17 @@ class Polynomial:
             for _ in range(top):
                 powers.append(powers[-1] * rep)
             pow_cache[pos] = powers
-        result = Polynomial(self.space)
+        result: dict = {}
         for exps, coeff in self.terms.items():
             kept = list(exps)
             for pos in replacements:
                 kept[pos] = 0
-            term = Polynomial.monomial(self.space, kept, coeff)
+            term = {tuple(kept): coeff}
             for pos in replacements:
                 if exps[pos]:
-                    term = term * pow_cache[pos][exps[pos]]
-            result = result + term
-        return result
+                    term = _mul_terms(term, pow_cache[pos][exps[pos]].terms)
+            _add_terms(result, term)
+        return Polynomial._trusted(self.space, result)
 
     def lift_to_phase(self) -> "Polynomial":
         """Re-declare a base polynomial over the phase space (zero fiber block)."""
@@ -371,7 +456,7 @@ class Polynomial:
             return self
         phase = self.space.phase
         pad = (0,) * self.space.n
-        return Polynomial(phase, {e + pad: c for e, c in self.terms.items()})
+        return Polynomial._trusted(phase, {e + pad: c for e, c in self.terms.items()})
 
     def drop_fiber(self) -> "Polynomial":
         """Forget the fiber block (requires no fiber variable to occur)."""
@@ -383,7 +468,7 @@ class Polynomial:
             if any(exps[n:]):
                 raise ValueError("polynomial depends on fiber variables")
             out[exps[:n]] = coeff
-        return Polynomial(self.space.base, out)
+        return Polynomial._trusted(self.space.base, out)
 
     def factor_out(self, pos: int) -> tuple[int, "Polynomial"]:
         """Largest k with variable^k dividing self, and the exact quotient.
@@ -399,11 +484,11 @@ class Polynomial:
             exps[:pos] + (exps[pos] - k,) + exps[pos + 1:]: c
             for exps, c in self.terms.items()
         }
-        return k, Polynomial(self.space, out)
+        return k, Polynomial._trusted(self.space, out)
 
     def truncate_total(self, order: int) -> "Polynomial":
         """Drop every term of total degree exceeding ``order``."""
-        return Polynomial(
+        return Polynomial._trusted(
             self.space, {e: c for e, c in self.terms.items() if sum(e) <= order}
         )
 
@@ -518,7 +603,9 @@ class JetSeries:
         if isinstance(other, (int, Fraction)):
             return JetSeries(self.body * other, self.order)
         other = self._coerce(other)
-        return JetSeries(self.body * other.body, self.order)
+        self.body._check_space(other.body)
+        body = _mul_terms(self.body.terms, other.body.terms, self.order)
+        return JetSeries(Polynomial._trusted(self.space, body), self.order)
 
     __rmul__ = __mul__
 

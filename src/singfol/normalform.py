@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from singfol import _linalg
-from singfol.exactpoly import JetSeries, NonUnitError, Polynomial, Space
+from singfol.exactpoly import JetSeries, NonUnitError, Polynomial, Space, _sum_products
 from singfol.vectorfield import Frame, VectorField
 
 __all__ = [
@@ -144,19 +144,13 @@ def normalize_linear(F: JetFrame) -> JetFrame:
     space = F.space
     # x_i -> sum_j M[i][j] y_j as polynomials in the new coordinates
     substitution = {
-        i: sum(
-            (Polynomial.variable(space, j) * M[i][j] for j in range(F.n) if M[i][j] != 0),
-            Polynomial.zero(space),
-        )
+        i: _sum_products(space, ((Polynomial.variable(space, j), M[i][j]) for j in range(F.n)))
         for i in range(F.n)
     }
     new_components = []
     for row in F.components:
         composed = [js.body.substitute(substitution) for js in row]
-        pulled = [
-            sum((Minv[i][j] * composed[j] for j in range(F.n)), Polynomial.zero(space))
-            for i in range(F.n)
-        ]
+        pulled = [_sum_products(space, zip(Minv[i], composed)) for i in range(F.n)]
         new_components.append(tuple(JetSeries(c, F.order) for c in pulled))
     out = JetFrame(F.n, F.m, F.order, tuple(new_components), "V(1)",
                    tuple(tuple(row) for row in M))

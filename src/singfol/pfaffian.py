@@ -27,7 +27,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Sequence
 
-from singfol.exactpoly import Polynomial, Space
+from singfol.exactpoly import Polynomial, Space, _add_terms
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -248,16 +248,15 @@ def _proportionality(target: Polynomial, raw: Polynomial) -> Fraction:
 
 def _raw_recursion_sum(A: SkewMatrix, I: tuple[int, ...], i0: int,
                        sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
-    acc = Polynomial.zero(A.space)
+    acc: dict = {}
     rest = tuple(k for k in I if k != i0)
     for j in rest:
         a = A.entry(i0, j)
         if a.is_zero():
             continue
         sign = epsilon_sign(I, i0) * epsilon_sign(rest, j)
-        term = a * sub(tuple(k for k in rest if k != j))
-        acc = acc + (term if sign > 0 else -term)
-    return acc
+        _add_terms(acc, (a * sub(tuple(k for k in rest if k != j))).terms, sign)
+    return Polynomial._trusted(A.space, acc)
 
 
 def _recursion_prefactor(r: int) -> Fraction:
@@ -278,7 +277,7 @@ def _derivative_prefactor(r: int) -> Fraction:
         block = _block_matrix(r, variable_entries=True)
         I = tuple(range(1, r + 1))
         d1 = lambda f: f.partial(0)
-        raw = Polynomial.zero(block.space)
+        raw: dict = {}
         for i in I:
             rest = tuple(k for k in I if k != i)
             for j in rest:
@@ -287,9 +286,9 @@ def _derivative_prefactor(r: int) -> Fraction:
                     continue
                 sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
                 term = pfaffian_by_definition(block, tuple(k for k in rest if k != j)) * da
-                raw = raw + (term if sign > 0 else -term)
+                _add_terms(raw, term.terms, sign)
         target = d1(pfaffian_by_definition(block, I))
-        _derivative_prefactors[r] = _proportionality(target, raw)
+        _derivative_prefactors[r] = _proportionality(target, Polynomial._trusted(block.space, raw))
     return _derivative_prefactors[r]
 
 
@@ -349,7 +348,7 @@ def pfaffian_derivative(A: SkewMatrix, I: Sequence[int], D: VectorField,
         raise ValueError("derivative formula applies to even-cardinality index sets")
     if cache is None:
         cache = {}
-    acc = Polynomial.zero(A.space)
+    acc: dict = {}
     for i in I:
         rest = tuple(k for k in I if k != i)
         for j in rest:
@@ -358,10 +357,11 @@ def pfaffian_derivative(A: SkewMatrix, I: Sequence[int], D: VectorField,
                 continue
             sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
             term = _pf_cached(A, tuple(k for k in rest if k != j), cache) * da
-            acc = acc + (term if sign > 0 else -term)
-    if acc.is_zero():
-        return acc
-    return acc * _derivative_prefactor(len(I))
+            _add_terms(acc, term.terms, sign)
+    total = Polynomial._trusted(A.space, acc)
+    if total.is_zero():
+        return total
+    return total * _derivative_prefactor(len(I))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +391,15 @@ def minor_determinant(A: SkewMatrix, rows: Sequence[int], cols: Sequence[int] | 
         if remaining in memo:
             return memo[remaining]
         i = rows[depth]
-        acc = Polynomial.zero(A.space)
+        acc: dict = {}
         for pos, j in enumerate(remaining):
             a = A.entry(i, j)
             if a.is_zero():
                 continue
             sub = expand(depth + 1, remaining[:pos] + remaining[pos + 1:])
-            term = a * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[remaining] = acc
-        return acc
+            _add_terms(acc, (a * sub).terms, 1 if pos % 2 == 0 else -1)
+        memo[remaining] = value = Polynomial._trusted(A.space, acc)
+        return value
 
     return expand(0, cols)
 

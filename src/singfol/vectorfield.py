@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space
+from singfol.exactpoly import Polynomial, Space, _add_terms, _sum_products
 
 __all__ = [
     "VectorField",
@@ -117,12 +117,10 @@ class VectorField:
         """Derivation action: sum of component * partial of f."""
         if f.space != self.space:
             raise ValueError("function lives in a different space")
-        out = Polynomial.zero(self.space)
-        for pos, comp in enumerate(self.components):
-            if comp.is_zero():
-                continue
-            out = out + comp * f.partial(pos)
-        return out
+        return _sum_products(self.space, (
+            (comp, f.partial(pos))
+            for pos, comp in enumerate(self.components) if not comp.is_zero()
+        ))
 
     def evaluate(self, point: Sequence) -> list:
         return [c.evaluate(point) for c in self.components]
@@ -244,11 +242,11 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         raise ValueError("kind mismatch")
     comps = []
     for k in range(len(X.components)):
-        acc = Polynomial.zero(X.space)
+        acc: dict = {}
         for j in range(len(X.components)):
-            acc = acc + X.components[j] * Y.components[k].partial(j)
-            acc = acc - Y.components[j] * X.components[k].partial(j)
-        comps.append(acc)
+            _add_terms(acc, (X.components[j] * Y.components[k].partial(j)).terms)
+            _add_terms(acc, (Y.components[j] * X.components[k].partial(j)).terms, -1)
+        comps.append(Polynomial._trusted(X.space, acc))
     return VectorField(comps, X.kind)
 
 
@@ -257,11 +255,10 @@ def hamiltonian_lift(X: VectorField) -> Polynomial:
     if X.kind != "base":
         raise ValueError("lift applies to base fields")
     phase = X.space.phase
-    out = Polynomial.zero(phase)
-    for k, comp in enumerate(X.components):
-        pk = Polynomial.variable(phase, phase.p(k + 1))
-        out = out + comp.lift_to_phase() * pk
-    return out
+    return _sum_products(phase, (
+        (comp.lift_to_phase(), Polynomial.variable(phase, phase.p(k + 1)))
+        for k, comp in enumerate(X.components)
+    ))
 
 
 def hamiltonian_vector_field(h: Polynomial) -> VectorField:
@@ -280,19 +277,20 @@ def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
     space = h.space
     if not space.fiber or g.space != space:
         raise ValueError("Poisson bracket needs two phase-space functions")
-    out = Polynomial.zero(space)
+    out: dict = {}
     for k in range(1, space.n + 1):
         xk, pk = space.x(k), space.p(k)
-        out = out + h.partial(pk) * g.partial(xk) - h.partial(xk) * g.partial(pk)
-    return out
+        _add_terms(out, (h.partial(pk) * g.partial(xk)).terms)
+        _add_terms(out, (h.partial(xk) * g.partial(pk)).terms, -1)
+    return Polynomial._trusted(space, out)
 
 
 def divergence(V: VectorField) -> Polynomial:
     """Euclidean divergence in the declared coordinates."""
-    out = Polynomial.zero(V.space)
+    out: dict = {}
     for pos, comp in enumerate(V.components):
-        out = out + comp.partial(pos)
-    return out
+        _add_terms(out, comp.partial(pos).terms)
+    return Polynomial._trusted(V.space, out)
 
 
 def scale_fiber(f: Polynomial, lam: Fraction) -> Polynomial:

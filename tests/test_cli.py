@@ -157,6 +157,29 @@ def test_schema_validation_errors(capsys, tmp_path):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["stratify", "--seed", "1", "--samples", "0"], "--samples"),
+    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0"], "--h"),
+    (["integrate", "--from", "0,0,0,0", "--T", "nan", "--h", "0.01"], "--T"),
+    (["normalform", "--order", "-1"], "--order"),
+    (["scan-div", "--seed", "1", "--cutoff", "0"], "--cutoff"),
+    (["generators", "--rank", "3"], "--rank"),
+    (["singular-set", "--rank", "3"], "--rank"),
+    (["integrate", "--from", "a,b,c,d", "--T", "0.1", "--h", "0.01"], "--from"),
+    (["integrate", "--field", "a", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.01"], "--field"),
+    (["bracket-check", "--at", "a,b,c,d"], "--at"),
+])
+def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
+    frame = frame_file(tmp_path, "dim4")
+    code, out, err = run(capsys, *argv, "--frame", frame)
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ") and flag in err
+    code, out, _ = run(capsys, *argv, "--frame", frame, "--json")
+    assert code == EXIT_INPUT
+    report = json.loads(out)
+    assert report["command"] == argv[0] and flag in report["error"]
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["demo", "no-such-demo"])

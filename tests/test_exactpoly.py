@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial, random_rational_point
+from singfol import exactpoly
 from singfol.exactpoly import (
     JetSeries,
     NonUnitError,
@@ -16,6 +17,7 @@ from singfol.exactpoly import (
     SpaceMismatchError,
     parse_expression,
 )
+from singfol.vectorfield import VectorField, divergence, lie_bracket, poisson_bracket
 
 PHASE3 = Space(3, True)
 BASE2 = Space(2)
@@ -54,6 +56,14 @@ def test_binomial_cube():
 def test_space_mismatch_raises():
     with pytest.raises(SpaceMismatchError):
         var(BASE2, "x1") + var(Space(3), "x1")
+
+
+def test_public_constructor_validates_terms():
+    with pytest.raises(SpaceMismatchError):
+        Polynomial(BASE2, {(1,): Fraction(1)})
+    with pytest.raises(TypeError):
+        Polynomial(BASE2, {(1, 0): 0.5})
+    assert Polynomial(BASE2, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): Fraction(2)}
 
 
 # -- derivatives ------------------------------------------------------------
@@ -242,3 +252,182 @@ def test_series_inverse_property(seed, order):
         body = body + 1
     u = JetSeries(body, order)
     assert (u.invert_unit() * u) == JetSeries.constant(space, 1, order)
+
+
+# -- kernels against the plain reference loops -------------------------------
+#
+# The product and sum kernels must fill each term dictionary in exactly the
+# order of the plain loops below (eval_float sums in that order), so these
+# tests compare list(terms.items()), not only the dictionaries.
+
+
+def reference_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The plain Fraction double loop."""
+    out: dict = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            acc = out.get(key, 0) + ca * cb
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return Polynomial(f.space, out)
+
+
+def reference_power(f: Polynomial, k: int) -> Polynomial:
+    """Square-and-multiply, as in Polynomial.__pow__, on the reference loop."""
+    result, base = Polynomial.constant(f.space, 1), f
+    while k:
+        if k & 1:
+            result = reference_product(result, base)
+        base = reference_product(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def reference_add(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
+    """A fresh copy of f with the terms of sign*g added one by one."""
+    out = dict(f.terms)
+    for exps, coeff in g.terms.items():
+        acc = out.get(exps, 0) + sign * coeff
+        if acc:
+            out[exps] = acc
+        else:
+            out.pop(exps, None)
+    return Polynomial(f.space, out)
+
+
+def reference_sum(space: Space, signed_terms) -> Polynomial:
+    """acc = acc + term (or - term), copying the accumulator at every step."""
+    acc = Polynomial.zero(space)
+    for sign, term in signed_terms:
+        acc = reference_add(acc, term, sign)
+    return acc
+
+
+def same_order(got: Polynomial, want: Polynomial) -> bool:
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+_RATIONAL = (1, 2, 3, 7)
+
+
+def _pair(seed: int, sizes: tuple[int, int], space: Space, max_degree: int = 3):
+    rng = random.Random(seed)
+    return [random_polynomial(rng, space, k, max_degree, _RATIONAL) for k in sizes]
+
+
+def test_product_matches_reference_small_and_large():
+    for seed in range(40):
+        for sizes in [(1, 1), (3, 3), (12, 12), (1, 30)]:
+            f, g = _pair(seed, sizes, Space(3))
+            for a, b in [(f, g), (f + g, f - g)]:
+                assert same_order(a * b, reference_product(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 8, 16]),
+       st.sampled_from([1, 2, 3, 8, 16]), _spaces)
+def test_product_matches_reference_loop(seed, na, nb, space):
+    f, g = _pair(seed, (na, nb), space)
+    # (f+g)(f-g) and (f*g)*g force cancelling and re-inserted keys
+    for a, b in [(f, g), (g, f), (f + g, f - g), (f * g, g)]:
+        assert same_order(a * b, reference_product(a, b))
+    for k in (2, 3, 5):
+        assert same_order(f ** k, reference_power(f, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), _spaces)
+def test_in_place_sums_match_reference(seed, space):
+    rng = random.Random(seed)
+    signed = [(rng.choice((1, -1)), random_polynomial(rng, space, rng.choice((1, 3, 8)), 2, _RATIONAL))
+              for _ in range(6)]
+    # cancel the first terms again, then bring one of them back
+    signed += [(-sign, term) for sign, term in signed[:2]] + signed[:1]
+    want = reference_sum(space, signed)
+    acc: dict = {}
+    for sign, term in signed:
+        exactpoly._add_terms(acc, term.terms, sign)
+    assert list(acc.items()) == list(want.terms.items())
+    got = Polynomial.zero(space)
+    for sign, term in signed:
+        got = got + term if sign > 0 else got - term
+    assert same_order(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 4, 12]))
+def test_substitute_matches_reference(seed, size):
+    space = Space(3)
+    rng = random.Random(seed)
+    f = random_polynomial(rng, space, size, 4, _RATIONAL)
+    reps = {pos: random_polynomial(rng, space, 3, 2, _RATIONAL)
+            for pos in rng.sample(range(3), rng.randint(1, 2))}
+    want = Polynomial.zero(space)
+    for exps, coeff in f.terms.items():
+        kept = list(exps)
+        for pos in reps:
+            kept[pos] = 0
+        term = Polynomial.monomial(space, kept, coeff)
+        for pos, rep in reps.items():
+            for _ in range(exps[pos]):
+                term = reference_product(term, rep)
+        want = reference_add(want, term)
+    assert same_order(f.substitute(reps), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_brackets_and_divergence_match_reference_sums(seed):
+    space = Space(2, True)
+    rng = random.Random(seed)
+    h, g = (random_polynomial(rng, space, 6, 3, _RATIONAL) for _ in range(2))
+    signed = []
+    for k in range(1, space.n + 1):
+        xk, pk = space.x(k), space.p(k)
+        signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
+        signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
+    assert same_order(poisson_bracket(h, g), reference_sum(space, signed))
+    base = Space(3)
+    X, Y = (VectorField([random_polynomial(rng, base, 4, 2, _RATIONAL) for _ in range(3)])
+            for _ in range(2))
+    bracket = lie_bracket(X, Y)
+    for k in range(3):
+        signed = []
+        for j in range(3):
+            signed.append((1, reference_product(X.components[j], Y.components[k].partial(j))))
+            signed.append((-1, reference_product(Y.components[j], X.components[k].partial(j))))
+        assert same_order(bracket.components[k], reference_sum(base, signed))
+    want = reference_sum(base, [(1, c.partial(pos)) for pos, c in enumerate(X.components)])
+    assert same_order(divergence(X), want)
+
+
+def test_poisson_bracket_adds_then_subtracts():
+    # a term of the k=2 step cancels on "+ X" and returns on "- Y", so it
+    # moves to the end; summing (X - Y) instead would leave it in place
+    space = Space(2, True)
+    h = parse_expression("-3*x1*x2*p2 - x1*p1 - 4*p2", space)
+    g = parse_expression("-4*x1^2*p1 + 3*x1*x2^2 - 4*x1*x2*p2 - 4*x2*p2", space)
+    signed = []
+    for k in (1, 2):
+        xk, pk = space.x(k), space.p(k)
+        signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
+        signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
+    want = reference_sum(space, signed)
+    assert same_order(poisson_bracket(h, g), want)
+    merged = reference_sum(space, [(1, reference_add(x, y, -1))
+                                   for (_, x), (_, y) in zip(signed[::2], signed[1::2])])
+    assert merged == want and not same_order(merged, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.sampled_from([2, 4, 12]))
+def test_truncated_jet_product_matches_truncated_full_product(seed, order, size):
+    space = Space(2)
+    f, g = _pair(seed, (size, size), space, max_degree=4)
+    a, b = JetSeries(f, order), JetSeries(g, order)
+    want = reference_product(a.body, b.body).truncate_total(order)
+    assert same_order((a * b).body, want)
+    assert same_order((a * b).body, (a.body * b.body).truncate_total(order))
