@@ -1,8 +1,9 @@
 """Exact linear algebra over Fraction matrices (small sizes only).
 
-Matrices are lists of row lists.  Everything here is plain fraction-free
-Gaussian elimination; sizes in this package stay below ~10 so no pivoting
-strategy beyond "first nonzero" is needed.
+Matrices are lists of row lists.  Everything here is plain Gaussian
+elimination over Q; sizes in this package stay small (a Goh matrix has one
+row per frame field) and the arithmetic is exact, so no pivoting strategy
+beyond "first nonzero" is needed.
 """
 
 from __future__ import annotations

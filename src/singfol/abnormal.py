@@ -29,7 +29,7 @@ stated off the ideal is checked fully symbolically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -112,6 +112,8 @@ class GohMatrix:
     ``hamiltonians`` and ``ham_fields`` cache the momentum functions h^i and
     their Hamiltonian vector fields; ``reduced`` is the x-only matrix Ht with
     H = p_n * Ht, present exactly when the frame is in corank-1 normal form.
+    The entry H[k,l] is the pair bracket {h^k, h^l}; ``_triples`` memoizes
+    the triple brackets {h^j, H[k,l]} (k < l) shared by all certificates.
     """
 
     frame: Frame
@@ -119,10 +121,18 @@ class GohMatrix:
     hamiltonians: tuple[Polynomial, ...]
     ham_fields: tuple[VectorField, ...]
     reduced: SkewMatrix | None = None
+    _triples: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return self.frame.m
+
+    def triple_bracket(self, j: int, k: int, l: int) -> Polynomial:
+        """{h^j, {h^k, h^l}} = {h^j, H[k,l]} for k < l, memoized."""
+        key = (j, k, l)
+        if key not in self._triples:
+            self._triples[key] = poisson_bracket(self.hamiltonians[j - 1], self.H.entry(k, l))
+        return self._triples[key]
 
 
 def goh_matrix(F: Frame) -> GohMatrix:
@@ -245,9 +255,8 @@ def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None
     if goh is None:
         goh = goh_matrix(F)
     assert goh.reduced is not None
-    cache: dict = {}
     red_coeffs = tuple(
-        epsilon_sign(g.I, i) * pfaffian_by_recursion(goh.reduced, tuple(k for k in g.I if k != i), cache=cache)
+        epsilon_sign(g.I, i) * pfaffian_by_recursion(goh.reduced, tuple(k for k in g.I if k != i))
         for i in g.I
     )
     Z = _combination(F.space, "base", red_coeffs, [F.fields[i - 1] for i in g.I])
@@ -299,12 +308,6 @@ def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
     eps(I,j) eps(I-j,k) eps(I-jk,l) phi(H, I-jkl) {h^j, {h^k, h^l}}."""
     phase = goh.frame.space.phase
     acc: dict = {}
-    cache: dict = {}
-    pair_brackets = {}
-    for k in g.I:
-        for l in g.I:
-            if k < l:
-                pair_brackets[(k, l)] = poisson_bracket(goh.hamiltonians[k - 1], goh.hamiltonians[l - 1])
     for j in g.I:
         rest_j = tuple(i for i in g.I if i != j)
         for k in rest_j:
@@ -312,11 +315,14 @@ def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
             for l in rest_jk:
                 sign = (epsilon_sign(g.I, j) * epsilon_sign(rest_j, k)
                         * epsilon_sign(rest_jk, l))
-                phi = pfaffian_by_recursion(goh.H, tuple(i for i in rest_jk if i != l), cache=cache)
+                phi = pfaffian_by_recursion(goh.H, tuple(i for i in rest_jk if i != l))
                 if phi.is_zero():
                     continue
-                hkl = pair_brackets[(k, l)] if k < l else -pair_brackets[(l, k)]
-                triple = poisson_bracket(goh.hamiltonians[j - 1], hkl)
+                if k < l:
+                    triple = goh.triple_bracket(j, k, l)
+                else:  # {h^j, H[k,l]} = -{h^j, H[l,k]}
+                    triple = goh.triple_bracket(j, l, k)
+                    sign = -sign
                 _add_terms(acc, (phi * triple).terms, sign)
     return Polynomial._trusted(phase, acc)
 
@@ -369,8 +375,7 @@ def singular_set_equations(F: Frame, r: int, goh: GohMatrix | None = None) -> li
         raise ValueError("r must be even and in 1..m")
     if goh is None:
         goh = goh_matrix(F)
-    cache: dict = {}
-    return [pfaffian_by_recursion(goh.reduced, I, cache=cache) for I in index_sets(F.m, r)]
+    return [pfaffian_by_recursion(goh.reduced, I) for I in index_sets(F.m, r)]
 
 
 # ---------------------------------------------------------------------------

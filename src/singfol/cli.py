@@ -181,11 +181,10 @@ def cmd_pfaffian(F: Frame, args):
         raise InputError(f"--minors must be a positive even integer <= m={F.m}")
     matrix = goh.reduced if goh.reduced is not None else goh.H
     kind = "reduced" if goh.reduced is not None else "phase"
-    cache: dict = {}
     lines = [f"Pfaffian minors of order {r} ({kind} Goh matrix)"]
     payload = {"order": r, "kind": kind, "minors": {}}
     for I in index_sets(F.m, r):
-        value = pfaffian_by_recursion(matrix, I, cache=cache)
+        value = pfaffian_by_recursion(matrix, I)
         lines.append(f"  phi{_index_set_to_str(I)} = {value}")
         payload["minors"][_index_set_to_str(I)] = str(value)
     return lines, payload, None
@@ -339,7 +338,7 @@ def cmd_integrate(F: Frame, args):
     goh = abnormal.goh_matrix(F)
     g, r = _pick_generator(F, args, goh)
     try:
-        traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance)
+        traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance, goh)
     except dynamics.BlowUpError as exc:
         raise InputError(str(exc)) from exc
     csv = traj.to_csv(seed=None)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from singfol.abnormal import AbnormalGenerator, goh_matrix
+from singfol.abnormal import AbnormalGenerator, GohMatrix, goh_matrix
 from singfol.vectorfield import Frame, VectorField, divergence
 
 __all__ = [
@@ -130,19 +130,22 @@ def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> 
 
 
 def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
-                        T: float, h: float, tolerance: float = 1e-10) -> Trajectory:
+                        T: float, h: float, tolerance: float = 1e-10,
+                        goh: GohMatrix | None = None) -> Trajectory:
     """Integrate the base projection of a generator and certify each step.
 
     The lift uses the p_n = 1 gauge (the annihilator of a corank-1 frame is
     a dilation-invariant graph, so the choice is harmless).  Residuals above
     ``tolerance`` are kept in the returned object; inspect ``certified`` /
-    ``violations()`` rather than expecting an exception.
+    ``violations()`` rather than expecting an exception.  ``goh`` reuses a
+    Goh matrix already built for F.
     """
     if F.normal_form is None or g.Z is None:
         raise ValueError("certified integration needs a corank-1 generator with projection")
     traj = integrate_field(g.Z, x0, T, h)
     m = F.m
-    goh = goh_matrix(F)
+    if goh is None:
+        goh = goh_matrix(F)
     assert goh.reduced is not None
     coeff_by_index = {i: c for i, c in zip(g.I, g.reduced_coefficients)}
     costates = []

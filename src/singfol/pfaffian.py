@@ -15,8 +15,15 @@ routes:
   corpora by the test suite.  The same goes for the prefactor of
   :func:`pfaffian_derivative`.
 
+Sub-Pfaffians from the recursion are memoized on the matrix itself, so
+every caller working on one matrix (kernel generators, certificates, rank,
+singular-set equations) shares one set of minors.  The memo is sound because
+a SkewMatrix is immutable: the Pfaffian of A_I is a fixed function of I, so
+two threads filling the same slot store equal values and either may win.
+
 Kernel generators Z_I (one per index set of cardinality r+1) are the
-Pfaffian-cofactor vectors spanning ker(A) wherever A has rank r.
+Pfaffian-cofactor vectors spanning ker(A) wherever A has rank r.  The rank
+at a rational point is the exact rank of the evaluated matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Sequence
 
+from singfol import _linalg
 from singfol.exactpoly import Polynomial, Space, _add_terms
 from singfol.vectorfield import VectorField
 
@@ -70,7 +78,7 @@ def epsilon_sign(I: Sequence[int], j: int) -> int:
 class SkewMatrix:
     """Antisymmetric matrix with Polynomial entries (upper triangle stored)."""
 
-    __slots__ = ("space", "size", "upper")
+    __slots__ = ("space", "size", "upper", "_pfaffians")
 
     def __init__(self, space: Space, size: int, upper: dict[tuple[int, int], Polynomial]):
         if size < 1:
@@ -86,6 +94,7 @@ class SkewMatrix:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "upper", clean)
+        object.__setattr__(self, "_pfaffians", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewMatrix is immutable")
@@ -299,9 +308,10 @@ def calibration_report(max_size: int = 8) -> dict[str, dict[int, str]]:
     return {"recursion": rec, "derivative": der}
 
 
-def _pf_cached(A: SkewMatrix, I: tuple[int, ...], cache: dict) -> Polynomial:
-    if I in cache:
-        return cache[I]
+def _pf_cached(A: SkewMatrix, I: tuple[int, ...]) -> Polynomial:
+    memo = A._pfaffians
+    if I in memo:
+        return memo[I]
     if len(I) == 0:
         value = Polynomial.constant(A.space, 1)
     elif len(I) % 2:
@@ -309,45 +319,39 @@ def _pf_cached(A: SkewMatrix, I: tuple[int, ...], cache: dict) -> Polynomial:
     elif len(I) == 2:
         value = A.entry(I[0], I[1])
     else:
-        raw = _raw_recursion_sum(A, I, I[0], lambda J: _pf_cached(A, J, cache))
+        raw = _raw_recursion_sum(A, I, I[0], lambda J: _pf_cached(A, J))
         value = raw * _recursion_prefactor(len(I))
-    cache[I] = value
+    memo[I] = value
     return value
 
 
-def pfaffian_by_recursion(A: SkewMatrix, I: Sequence[int], pivot: int | None = None,
-                          cache: dict | None = None) -> Polynomial:
+def pfaffian_by_recursion(A: SkewMatrix, I: Sequence[int], pivot: int | None = None) -> Polynomial:
     """Pfaffian of A_I by the calibrated pivot expansion.
 
     ``pivot`` defaults to the smallest element of I; any element gives the
-    same value.  Passing a ``cache`` dict shares sub-Pfaffians across calls
-    on the same matrix.
+    same value.  Sub-Pfaffians are memoized on the matrix: it is immutable,
+    so repeated calls share them and a concurrent fill stores an equal value.
     """
     I = _check_index_set(I, A.size)
     if len(I) % 2:
         raise ValueError("recursion applies to even-cardinality index sets")
     if len(I) == 0:
         return Polynomial.constant(A.space, 1)
-    if cache is None:
-        cache = {}
     if pivot is None or pivot == I[0]:
-        return _pf_cached(A, I, cache)
+        return _pf_cached(A, I)
     if pivot not in I:
         raise ValueError(f"pivot {pivot} is not in {I}")
-    raw = _raw_recursion_sum(A, I, pivot, lambda J: _pf_cached(A, J, cache))
+    raw = _raw_recursion_sum(A, I, pivot, lambda J: _pf_cached(A, J))
     return raw * _recursion_prefactor(len(I))
 
 
-def pfaffian_derivative(A: SkewMatrix, I: Sequence[int], D: VectorField,
-                        cache: dict | None = None) -> Polynomial:
+def pfaffian_derivative(A: SkewMatrix, I: Sequence[int], D: VectorField) -> Polynomial:
     """Apply the derivation D to the Pfaffian of A_I without differentiating
     the Pfaffian itself: the calibrated cofactor formula sums
     phi(A, I minus {i,j}) * D(a_ij) over ordered pairs."""
     I = _check_index_set(I, A.size)
     if len(I) % 2:
         raise ValueError("derivative formula applies to even-cardinality index sets")
-    if cache is None:
-        cache = {}
     acc: dict = {}
     for i in I:
         rest = tuple(k for k in I if k != i)
@@ -356,7 +360,7 @@ def pfaffian_derivative(A: SkewMatrix, I: Sequence[int], D: VectorField,
             if da.is_zero():
                 continue
             sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
-            term = _pf_cached(A, tuple(k for k in rest if k != j), cache) * da
+            term = _pf_cached(A, tuple(k for k in rest if k != j)) * da
             _add_terms(acc, term.terms, sign)
     total = Polynomial._trusted(A.space, acc)
     if total.is_zero():
@@ -432,60 +436,31 @@ def kernel_generators(A: SkewMatrix, r: int) -> list[KernelGenerator]:
         raise ValueError("rank parameter must be even")
     if not 0 <= r < A.size:
         raise ValueError(f"need 0 <= r < {A.size}")
-    cache: dict = {}
     out = []
     for I in index_sets(A.size, r + 1):
         coeffs = tuple(
-            epsilon_sign(I, i) * _pf_cached(A, tuple(k for k in I if k != i), cache)
+            epsilon_sign(I, i) * _pf_cached(A, tuple(k for k in I if k != i))
             for i in I
         )
         out.append(KernelGenerator(I, A.size, coeffs))
     return out
 
 
-def _scalar_rank_by_pfaffians(values: list[list[Fraction]]) -> int:
-    m = len(values)
-
-    def pf(I: tuple[int, ...], memo: dict) -> Fraction:
-        if not I:
-            return Fraction(1)
-        if I in memo:
-            return memo[I]
-        i0 = I[0]
-        rest = I[1:]
-        acc = Fraction(0)
-        for j in rest:
-            a = values[i0 - 1][j - 1]
-            if a == 0:
-                continue
-            sign = epsilon_sign(I, i0) * epsilon_sign(rest, j)
-            acc += sign * a * pf(tuple(k for k in rest if k != j), memo)
-        memo[I] = acc
-        return acc
-
-    memo: dict = {}
-    top = m if m % 2 == 0 else m - 1
-    for r in range(top, 0, -2):
-        for I in index_sets(m, r):
-            if pf(I, memo) != 0:
-                return r
-    return 0
-
-
 def skew_rank(A: SkewMatrix, at: Sequence | None = None) -> int:
     """Largest even r with a nonvanishing Pfaffian minor of size r.
 
-    Without ``at`` this is the generic rank over the fraction field (some
-    minor is a nonzero polynomial); with a rational point it is the exact
-    rank of the evaluated matrix.  Computed from Pfaffian minors so that the
+    Without ``at`` this is the generic rank over the fraction field: the
+    largest size with a Pfaffian minor that is a nonzero polynomial, so the
     rank decision and the stratification equations are the same objects.
+    With a rational point it is the exact rank of the evaluated matrix, by
+    Gaussian elimination over Q (the rank of a skew matrix is even, and
+    equals the largest size of a nonvanishing Pfaffian minor).
     """
     if at is not None:
-        return _scalar_rank_by_pfaffians(A.evaluate(at))
-    cache: dict = {}
+        return _linalg.rank(A.evaluate(at))
     top = A.size if A.size % 2 == 0 else A.size - 1
     for r in range(top, 0, -2):
         for I in index_sets(A.size, r):
-            if not _pf_cached(A, I, cache).is_zero():
+            if not _pf_cached(A, I).is_zero():
                 return r
     return 0

@@ -9,8 +9,10 @@ from singfol.abnormal import (
     AbnormalGenerator,
     AnnihilatorError,
     CertificateError,
+    GohMatrix,
     NormalFormError,
     SamplerConfig,
+    _jacobi_expansion,
     abnormal_generators,
     divergence_certificate,
     goh_matrix,
@@ -20,10 +22,17 @@ from singfol.abnormal import (
     singular_set_equations,
     stratify,
 )
-from singfol.demos import demo_frame
+from singfol.demos import DEMOS, demo_frame
 from singfol.exactpoly import Polynomial, Space, parse_expression
-from singfol.pfaffian import epsilon_sign, skew_rank
-from singfol.vectorfield import Frame, VectorField, divergence, lie_bracket, scale_fiber
+from singfol.pfaffian import SkewMatrix, epsilon_sign, pfaffian_by_definition, skew_rank
+from singfol.vectorfield import (
+    Frame,
+    VectorField,
+    divergence,
+    lie_bracket,
+    poisson_bracket,
+    scale_fiber,
+)
 
 
 def bracket_momentum(F, i, j):
@@ -82,6 +91,19 @@ def test_goh_reduced_factorization():
     for i in range(1, 4):
         for j in range(1, 4):
             assert goh.H.entry(i, j) == pn * goh.reduced.entry(i, j).lift_to_phase()
+
+
+def test_goh_entries_are_pair_brackets():
+    # the Jacobi expansion reads {h^k, h^l} straight off H[k,l]
+    frames = [demo_frame(name) for name in DEMOS]
+    frames += [random_corank1_frame(random.Random(seed), n) for seed, n in ((91, 4), (92, 5), (93, 7))]
+    frames.append(random_general_frame(random.Random(71), 4, 3))
+    for F in frames:
+        goh = goh_matrix(F)
+        for k in range(1, F.m + 1):
+            for l in range(1, F.m + 1):
+                bracket = poisson_bracket(goh.hamiltonians[k - 1], goh.hamiltonians[l - 1])
+                assert goh.H.entry(k, l) == bracket, (F.name, k, l)
 
 
 # -- kernel dimension ------------------------------------------------------------
@@ -332,6 +354,64 @@ def test_certificate_failure_carries_residual():
     with pytest.raises(CertificateError) as err:
         divergence_certificate(bogus, F)
     assert not err.value.residual.is_zero()
+
+
+def _tampered_goh(F):
+    """The Goh matrix of a corank-1 frame with E[k,l] added to every upper
+    entry (k, l), where E[k,l] is the product of the x_i, i <= m, i not k, l.
+
+    Its H is no longer the bracket matrix of its hamiltonians.  The bracket
+    part of the expansion still cancels by the Jacobi identity, and each
+    triple {a, b, c} leaves {h^a, E[b,c]} + {h^b, E[c,a]} + {h^c, E[a,b]},
+    which is the product of the x_i outside the triple, up to sign: the p_a
+    term of h^a = p_a + A_a p_n differentiates x_a out of E[b,c], whatever
+    the coefficients A_a are.
+    """
+    goh = goh_matrix(F)
+    phase = F.space.phase
+    upper = {}
+    for k in range(1, F.m + 1):
+        for l in range(k + 1, F.m + 1):
+            extra = Polynomial.constant(phase, 1)
+            for i in range(1, F.m + 1):
+                if i not in (k, l):
+                    extra = extra * Polynomial.variable(phase, phase.x(i))
+            upper[(k, l)] = goh.H.entry(k, l) + extra
+    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
+                     goh.reduced)
+
+
+def _reference_jacobi(I, goh):
+    """The expansion by its definition: no memo, H.entry(k, l) in both orders."""
+    acc = Polynomial.zero(goh.frame.space.phase)
+    for j in I:
+        rest_j = tuple(i for i in I if i != j)
+        for k in rest_j:
+            rest_jk = tuple(i for i in rest_j if i != k)
+            for l in rest_jk:
+                sign = epsilon_sign(I, j) * epsilon_sign(rest_j, k) * epsilon_sign(rest_jk, l)
+                phi = pfaffian_by_definition(goh.H, tuple(i for i in rest_jk if i != l))
+                triple = poisson_bracket(goh.hamiltonians[j - 1], goh.H.entry(k, l))
+                acc = acc + phi * triple * sign
+    return acc
+
+
+def test_jacobi_expansion_nonzero_off_the_bracket_matrix():
+    # a certificate passes on a zero expansion, so check that the expansion
+    # is not zero by construction: on a Goh matrix that is not the bracket
+    # matrix it must be nonzero and agree with the plain triple loop
+    frames = [(demo_frame("dim4"), (2,)), (demo_frame("dim5"), (2,)),
+              (demo_frame("dim6-cubic"), (2, 4)),
+              (random_corank1_frame(random.Random(81), 7), (2, 4))]
+    for F, ranks in frames:
+        goh = goh_matrix(F)
+        tampered = _tampered_goh(F)
+        for r in ranks:
+            for g in abnormal_generators(F, r, goh):
+                expansion = _jacobi_expansion(g, tampered)
+                assert not expansion.is_zero(), (F.name, g.I)
+                assert expansion == _reference_jacobi(g.I, tampered), (F.name, g.I)
+                assert _jacobi_expansion(g, goh).is_zero()
 
 
 # -- singular set ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from singfol.pfaffian import (
     SkewMatrix,
     calibration_report,
     epsilon_sign,
+    index_sets,
     kernel_generators,
     minor_determinant,
     pfaffian_by_definition,
@@ -122,9 +123,8 @@ def test_recursion_matches_definition_all_pivots():
         A = random_skew(rng, sp, 6)
         I = (1, 2, 3, 4, 5, 6)
         expected = pfaffian_by_definition(A, I)
-        cache = {}
         for pivot in I:
-            assert pfaffian_by_recursion(A, I, pivot, cache) == expected
+            assert pfaffian_by_recursion(A, I, pivot) == expected
 
 
 def test_recursion_rejects_odd_sets():
@@ -263,7 +263,39 @@ def test_rank_examples():
     assert skew_rank(A, at=[Fraction(1, 2), Fraction(0)]) == 2
 
 
+def _rank_by_pfaffian_minors(values):
+    """Largest even r with a nonzero scalar Pfaffian minor of size r, by the
+    unscaled pivot recursion (its prefactor is 1, and only zero-ness counts)."""
+    m = len(values)
+    memo = {}
+
+    def pf(I):
+        if not I:
+            return Fraction(1)
+        if I in memo:
+            return memo[I]
+        i0 = I[0]
+        rest = I[1:]
+        acc = Fraction(0)
+        for j in rest:
+            a = values[i0 - 1][j - 1]
+            if a == 0:
+                continue
+            sign = epsilon_sign(I, i0) * epsilon_sign(rest, j)
+            acc += sign * a * pf(tuple(k for k in rest if k != j))
+        memo[I] = acc
+        return acc
+
+    top = m if m % 2 == 0 else m - 1
+    for r in range(top, 0, -2):
+        for I in index_sets(m, r):
+            if pf(I) != 0:
+                return r
+    return 0
+
+
 def test_rank_at_matches_gaussian_elimination():
+    # skew_rank(at=...) eliminates; the oracle searches Pfaffian minors
     for seed in range(10):
         rng = random.Random(700 + seed)
         sp = Space(2)
@@ -271,7 +303,10 @@ def test_rank_at_matches_gaussian_elimination():
         A = random_skew(rng, sp, size)
         point = random_rational_point(rng, 2)
         values = A.evaluate(point)
-        assert skew_rank(A, at=point) == _linalg.rank(values)
+        assert skew_rank(A, at=point) == _rank_by_pfaffian_minors(values)
+    # the wide stratify shape: size 12, rank 2
+    rows = random_scalar_skew_of_rank(random.Random(712), 12, 2)
+    assert skew_rank(scalar_to_skew(rows), at=[Fraction(0)]) == _rank_by_pfaffian_minors(rows) == 2
 
 
 def test_from_rows_checks_antisymmetry():

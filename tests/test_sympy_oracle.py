@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_skew
 from singfol.exactpoly import Polynomial, Space
+from singfol.pfaffian import minor_determinant, pfaffian_by_recursion
 from singfol.vectorfield import VectorField, divergence, lie_bracket, poisson_bracket
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 DENOMINATORS = (1, 2, 3, 7)
 
@@ -111,3 +113,28 @@ def test_poisson_bracket(seed):
         x, p = syms[space.x(k)], syms[space.p(k)]
         want += sympy.diff(H, p) * sympy.diff(G, x) - sympy.diff(H, x) * sympy.diff(G, p)
     assert_equal(poisson_bracket(h, g), want, syms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_seeds, st.integers(1, 6))
+def test_minor_determinant_and_pfaffian_square(seed, size):
+    space = Space(2)
+    syms = symbols(space)
+    rng = random.Random(seed)
+    A = random_skew(rng, space, 6)
+    rows = tuple(sorted(rng.sample(range(1, 7), size)))
+    cols = tuple(sorted(rng.sample(range(1, 7), size)))
+
+    def det(R, C):
+        # over the polynomial ring QQ[x1, x2]: Matrix.det on expressions is
+        # orders of magnitude slower and gives the same value
+        M = DomainMatrix.from_Matrix(
+            sympy.Matrix([[to_sympy(A.entry(i, j), syms) for j in C] for i in R]))
+        return M.domain.to_sympy(M.det())
+
+    skew_det = det(rows, rows)
+    assert_equal(minor_determinant(A, rows), skew_det, syms)
+    assert_equal(minor_determinant(A, rows, cols), det(rows, cols), syms)
+    if size % 2 == 0:
+        pf = to_sympy(pfaffian_by_recursion(A, rows), syms)
+        assert sympy.expand(pf ** 2 - skew_det) == 0
