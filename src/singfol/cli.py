@@ -31,6 +31,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERTIFICATE = 2
 
+# integrate rejects a --T/--h asking for more RK4 steps than this
+MAX_STEPS = 10 ** 7
+
 
 class InputError(Exception):
     pass
@@ -108,12 +111,15 @@ def build_frame(spec: dict) -> Frame:
         raise InputError(str(exc)) from exc
 
 
+def _goh_rank(goh) -> int:
+    """Generic rank of the (reduced) Goh matrix."""
+    return skew_rank(goh.reduced if goh.reduced is not None else goh.H)
+
+
 def _certify_rank(F: Frame, goh) -> int:
     """Even rank at which generators are produced by default."""
-    matrix = goh.reduced if goh.reduced is not None else goh.H
-    r = skew_rank(matrix)
     top = F.m - 1 if F.m % 2 else F.m - 2
-    return min(r, max(top, 0))
+    return min(_goh_rank(goh), max(top, 0))
 
 
 def _generator_rank(F: Frame, args, goh) -> int:
@@ -307,8 +313,7 @@ def cmd_normalform(F: Frame, args):
     return lines, payload, None
 
 
-def _pick_generator(F: Frame, args, goh):
-    r = _generator_rank(F, args, goh)
+def _pick_generator(F: Frame, args, goh, r: int):
     gens = abnormal.abnormal_generators(F, r, goh)
     if args.field:
         try:
@@ -317,9 +322,9 @@ def _pick_generator(F: Frame, args, goh):
             raise InputError(f"--field expects comma-separated integers: {exc}") from exc
         for g in gens:
             if g.I == wanted:
-                return g, r
+                return g
         raise InputError(f"no generator with I={_index_set_to_str(wanted)} at rank {r}")
-    return gens[0], r
+    return gens[0]
 
 
 def cmd_integrate(F: Frame, args):
@@ -335,8 +340,15 @@ def cmd_integrate(F: Frame, args):
         raise InputError(f"--from expects comma-separated numbers: {exc}") from exc
     if len(x0) != F.n:
         raise InputError(f"--from needs {F.n} coordinates")
+    steps = args.T / args.h
+    if not math.isfinite(steps) or round(steps) > MAX_STEPS:
+        raise InputError(f"--T/--h asks for more than {MAX_STEPS} steps")
     goh = abnormal.goh_matrix(F)
-    g, r = _pick_generator(F, args, goh)
+    r, generic = _generator_rank(F, args, goh), _goh_rank(goh)
+    if r < generic:
+        raise InputError(f"rank-{r} generators span the Goh kernel only on the singular set, "
+                         f"not along a flow: the generic Goh rank is {generic}")
+    g = _pick_generator(F, args, goh, r)
     try:
         traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance, goh)
     except dynamics.BlowUpError as exc:
@@ -362,8 +374,10 @@ def cmd_scan_div(F: Frame, args):
         raise InputError("scan-div needs a corank-1 frame")
     if not args.cutoff > 0:
         raise InputError("--cutoff must be positive")
+    if args.samples < 0:
+        raise InputError("--samples must be >= 0")
     goh = abnormal.goh_matrix(F)
-    g, r = _pick_generator(F, args, goh)
+    g = _pick_generator(F, args, goh, _generator_rank(F, args, goh))
     box = _parse_box(args.box)
     scan = dynamics.divergence_ratio_scan(g.Z, box, args.samples, args.seed, args.cutoff)
     lines = [

@@ -14,6 +14,20 @@ of a corank-1 kernel generator carry, per step,
 Horizontality of the path is structural (the generator is an explicit
 frame combination), so it is recorded rather than measured.
 
+Evaluation.  Each call compiles its polynomials once into their float form
+(``Polynomial._float_terms``: float coefficients and nonzero exponents,
+terms in insertion order).  One point runs the scalar loop of
+``eval_float``.  Many points at once (a volume cloud, or every stored state
+of a trajectory) run :func:`_eval_rows`: the same products and sums as
+numpy elementwise operations, term by term in insertion order, with each
+power taken per element by Python's float ``**`` (libm ``pow``), because
+numpy's ``**`` rounds differently in a few percent of values.  Every array
+therefore equals the per-point evaluation bit for bit, and printed floats
+do not depend on how many points were evaluated together.
+``volume_distortion`` runs one RK4 over the whole cloud;
+``integrate_field`` keeps a scalar RK4, since batching one point costs more
+than it saves; both share one RK4 loop.
+
 All vector norms in this module are sup norms; the scan's ratio estimate
 |div Z| / |Z|_inf is then bounded by the sum of the certificate
 coefficients |c_j| evaluated pointwise, which the tests exploit.
@@ -21,13 +35,16 @@ coefficients |c_j| evaluated pointwise, which the tests exploit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from singfol.abnormal import AbnormalGenerator, GohMatrix, goh_matrix
+from singfol.exactpoly import _eval_float_form
 from singfol.vectorfield import Frame, VectorField, divergence
 
 __all__ = [
@@ -92,41 +109,124 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _rhs(V: VectorField):
-    comps = V.components
+def _field_forms(V: VectorField) -> list:
+    """Compiled float forms of V's components.
 
-    def f(state: np.ndarray) -> np.ndarray:
-        point = state.tolist()
+    A coefficient beyond the double range cannot be a float: every
+    component then compiles to the constant inf, so the RHS is inf at every
+    state and the first step blows up, as an overflowing power makes it at
+    one state.
+    """
+    try:
+        return [c._float_terms() for c in V.components]
+    except OverflowError:
+        return [[(math.inf, ())]] * len(V.components)
+
+
+def _point_rhs(forms):
+    """RHS on one point; a power that overflows makes it inf."""
+
+    def f(x: np.ndarray) -> np.ndarray:
+        point = x.tolist()
         try:
-            return np.array([c.eval_float(point) for c in comps], dtype=float)
+            return np.array([_eval_float_form(form, point) for form in forms])
         except OverflowError:
-            # float exponentiation overflowed: treat as a blown-up state
-            return np.full(len(comps), np.inf)
+            return np.full(len(forms), np.inf)
 
     return f
 
 
-def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> Trajectory:
-    """Classical RK4 with a fixed step; raises BlowUpError on non-finite states."""
+def _rows_rhs(forms):
+    """RHS on every row of an (N, n) cloud; rows where a power overflows go
+    through the one-point RHS, so only they turn inf."""
+    one = _point_rhs(forms)
+
+    def f(X: np.ndarray) -> np.ndarray:
+        powers = {}
+        try:
+            return np.column_stack([_eval_rows(form, X, powers) for form in forms])
+        except OverflowError:
+            return np.array([one(x) for x in X])
+
+    return f
+
+
+def _eval_rows(form, X: np.ndarray, powers: dict) -> np.ndarray:
+    """A compiled float form on every row of X, bit for bit ``eval_float``.
+
+    Products and sums are numpy elementwise, term by term in insertion
+    order, exactly as the scalar loop.  Each power ``x_pos ** e``, e >= 2,
+    is taken element by element with Python's float ``**`` (libm ``pow``):
+    numpy's ``**`` rounds differently in a few percent of values for e >= 3
+    and in about 0.1 % for e = 2.  For e = 1 the column itself is used:
+    ``pow(x, 1)`` is exactly x, since libm's ``pow`` errs by less than one
+    unit in the last place and x is representable.
+    ``powers`` caches the columns of one X across forms.  An overflowing
+    power raises ``OverflowError``, as in ``eval_float``.
+    """
+    total = np.zeros(len(X))
+    for coeff, factors in form:
+        term = np.full(len(X), coeff)
+        for pos, e in factors:
+            column = powers.get((pos, e))
+            if column is None:
+                column = X[:, pos]
+                if e != 1:
+                    column = np.array([v ** e for v in column.tolist()], dtype=float)
+                powers[pos, e] = column
+            term *= column
+        total += term
+    return total
+
+
+def _steps(V: VectorField, T: float, h: float) -> int:
     if V.kind != "base":
         raise ValueError("integration is over base fields")
     if h <= 0 or T < 0:
         raise ValueError("need h > 0 and T >= 0")
-    steps = int(round(T / h))
-    f = _rhs(V)
+    return int(round(T / h))
+
+
+def _rk4(f, x: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """States 0..steps of classical fixed-step RK4 for x' = f(x).
+
+    ``x`` is one point (n,) or a cloud (N, n) whose rows f maps
+    independently; the result is (steps + 1,) + x.shape.  A non-finite
+    state raises BlowUpError with the last valid time of the first row, in
+    cloud order, that blows up, as integrating the rows one by one would:
+    after a blow-up only the rows before it are integrated further.
+    """
+    states = np.empty((steps + 1,) + x.shape)
+    states[0] = x
+    blown = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            finite = np.isfinite(x)
+            if not finite.all():
+                first = 0 if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
+                if first == 0:
+                    raise BlowUpError(i * h)
+                blown, x = i * h, x[:first]
+            if blown is None:
+                states[i + 1] = x
+    if blown is not None:
+        raise BlowUpError(blown)
+    return states
+
+
+def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> Trajectory:
+    """Classical RK4 with a fixed step; raises BlowUpError on non-finite states."""
+    steps = _steps(V, T, h)
     x = np.array([float(v) for v in x0], dtype=float)
-    states = [x.copy()]
-    for i in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(i * h)
-        states.append(x.copy())
-    times = np.arange(steps + 1) * h
-    return Trajectory(times, np.array(states), h)
+    if x.shape != (V.n,):
+        raise ValueError(f"start point of length {len(x)}, expected {V.n}")
+    states = _rk4(_point_rhs(_field_forms(V)), x, h, steps)
+    return Trajectory(np.arange(steps + 1) * h, states, h)
 
 
 def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
@@ -139,6 +239,11 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
     ``tolerance`` are kept in the returned object; inspect ``certified`` /
     ``violations()`` rather than expecting an exception.  ``goh`` reuses a
     Goh matrix already built for F.
+
+    The lift, the frame coefficients u, the Goh matrix and the frame fields
+    are evaluated over all states at once; the products ``Ht @ u`` and
+    ``p . X^i`` stay per state, so they sum in the same order as on one
+    state.
     """
     if F.normal_form is None or g.Z is None:
         raise ValueError("certified integration needs a corank-1 generator with projection")
@@ -147,24 +252,27 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
     if goh is None:
         goh = goh_matrix(F)
     assert goh.reduced is not None
-    coeff_by_index = {i: c for i, c in zip(g.I, g.reduced_coefficients)}
-    costates = []
-    goh_res = []
-    anni_res = []
-    for state in traj.states:
-        point = state.tolist()
-        A_vals = [A.eval_float(point) for A in F.normal_form]
-        p = np.array([-a for a in A_vals] + [1.0])
-        u = np.array([coeff_by_index[i].eval_float(point) if i in coeff_by_index else 0.0
-                      for i in range(1, m + 1)])
-        Ht = np.array([[goh.reduced.entry(i, j).eval_float(point)
-                        for j in range(1, m + 1)] for i in range(1, m + 1)])
-        goh_res.append(float(np.max(np.abs(Ht @ u))) if m else 0.0)
-        anni = max(abs(float(np.dot(p, X.evaluate(point)))) for X in F.fields)
-        anni_res.append(anni)
-        costates.append(p)
-    return Trajectory(traj.times, traj.states, h, np.array(costates),
-                      np.array(goh_res), np.array(anni_res), tolerance,
+    S = traj.states
+    powers = {}
+
+    def rows(poly):
+        return _eval_rows(poly._float_terms(), S, powers)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        costates = np.column_stack([-rows(A) for A in F.normal_form] + [np.ones(len(S))])
+        u = np.zeros((len(S), m))
+        for i, c in zip(g.I, g.reduced_coefficients):
+            u[:, i - 1] = rows(c)
+        Ht = np.empty((len(S), m, m))
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                Ht[:, i - 1, j - 1] = rows(goh.reduced.entry(i, j))
+        fields = [np.column_stack([rows(c) for c in X.components]) for X in F.fields]
+        goh_res = np.array([float(np.max(np.abs(Ht[k] @ u[k]))) if m else 0.0
+                            for k in range(len(S))])
+        anni_res = np.array([max(abs(float(np.dot(costates[k], X[k]))) for X in fields)
+                             for k in range(len(S))])
+    return Trajectory(traj.times, traj.states, h, costates, goh_res, anni_res, tolerance,
                       horizontal_by_construction=True)
 
 
@@ -193,7 +301,8 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     rng = random.Random(seed)
-    div = divergence(Z)
+    div = divergence(Z)._float_terms()
+    zforms = [c._float_terms() for c in Z.components]
     lo, hi = float(box[0]), float(box[1])
     best = 0.0
     argmax = None
@@ -201,13 +310,13 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
     skipped = 0
     for _ in range(samples):
         x = [rng.uniform(lo, hi) for _ in range(Z.n)]
-        znorm = max(abs(c.eval_float(x)) for c in Z.components)
+        znorm = max(abs(_eval_float_form(form, x)) for form in zforms)
         if znorm < cutoff:
             skipped += 1
             continue
         if znorm < 2.0 * cutoff and len(offenders) < 16:
             offenders.append(tuple(x))
-        ratio = abs(div.eval_float(x)) / znorm
+        ratio = abs(_eval_float_form(div, x)) / znorm
         if ratio > best:
             best = ratio
             argmax = tuple(x)
@@ -243,24 +352,28 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
                       T: float, h: float) -> VolumeReport:
     """Monte-Carlo volume factors along the flow of Z.
 
-    Each cloud point is integrated with RK4 while div Z and |Z|_inf are
-    accumulated by the trapezoid rule, yielding the exact-flow volume
-    weight exp(int div) up to O(h^2) quadrature error and the trajectory
-    length used in the exp(-K C) lower-bound comparison.
+    The whole cloud is integrated with one batched RK4, then div Z and
+    |Z|_inf are evaluated over all stored states and accumulated by the
+    trapezoid rule, yielding the exact-flow volume weight exp(int div) up
+    to O(h^2) quadrature error and the trajectory length used in the
+    exp(-K C) lower-bound comparison.  Every value is bit for bit the one
+    of integrating and evaluating the points one at a time.
     """
-    div = divergence(Z)
-    steps = int(round(T / h))
-    times = np.arange(steps + 1) * h
-    all_weights = []
-    lengths = []
-    for x0 in cloud:
-        traj = integrate_field(Z, x0, T, h)
-        div_vals = np.array([div.eval_float(s.tolist()) for s in traj.states])
-        speed = np.array([max(abs(c.eval_float(s.tolist())) for c in Z.components)
-                          for s in traj.states])
-        integral = np.concatenate([[0.0], np.cumsum((div_vals[1:] + div_vals[:-1]) * 0.5 * h)])
-        length = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * h)])
-        all_weights.append(np.exp(integral))
-        lengths.append(length[-1])
-    weights = np.array(all_weights)
-    return VolumeReport(times, weights, np.array(lengths), np.min(weights, axis=0))
+    steps = _steps(Z, T, h)
+    X = np.array([[float(v) for v in x0] for x0 in cloud], dtype=float).reshape(len(cloud), Z.n)
+    forms = _field_forms(Z)
+    states = _rk4(_rows_rhs(forms), X, h, steps)
+    S = states.reshape(-1, Z.n)
+    shape = (steps + 1, len(cloud))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {}
+        div_vals = _eval_rows(divergence(Z)._float_terms(), S, powers).reshape(shape).T
+        # Python's max over the components, as on one state: keep the first
+        # unless a later one is greater
+        speed = reduce(lambda a, b: np.where(b > a, b, a),
+                       [np.abs(_eval_rows(form, S, powers)) for form in forms]).reshape(shape).T
+        start = np.zeros((len(cloud), 1))
+        integral = np.hstack([start, np.cumsum((div_vals[:, 1:] + div_vals[:, :-1]) * 0.5 * h, axis=1)])
+        length = np.hstack([start, np.cumsum((speed[:, 1:] + speed[:, :-1]) * 0.5 * h, axis=1)])
+        weights = np.exp(integral)
+    return VolumeReport(np.arange(steps + 1) * h, weights, length[:, -1], np.min(weights, axis=0))

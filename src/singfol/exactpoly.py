@@ -22,7 +22,8 @@ constructor enforces them; library code that already guarantees them builds
 results with ``Polynomial._trusted`` and sums with :func:`_add_terms`, which
 adds one term dictionary into another in place.  The insertion order of each
 dictionary is part of the contract, although equality ignores it:
-``eval_float`` sums terms in that order, and ``scan-div`` prints the
+``eval_float`` (and the compiled float form ``dynamics`` evaluates on arrays
+of points) sums terms in that order, and ``scan-div`` prints the
 resulting ``ratio_sup`` with ``repr``, so a different order can change the
 last digits of CLI output.  Every kernel below fills its dictionary in the
 order the plain term-by-term loops would.
@@ -206,6 +207,17 @@ def _sum_products(space: Space, pairs) -> "Polynomial":
     for a, b in pairs:
         _add_terms(acc, (a * b).terms)
     return Polynomial._trusted(space, acc)
+
+
+def _eval_float_form(form, point: Sequence[float]) -> float:
+    """Value of a compiled float form (``Polynomial._float_terms``) at a point."""
+    total = 0.0
+    for coeff, factors in form:
+        term = coeff
+        for pos, e in factors:
+            term *= point[pos] ** e
+        total += term
+    return total
 
 
 class Polynomial:
@@ -412,14 +424,27 @@ class Polynomial:
         return total
 
     def eval_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            term = float(coeff)
-            for e, v in zip(exps, point):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        """IEEE double value at a point: the loop of :func:`_eval_float_form`
+        over :meth:`_float_terms`.
+
+        Each term is its float coefficient times ``point[pos] ** e`` for its
+        nonzero exponents, left to right, and the terms are summed in
+        insertion order.  ``**`` is Python's float power (libm ``pow``); it
+        raises ``OverflowError`` when a power overflows, as ``float`` does
+        for a coefficient beyond the double range.
+        """
+        return _eval_float_form(self._float_terms(), point)
+
+    def _float_terms(self) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+        """The compiled float form: ``(float(coeff), ((pos, e), ...))`` per
+        term in insertion order, with the nonzero exponents only.
+
+        Compile once and evaluate many times: ``eval_float`` on one point,
+        ``dynamics`` also on arrays of points, with the same arithmetic in
+        the same order.  Not memoized, so a polynomial carries no extra slot.
+        """
+        return [(float(coeff), tuple((pos, e) for pos, e in enumerate(exps) if e))
+                for exps, coeff in self.terms.items()]
 
     # -- substitution and reshaping ------------------------------------------
 

@@ -168,6 +168,9 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["integrate", "--from", "a,b,c,d", "--T", "0.1", "--h", "0.01"], "--from"),
     (["integrate", "--field", "a", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.01"], "--field"),
     (["bracket-check", "--at", "a,b,c,d"], "--at"),
+    (["integrate", "--from", "0,0,0,0", "--T", "1e9", "--h", "1e-9"], "--T"),
+    (["integrate", "--from", "0,0,0,0", "--T", "1e300", "--h", "1e-300"], "--T"),
+    (["scan-div", "--seed", "1", "--samples", "-1"], "--samples"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -178,6 +181,27 @@ def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     assert code == EXIT_INPUT
     report = json.loads(out)
     assert report["command"] == argv[0] and flag in report["error"]
+
+
+def test_scan_div_zero_samples_is_valid(capsys, tmp_path):
+    code, out, _ = run(capsys, "scan-div", "--seed", "1", "--samples", "0",
+                       "--frame", frame_file(tmp_path, "dim4"))
+    assert code == EXIT_OK
+    assert "samples=0" in out
+
+
+def test_integrate_below_generic_goh_rank_is_an_input_error(capsys, tmp_path):
+    # martinet's generic Goh rank is m = 2: its rank-0 generators lie in the
+    # kernel only on the singular set x1 = 0, so no flow off it can certify
+    frame = frame_file(tmp_path, "martinet")
+    argv = ["integrate", "--from", "0.1,0.1,0.1", "--T", "0.2", "--h", "0.05", "--frame", frame]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == "" and "singular set" in err and "generic Goh rank is 2" in err
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_INPUT
+    report = json.loads(out)
+    assert report["command"] == "integrate" and "singular set" in report["error"]
 
 
 def test_usage_errors_exit_1():

@@ -1,13 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import random_corank1_frame
 from singfol.abnormal import abnormal_generators, divergence_certificate, goh_matrix
 from singfol.demos import demo_frame
 from singfol.dynamics import (
     BlowUpError,
+    _eval_rows,
+    _field_forms,
+    _point_rhs,
+    _rows_rhs,
     abnormal_trajectory,
     divergence_ratio_scan,
     integrate_field,
@@ -15,7 +21,8 @@ from singfol.dynamics import (
     volume_distortion,
 )
 from singfol.exactpoly import Polynomial, Space, parse_expression
-from singfol.vectorfield import VectorField
+from singfol.pfaffian import skew_rank
+from singfol.vectorfield import VectorField, divergence
 
 
 def base_field(space, *exprs):
@@ -215,3 +222,203 @@ def test_volume_dim4_exp_bound():
             K = max(K, sum(abs(c.eval_float(state.tolist())) for c in cert.base_coefficients))
     C = float(report.lengths.max())
     assert report.min_final_weight() >= math.exp(-K * C) * (1 - 1e-3)
+
+
+# -- bit-for-bit references -------------------------------------------------------
+#
+# The numeric layer evaluates compiled float forms, on one point or on whole
+# arrays of states.  The references below are the plain per-point loops it
+# replaced: a term-by-term eval_float, a per-state RHS, the per-state residual
+# loop and the per-point volume loop.  Every array must match them byte for
+# byte (tobytes), not merely to a tolerance.
+
+
+def _reference_eval(poly, point):
+    total = 0.0
+    for exps, coeff in poly.terms.items():
+        term = float(coeff)
+        for e, v in zip(exps, point):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+def _reference_rhs(V):
+    comps = V.components
+
+    def f(state):
+        point = state.tolist()
+        try:
+            return np.array([_reference_eval(c, point) for c in comps], dtype=float)
+        except OverflowError:
+            return np.full(len(comps), np.inf)
+
+    return f
+
+
+def _reference_integrate(V, x0, T, h):
+    steps = int(round(T / h))
+    f = _reference_rhs(V)
+    x = np.array([float(v) for v in x0], dtype=float)
+    states = [x.copy()]
+    for i in range(steps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise BlowUpError(i * h)
+        states.append(x.copy())
+    return np.array(states)
+
+
+def _reference_residuals(F, g, goh, states):
+    m = F.m
+    coeff_by_index = {i: c for i, c in zip(g.I, g.reduced_coefficients)}
+    costates, goh_res, anni_res = [], [], []
+    for state in states:
+        point = state.tolist()
+        p = np.array([-_reference_eval(A, point) for A in F.normal_form] + [1.0])
+        u = np.array([_reference_eval(coeff_by_index[i], point) if i in coeff_by_index else 0.0
+                      for i in range(1, m + 1)])
+        Ht = np.array([[_reference_eval(goh.reduced.entry(i, j), point)
+                        for j in range(1, m + 1)] for i in range(1, m + 1)])
+        goh_res.append(float(np.max(np.abs(Ht @ u))) if m else 0.0)
+        anni_res.append(max(abs(float(np.dot(p, [_reference_eval(c, point) for c in X.components])))
+                            for X in F.fields))
+        costates.append(p)
+    return np.array(costates), np.array(goh_res), np.array(anni_res)
+
+
+def _reference_volume(Z, cloud, T, h):
+    div = divergence(Z)
+    all_weights, lengths = [], []
+    for x0 in cloud:
+        states = _reference_integrate(Z, x0, T, h)
+        div_vals = np.array([_reference_eval(div, s.tolist()) for s in states])
+        speed = np.array([max(abs(_reference_eval(c, s.tolist())) for c in Z.components)
+                          for s in states])
+        integral = np.concatenate([[0.0], np.cumsum((div_vals[1:] + div_vals[:-1]) * 0.5 * h)])
+        length = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * h)])
+        all_weights.append(np.exp(integral))
+        lengths.append(length[-1])
+    weights = np.array(all_weights)
+    return weights, np.array(lengths), np.min(weights, axis=0)
+
+
+# every flow demo, and random frames whose generators have third and fourth
+# powers in Z, as (seed, n) of random_corank1_frame
+FLOW_CASES = ["dim4", "dim4-engel", "dim5", "dim6-cubic", (29, 5), (29, 6)]
+
+
+def _flow_frame(case):
+    if isinstance(case, str):
+        return demo_frame(case)
+    seed, n = case
+    return random_corank1_frame(random.Random(seed), n, 3, 3)
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", FLOW_CASES,
+                         ids=lambda c: c if isinstance(c, str) else "random-%d-n%d" % c)
+def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
+    F = _flow_frame(case)
+    goh = goh_matrix(F)
+    r = min(skew_rank(goh.reduced), F.m - 1 if F.m % 2 else F.m - 2)
+    g = abnormal_generators(F, r, goh)[0]
+    # negative coordinates throughout, so odd powers of negative bases occur
+    x0 = [-0.31, 0.27, -0.44, 0.18, -0.23, 0.39][: F.n]
+    T, h = 0.2, 1e-3
+    traj = abnormal_trajectory(F, g, x0, T, h, 1e-10, goh)
+    assert _same(traj.states, _reference_integrate(g.Z, x0, T, h))
+    costates, goh_res, anni_res = _reference_residuals(F, g, goh, traj.states)
+    assert _same(traj.costates, costates)
+    assert _same(traj.goh_residuals, goh_res)
+    assert _same(traj.annihilation_residuals, anni_res)
+    cloud = sample_cloud((-0.6, 0.6), 16, F.n, seed=F.n)
+    report = volume_distortion(g.Z, cloud, 0.1, h)
+    weights, lengths, min_weights = _reference_volume(g.Z, cloud, 0.1, h)
+    assert _same(report.weights, weights)
+    assert _same(report.lengths, lengths)
+    assert _same(report.min_weights, min_weights)
+    # the RHS and div Z on every state, directly: RK4 and the quadrature can
+    # absorb a last-bit difference that these cannot
+    rows = np.concatenate([traj.states, np.array(cloud)])
+    ref = _reference_rhs(g.Z)
+    assert _same(_rows_rhs(_field_forms(g.Z))(rows), np.array([ref(x) for x in rows]))
+    div = divergence(g.Z)
+    assert _same(_eval_rows(div._float_terms(), rows, {}),
+                 np.array([_reference_eval(div, x.tolist()) for x in rows]))
+    scan = divergence_ratio_scan(g.Z, (-1, 1), 200, seed=5, cutoff=1e-3)
+    rng = random.Random(5)
+    best = 0.0
+    for _ in range(200):
+        x = [rng.uniform(-1, 1) for _ in range(F.n)]
+        znorm = max(abs(_reference_eval(c, x)) for c in g.Z.components)
+        if znorm >= 1e-3:
+            best = max(best, abs(_reference_eval(div, x)) / znorm)
+    assert scan.ratio_sup == best
+
+
+def test_eval_float_matches_term_loop_on_random_polynomials():
+    rng = random.Random(3)
+    s = Space(3)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(0, 5) for _ in range(3))
+            terms[exps] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+        P = Polynomial(s, terms)
+        point = [rng.uniform(-2, 2) for _ in range(3)]
+        assert P.eval_float(point).hex() == _reference_eval(P, point).hex()
+
+
+def test_cloud_blow_up_reports_first_point_in_cloud_order():
+    # x' = x^2 from x0 blows up near t = 1/x0: the point 2.0 blows up first
+    # in time, but the point 1.0 comes first in the cloud
+    quad = base_field(Space(1), "x1^2")
+    for cloud in ([[1.0], [2.0]], [[2.0], [1.0]], [[-1.0], [1.0], [2.0]]):
+        with pytest.raises(BlowUpError) as expected:
+            for x0 in cloud:
+                _reference_integrate(quad, x0, 2.0, 0.01)
+        with pytest.raises(BlowUpError) as got:
+            volume_distortion(quad, cloud, 2.0, 0.01)
+        assert got.value.last_valid_time == expected.value.last_valid_time
+    with pytest.raises(BlowUpError) as got:
+        volume_distortion(quad, [[1.0], [2.0]], 2.0, 0.01)
+    assert 0.9 < got.value.last_valid_time < 1.1
+
+
+def test_power_overflow_turns_the_row_inf():
+    # 10.0 ** 400 raises OverflowError: that state's whole RHS is inf, the
+    # other rows keep their values
+    Z = base_field(Space(2), "x1^400", "1 - x2^3")
+    X = np.array([[0.5, -0.7], [10.0, 0.3], [-0.9, 0.2]])
+    ref = _reference_rhs(Z)
+    got = _rows_rhs(_field_forms(Z))(X)
+    assert _same(got, np.array([ref(x) for x in X]))
+    assert np.all(np.isinf(got[1]))
+    assert _same(_point_rhs(_field_forms(Z))(X[1]), ref(X[1]))
+    with pytest.raises(BlowUpError) as err:
+        integrate_field(Z, [10.0, 0.3], 1.0, 0.1)
+    assert err.value.last_valid_time == 0.0
+    with pytest.raises(BlowUpError) as err:
+        volume_distortion(Z, X.tolist(), 0.5, 0.1)
+    assert err.value.last_valid_time == 0.0
+
+
+def test_coefficient_overflow_blows_up_at_time_zero():
+    s = Space(1)
+    Z = VectorField([Polynomial(s, {(1,): Fraction(10 ** 400, 3)})], "base")
+    with pytest.raises(BlowUpError) as expected:
+        _reference_integrate(Z, [0.5], 1.0, 0.1)
+    for run in (lambda: integrate_field(Z, [0.5], 1.0, 0.1),
+                lambda: volume_distortion(Z, [[0.5], [0.25]], 1.0, 0.1)):
+        with pytest.raises(BlowUpError) as got:
+            run()
+        assert got.value.last_valid_time == expected.value.last_valid_time == 0.0
