@@ -71,8 +71,3 @@ def invert(matrix) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in echelon[:n]]
-
-
-def matvec(matrix, vector) -> list[Fraction]:
-    return [sum((Fraction(a) * Fraction(v) for a, v in zip(row, vector)), Fraction(0))
-            for row in matrix]

@@ -14,10 +14,15 @@ Conventions used throughout:
 
 The divergence certificate checks three exact identities: the Euclidean
 phase-space divergence of Y_I vanishes, the eps-weighted triple-bracket
-expansion of that divergence vanishes (a Poisson-Jacobi cancellation), and
-on the base div(Z_I) is an explicit combination of the components of Z_I
-with coefficients proportional to d(A_j)/dx_n.  The proportionality
-constant is solved from one linear equation over Q, never assumed.
+expansion of that divergence vanishes, and on the base div(Z_I) is an
+explicit combination of the components of Z_I with coefficients
+proportional to d(A_j)/dx_n.  The proportionality constant is solved from
+one linear equation over Q, never assumed.  The expansion is a sum over the
+triples T of I of Pfaffians times the cyclic Jacobi sums
+J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]}, which vanish by the
+Poisson Jacobi identity whenever H[k,l] = {h^k, h^l}.  Its residual
+therefore certifies the bracket code and the Goh entries, for every frame
+alike; the frame-specific claims are div(Y_I) = 0 and the base residual.
 
 Kernel-membership checks on the annihilator bundle use exact evaluation at
 random rational points rather than quotient-ring arithmetic; a polynomial
@@ -31,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +44,7 @@ import numpy as np
 from singfol.exactpoly import Polynomial, Space, _add_terms, _sum_products
 from singfol.pfaffian import (
     SkewMatrix,
+    _pf_cached,
     epsilon_sign,
     index_sets,
     kernel_generators,
@@ -112,8 +119,10 @@ class GohMatrix:
     ``hamiltonians`` and ``ham_fields`` cache the momentum functions h^i and
     their Hamiltonian vector fields; ``reduced`` is the x-only matrix Ht with
     H = p_n * Ht, present exactly when the frame is in corank-1 normal form.
-    The entry H[k,l] is the pair bracket {h^k, h^l}; ``_triples`` memoizes
-    the triple brackets {h^j, H[k,l]} (k < l) shared by all certificates.
+    The entry H[k,l] is the pair bracket {h^k, h^l}; ``_jacobi`` memoizes the
+    cyclic Jacobi sums J(T), at most one per triple of {1..m}, shared by all
+    certificates.  Every J(T) is zero when H is the bracket matrix of the
+    hamiltonians, so a nonzero one shows that H or the bracket code is wrong.
     """
 
     frame: Frame
@@ -121,18 +130,24 @@ class GohMatrix:
     hamiltonians: tuple[Polynomial, ...]
     ham_fields: tuple[VectorField, ...]
     reduced: SkewMatrix | None = None
-    _triples: dict = field(default_factory=dict, compare=False, repr=False)
+    _jacobi: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return self.frame.m
 
-    def triple_bracket(self, j: int, k: int, l: int) -> Polynomial:
-        """{h^j, {h^k, h^l}} = {h^j, H[k,l]} for k < l, memoized."""
-        key = (j, k, l)
-        if key not in self._triples:
-            self._triples[key] = poisson_bracket(self.hamiltonians[j - 1], self.H.entry(k, l))
-        return self._triples[key]
+    def jacobi_sum(self, T: tuple[int, int, int]) -> Polynomial:
+        """J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} for
+        T = (a, b, c), a < b < c, memoized."""
+        value = self._jacobi.get(T)
+        if value is None:
+            a, b, c = T
+            h, H = self.hamiltonians, self.H
+            acc: dict = {}
+            for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
+                _add_terms(acc, poisson_bracket(h[j - 1], H.entry(k, l)).terms, sign)
+            value = self._jacobi[T] = Polynomial._trusted(self.H.space, acc)
+        return value
 
 
 def goh_matrix(F: Frame) -> GohMatrix:
@@ -286,6 +301,9 @@ class DivergenceCertificate:
     that the divergence expands into) and, when a base projection exists,
     ``base_residual`` = div(Z_I) - sum c_j Z_I(x_j) with
     c_j = base_constant * d(A_j)/dx_n.
+    The Jacobi residual certifies the bracket code and H[k,l] = {h^k, h^l}
+    (see the module docstring); the frame-specific claims are the phase
+    divergence and the base residual.
     """
 
     subject: tuple[int, ...]
@@ -305,26 +323,26 @@ class DivergenceCertificate:
 
 def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
     """Sum over ordered distinct triples (j,k,l) in I of
-    eps(I,j) eps(I-j,k) eps(I-jk,l) phi(H, I-jkl) {h^j, {h^k, h^l}}."""
-    phase = goh.frame.space.phase
+    eps(I,j) eps(I-j,k) eps(I-jk,l) phi(H, I-jkl) {h^j, {h^k, h^l}}.
+
+    The six orderings of one triple T = {a<b<c} share phi(H, I-T) and add up
+    to 2 eps(I,T) phi(H, I-T) J(T), with J(T) the cyclic Jacobi sum and
+    eps(I,T) the sign of moving T, in order, to the front of I: for T at
+    positions p0 < p1 < p2 of I that is (-1)^(p0 + p1-1 + p2-2).  So the sum
+    runs over unordered triples, and a triple with J(T) = 0 costs no product.
+    """
+    I = g.I
     acc: dict = {}
-    for j in g.I:
-        rest_j = tuple(i for i in g.I if i != j)
-        for k in rest_j:
-            rest_jk = tuple(i for i in rest_j if i != k)
-            for l in rest_jk:
-                sign = (epsilon_sign(g.I, j) * epsilon_sign(rest_j, k)
-                        * epsilon_sign(rest_jk, l))
-                phi = pfaffian_by_recursion(goh.H, tuple(i for i in rest_jk if i != l))
-                if phi.is_zero():
-                    continue
-                if k < l:
-                    triple = goh.triple_bracket(j, k, l)
-                else:  # {h^j, H[k,l]} = -{h^j, H[l,k]}
-                    triple = goh.triple_bracket(j, l, k)
-                    sign = -sign
-                _add_terms(acc, (phi * triple).terms, sign)
-    return Polynomial._trusted(phase, acc)
+    for pos in combinations(range(len(I)), 3):
+        J = goh.jacobi_sum(tuple(I[p] for p in pos))
+        if J.is_zero():
+            continue
+        phi = _pf_cached(goh.H, tuple(i for p, i in enumerate(I) if p not in pos))
+        if phi.is_zero():
+            continue
+        sign = -1 if (sum(pos) - 3) % 2 else 1
+        _add_terms(acc, (phi * J * (2 * sign)).terms)
+    return Polynomial._trusted(goh.H.space, acc)
 
 
 def divergence_certificate(g: AbnormalGenerator, F: Frame,
@@ -360,7 +378,9 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
     if not phase_div.is_zero():
         raise CertificateError(f"phase divergence of Y_{g.I} is nonzero", phase_div)
     if not jacobi.is_zero():
-        raise CertificateError(f"Jacobi expansion for Y_{g.I} is nonzero", jacobi)
+        T = next(T for T in combinations(g.I, 3) if not goh.jacobi_sum(T).is_zero())
+        raise CertificateError(f"Jacobi expansion for Y_{g.I} is nonzero: the cyclic Jacobi "
+                               f"sum of the triple T={T} is nonzero", jacobi)
     if base_residual is not None and not base_residual.is_zero():
         raise CertificateError(f"base divergence of Z_{g.I} is not a frame combination", base_residual)
     return cert

@@ -65,6 +65,13 @@ def _load_frame_spec(path: str | None) -> dict:
     return spec
 
 
+def _expressions(value, what: str) -> list:
+    """``value``, checked to be a list of expression strings."""
+    if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
+        raise InputError(f"{what} must be a list of expression strings")
+    return value
+
+
 def build_frame(spec: dict) -> Frame:
     """Validate a frame-spec document and build the Frame."""
     try:
@@ -72,13 +79,15 @@ def build_frame(spec: dict) -> Frame:
         m = int(spec["rank"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"frame document needs integer 'dimension' and 'rank': {exc}") from exc
+    if n < 1:
+        raise InputError(f"'dimension' must be >= 1, got {n}")
     name = str(spec.get("name", ""))
     space = Space(n)
     try:
         if "normal_form" in spec:
-            exprs = spec["normal_form"]
             if m != n - 1:
                 raise InputError(f"normal_form forces rank = dimension-1 = {n - 1}, got {m}")
+            exprs = _expressions(spec["normal_form"], "normal_form")
             if len(exprs) != n - 1:
                 raise InputError(f"normal_form needs {n - 1} expressions, got {len(exprs)}")
             coeffs = []
@@ -90,11 +99,13 @@ def build_frame(spec: dict) -> Frame:
             return Frame.corank1(n, coeffs, name=name)
         if "fields" in spec:
             rows = spec["fields"]
+            if not isinstance(rows, list):
+                raise InputError("'fields' must be a list of rows of expression strings")
             if len(rows) != m:
                 raise InputError(f"'fields' needs {m} rows, got {len(rows)}")
             fields = []
             for i, row in enumerate(rows, start=1):
-                if len(row) != n:
+                if len(_expressions(row, f"fields[{i}]")) != n:
                     raise InputError(f"field {i} needs {n} components, got {len(row)}")
                 comps = []
                 for j, text in enumerate(row, start=1):
@@ -264,6 +275,8 @@ def cmd_singular_set(F: Frame, args):
 def cmd_stratify(F: Frame, args):
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise InputError("--tolerance must be a finite number >= 0")
     box = _parse_box(args.box)
     config = abnormal.SamplerConfig(seed=args.seed, count=args.samples,
                                     box=(Fraction(box[0]).limit_denominator(10 ** 6),
@@ -379,7 +392,11 @@ def cmd_scan_div(F: Frame, args):
     goh = abnormal.goh_matrix(F)
     g = _pick_generator(F, args, goh, _generator_rank(F, args, goh))
     box = _parse_box(args.box)
-    scan = dynamics.divergence_ratio_scan(g.Z, box, args.samples, args.seed, args.cutoff)
+    try:
+        scan = dynamics.divergence_ratio_scan(g.Z, box, args.samples, args.seed, args.cutoff)
+    except OverflowError as exc:
+        raise InputError(f"Z_{_index_set_to_str(g.I)} has a coefficient or a value beyond "
+                         f"the double range: {exc}") from exc
     lines = [
         f"divergence ratio scan for Z_{_index_set_to_str(g.I)} on [{box[0]}, {box[1]}]^{F.n}",
         f"  samples={scan.samples} seed={scan.seed} cutoff={scan.cutoff}",
@@ -396,6 +413,8 @@ def cmd_scan_div(F: Frame, args):
 
 
 def cmd_bracket_check(F: Frame, args):
+    if args.depth < 1:
+        raise InputError("--depth must be >= 1")
     try:
         x = [Fraction(v).limit_denominator(10 ** 6) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
     except ValueError as exc:

@@ -99,21 +99,6 @@ class SkewMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SkewMatrix is immutable")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Polynomial]]) -> "SkewMatrix":
-        """Build from a full square array, checking antisymmetry exactly."""
-        size = len(rows)
-        space = rows[0][0].space
-        upper = {}
-        for i in range(size):
-            if not rows[i][i].is_zero():
-                raise ValueError(f"diagonal entry ({i + 1},{i + 1}) is nonzero")
-            for j in range(i + 1, size):
-                if rows[j][i] != -rows[i][j]:
-                    raise ValueError(f"entries ({i + 1},{j + 1}) / ({j + 1},{i + 1}) not antisymmetric")
-                upper[(i + 1, j + 1)] = rows[i][j]
-        return cls(space, size, upper)
-
     def entry(self, i: int, j: int) -> Polynomial:
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise IndexError(f"entry ({i},{j}) out of range")
@@ -124,16 +109,9 @@ class SkewMatrix:
         value = self.upper.get((j, i))
         return -value if value is not None else Polynomial.zero(self.space)
 
-    def map_entries(self, fn: Callable[[Polynomial], Polynomial]) -> "SkewMatrix":
-        return SkewMatrix(self.space, self.size, {k: fn(v) for k, v in self.upper.items()})
-
     def evaluate(self, point: Sequence) -> list[list[Fraction]]:
         """Full numeric matrix at a rational point."""
         return [[self.entry(i, j).eval_exact(point) for j in range(1, self.size + 1)]
-                for i in range(1, self.size + 1)]
-
-    def rows(self) -> list[list[Polynomial]]:
-        return [[self.entry(i, j) for j in range(1, self.size + 1)]
                 for i in range(1, self.size + 1)]
 
     def __eq__(self, other) -> bool:
@@ -281,23 +259,31 @@ def _recursion_prefactor(r: int) -> Fraction:
     return _recursion_prefactors[r]
 
 
+def _raw_derivative_sum(A: SkewMatrix, I: tuple[int, ...], d: Callable[[Polynomial], Polynomial],
+                        sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
+    """Sum of eps(I,i) eps(I-i,j) sub(I-ij) d(a_ij) over ordered pairs (i, j) of I."""
+    acc: dict = {}
+    for i in I:
+        rest = tuple(k for k in I if k != i)
+        for j in rest:
+            da = d(A.entry(i, j))
+            if da.is_zero():
+                continue
+            sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
+            _add_terms(acc, (sub(tuple(k for k in rest if k != j)) * da).terms, sign)
+    return Polynomial._trusted(A.space, acc)
+
+
 def _derivative_prefactor(r: int) -> Fraction:
+    """Prefactor of the derivative formula, fixed on the size-r block matrix
+    with variable weights (sub-Pfaffians again from the definition)."""
     if r not in _derivative_prefactors:
         block = _block_matrix(r, variable_entries=True)
         I = tuple(range(1, r + 1))
         d1 = lambda f: f.partial(0)
-        raw: dict = {}
-        for i in I:
-            rest = tuple(k for k in I if k != i)
-            for j in rest:
-                da = d1(block.entry(i, j))
-                if da.is_zero():
-                    continue
-                sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
-                term = pfaffian_by_definition(block, tuple(k for k in rest if k != j)) * da
-                _add_terms(raw, term.terms, sign)
+        raw = _raw_derivative_sum(block, I, d1, lambda J: pfaffian_by_definition(block, J))
         target = d1(pfaffian_by_definition(block, I))
-        _derivative_prefactors[r] = _proportionality(target, Polynomial._trusted(block.space, raw))
+        _derivative_prefactors[r] = _proportionality(target, raw)
     return _derivative_prefactors[r]
 
 
@@ -352,17 +338,7 @@ def pfaffian_derivative(A: SkewMatrix, I: Sequence[int], D: VectorField) -> Poly
     I = _check_index_set(I, A.size)
     if len(I) % 2:
         raise ValueError("derivative formula applies to even-cardinality index sets")
-    acc: dict = {}
-    for i in I:
-        rest = tuple(k for k in I if k != i)
-        for j in rest:
-            da = D.apply(A.entry(i, j))
-            if da.is_zero():
-                continue
-            sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
-            term = _pf_cached(A, tuple(k for k in rest if k != j)) * da
-            _add_terms(acc, term.terms, sign)
-    total = Polynomial._trusted(A.space, acc)
+    total = _raw_derivative_sum(A, I, D.apply, lambda J: _pf_cached(A, J))
     if total.is_zero():
         return total
     return total * _derivative_prefactor(len(I))

@@ -27,7 +27,6 @@ __all__ = [
     "hamiltonian_vector_field",
     "poisson_bracket",
     "divergence",
-    "scale_fiber",
 ]
 
 
@@ -291,16 +290,3 @@ def divergence(V: VectorField) -> Polynomial:
     for pos, comp in enumerate(V.components):
         _add_terms(out, comp.partial(pos).terms)
     return Polynomial._trusted(V.space, out)
-
-
-def scale_fiber(f: Polynomial, lam: Fraction) -> Polynomial:
-    """Substitute p -> lam * p (identity on base polynomials)."""
-    if not f.space.fiber:
-        return f
-    n = f.space.n
-    lam = Fraction(lam)
-    out = {}
-    for exps, coeff in f.terms.items():
-        k = sum(exps[n:])
-        out[exps] = coeff * lam ** k
-    return Polynomial(f.space, out)

@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and small helpers for the test suite.
 
 Everything here is seeded by the caller, so tests are reproducible and any
 failure can be replayed from its seed.
@@ -87,3 +87,37 @@ def random_general_frame(rng: random.Random, n: int, m: int,
 def random_rational_point(rng: random.Random, count: int, den: int = 8,
                           span: int = 2) -> list[Fraction]:
     return [Fraction(rng.randint(-span * den, span * den), den) for _ in range(count)]
+
+
+def skew_from_rows(rows) -> SkewMatrix:
+    """A SkewMatrix from a full square array, checking antisymmetry exactly."""
+    size = len(rows)
+    space = rows[0][0].space
+    upper = {}
+    for i in range(size):
+        if not rows[i][i].is_zero():
+            raise ValueError(f"diagonal entry ({i + 1},{i + 1}) is nonzero")
+        for j in range(i + 1, size):
+            if rows[j][i] != -rows[i][j]:
+                raise ValueError(f"entries ({i + 1},{j + 1}) / ({j + 1},{i + 1}) not antisymmetric")
+            upper[(i + 1, j + 1)] = rows[i][j]
+    return SkewMatrix(space, size, upper)
+
+
+def matvec(matrix, vector) -> list[Fraction]:
+    """Exact matrix-vector product over Q."""
+    return [sum((Fraction(a) * Fraction(v) for a, v in zip(row, vector)), Fraction(0))
+            for row in matrix]
+
+
+def scale_fiber(f: Polynomial, lam: Fraction) -> Polynomial:
+    """Substitute p -> lam * p (identity on base polynomials)."""
+    if not f.space.fiber:
+        return f
+    n = f.space.n
+    lam = Fraction(lam)
+    out = {}
+    for exps, coeff in f.terms.items():
+        k = sum(exps[n:])
+        out[exps] = coeff * lam ** k
+    return Polynomial(f.space, out)

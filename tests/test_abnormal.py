@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import random_corank1_frame, random_general_frame
-from singfol import _linalg
+from conftest import matvec, random_corank1_frame, random_general_frame, scale_fiber
 from singfol.abnormal import (
     AbnormalGenerator,
     AnnihilatorError,
@@ -31,7 +31,6 @@ from singfol.vectorfield import (
     divergence,
     lie_bracket,
     poisson_bracket,
-    scale_fiber,
 )
 
 
@@ -233,7 +232,7 @@ def test_generator_kernel_membership_at_annihilator_points():
                 u = [Fraction(0)] * F.m
                 for i, cf in zip(g.I, g.coefficients):
                     u[i - 1] = cf.eval_exact(point)
-                assert _linalg.matvec(H, u) == [Fraction(0)] * F.m
+                assert matvec(H, u) == [Fraction(0)] * F.m
 
 
 def test_corank1_coherence():
@@ -412,6 +411,53 @@ def test_jacobi_expansion_nonzero_off_the_bracket_matrix():
                 assert not expansion.is_zero(), (F.name, g.I)
                 assert expansion == _reference_jacobi(g.I, tampered), (F.name, g.I)
                 assert _jacobi_expansion(g, goh).is_zero()
+
+
+def test_cyclic_jacobi_sums_vanish_on_the_bracket_matrix():
+    # the Poisson Jacobi identity, checked on the library's own brackets:
+    # J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} = 0 for every triple
+    frames = [demo_frame(name) for name in DEMOS]
+    frames += [random_corank1_frame(random.Random(seed), n) for seed, n in ((81, 7), (82, 8))]
+    for F in frames:
+        goh = goh_matrix(F)
+        triples = list(combinations(range(1, F.m + 1), 3))
+        for T in triples:
+            assert goh.jacobi_sum(T).is_zero(), (F.name, T)
+        assert len(goh._jacobi) == len(triples)
+
+
+def _goh_with_shifted_entry(F, k, l):
+    """The Goh matrix of F with x1 added to the single entry H[k,l]."""
+    goh = goh_matrix(F)
+    phase = F.space.phase
+    upper = dict(goh.H.upper)
+    upper[(k, l)] = goh.H.entry(k, l) + Polynomial.variable(phase, phase.x(1))
+    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
+                     goh.reduced)
+
+
+def test_jacobi_failure_names_the_first_nonzero_triple():
+    # every J(T) of the tampered matrix is nonzero: the first triple of I fails
+    F = demo_frame("dim5")
+    tampered = _tampered_goh(F)
+    for g in abnormal_generators(F, 2, goh_matrix(F)):
+        with pytest.raises(CertificateError) as err:
+            divergence_certificate(g, F, tampered)
+        assert f"T={g.I[:3]}" in str(err.value)
+        assert err.value.residual == _reference_jacobi(g.I, tampered)
+    # only the triples through {5, 6} break when H[5,6] alone is wrong, so
+    # the first failing triple of I = (1, 2, 4, 5, 6) is (1, 5, 6)
+    F = random_corank1_frame(random.Random(81), 7)
+    shifted = _goh_with_shifted_entry(F, 5, 6)
+    failing = []
+    for g in abnormal_generators(F, 4, goh_matrix(F)):
+        if _jacobi_expansion(g, shifted).is_zero():
+            continue
+        with pytest.raises(CertificateError) as err:
+            divergence_certificate(g, F, shifted)
+        assert f"T={(g.I[0], 5, 6)}" in str(err.value), g.I
+        failing.append(g.I)
+    assert failing == [(1, 2, 4, 5, 6), (1, 3, 4, 5, 6)]
 
 
 # -- singular set ------------------------------------------------------------------

@@ -155,6 +155,21 @@ def test_schema_validation_errors(capsys, tmp_path):
     code, _, err = run(capsys, "goh", "--frame", str(path))
     assert code == EXIT_INPUT
     assert "rank" in err
+    # a bad dimension or a payload that is not a list of strings is refused
+    # before anything is parsed, in text and under --json
+    for doc, word in [({"dimension": 0, "rank": 2, "normal_form": []}, "dimension"),
+                      ({"dimension": -3, "rank": 2, "fields": []}, "dimension"),
+                      ({"dimension": 3, "rank": 2, "normal_form": [1, 2]}, "normal_form"),
+                      ({"dimension": 3, "rank": 2, "normal_form": "x1"}, "normal_form"),
+                      ({"dimension": 3, "rank": 2, "fields": [1, 2]}, "fields"),
+                      ({"dimension": 3, "rank": 2, "fields": "ab"}, "fields")]:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "goh", "--frame", str(path))
+        assert code == EXIT_INPUT, doc
+        assert out == "" and err.startswith("error: ") and word in err, doc
+        code, out, _ = run(capsys, "goh", "--frame", str(path), "--json")
+        assert code == EXIT_INPUT, doc
+        assert word in json.loads(out)["error"], doc
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -171,6 +186,10 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["integrate", "--from", "0,0,0,0", "--T", "1e9", "--h", "1e-9"], "--T"),
     (["integrate", "--from", "0,0,0,0", "--T", "1e300", "--h", "1e-300"], "--T"),
     (["scan-div", "--seed", "1", "--samples", "-1"], "--samples"),
+    (["bracket-check", "--depth", "0"], "--depth"),
+    (["bracket-check", "--depth", "-1"], "--depth"),
+    (["stratify", "--seed", "1", "--tolerance", "nan"], "--tolerance"),
+    (["stratify", "--seed", "1", "--tolerance", "-0.5"], "--tolerance"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -181,6 +200,22 @@ def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     assert code == EXIT_INPUT
     report = json.loads(out)
     assert report["command"] == argv[0] and flag in report["error"]
+
+
+def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
+    # a coefficient that no double holds, and a box whose powers overflow
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 4, "rank": 3,
+                                "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
+                    encoding="utf-8")
+    for argv in (["--frame", str(path)],
+                 ["--frame", frame_file(tmp_path, "dim4"), "--box=-1e200,1e200"]):
+        code, out, err = run(capsys, "scan-div", "--seed", "1", "--samples", "4", *argv)
+        assert code == EXIT_INPUT
+        assert out == "" and err.startswith("error: ") and "double range" in err
+        code, out, _ = run(capsys, "scan-div", "--seed", "1", "--samples", "4", *argv, "--json")
+        assert code == EXIT_INPUT
+        assert "double range" in json.loads(out)["error"]
 
 
 def test_scan_div_zero_samples_is_valid(capsys, tmp_path):

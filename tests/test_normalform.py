@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_general_frame
-from singfol import _linalg
+from conftest import matvec, random_general_frame
 from singfol.abnormal import kernel_dim_at, goh_matrix
 from singfol.demos import demo_frame
 from singfol.exactpoly import JetSeries, Polynomial, Space, parse_expression
@@ -209,7 +208,7 @@ def _matched_fiber_points(F, chart, count, rng):
              for k in range(n)]
         if all(v == 0 for v in p):
             continue
-        points.append((p, _linalg.matvec(MT, p)))
+        points.append((p, matvec(MT, p)))
     return points
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial, random_corank1_frame
+from conftest import random_polynomial, random_corank1_frame, scale_fiber
 from singfol.exactpoly import Polynomial, Space, parse_expression
 from singfol.vectorfield import (
     Frame,
@@ -13,7 +13,6 @@ from singfol.vectorfield import (
     hamiltonian_vector_field,
     lie_bracket,
     poisson_bracket,
-    scale_fiber,
 )
 
 
