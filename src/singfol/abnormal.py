@@ -207,6 +207,8 @@ def kernel_dim_at(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction],
 def _combination(space: Space, kind: str, coeffs: Sequence[Polynomial],
                  fields: Sequence[VectorField]) -> VectorField:
     """The field sum over k of coeffs[k] * fields[k], summed componentwise."""
+    if not any(coeffs):
+        return VectorField.zero(space, kind)
     return VectorField([
         _sum_products(space, zip(coeffs, (field.components[k] for field in fields)))
         for k in range(len(fields[0].components))
@@ -246,6 +248,8 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
         raise ValueError(f"need 0 <= r < m={F.m}")
     if goh is None:
         goh = goh_matrix(F)
+    if F.normal_form is not None:
+        subs, scale = _projection_substitution(F, r)
     generators = []
     for gen in kernel_generators(goh.H, r):
         Y = _combination(F.space.phase, "phase", gen.coefficients,
@@ -253,7 +257,7 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
         entry = AbnormalGenerator(gen.I, r, Y, gen.coefficients,
                                   p_degree=Y.p_homogeneity() if not Y.is_zero() else (None, None))
         if F.normal_form is not None:
-            entry = project_corank1(entry, F, goh)
+            entry = _project(entry, F, goh, subs, scale)
         generators.append(entry)
     return generators
 
@@ -269,22 +273,39 @@ def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None
         raise NormalFormError("corank-1 normal form required for projection")
     if goh is None:
         goh = goh_matrix(F)
+    return _project(g, F, goh, *_projection_substitution(F, g.rank))
+
+
+def _projection_substitution(F: Frame, r: int) -> tuple[dict[int, Polynomial], Polynomial]:
+    """The substitution p_i -> -A_i p_n and the factor p_n^(r/2) of the
+    projection check, built once per rank and shared by its generators."""
+    phase = F.space.phase
+    pn = Polynomial.variable(phase, phase.p(F.n))
+    subs = {phase.p(i + 1): -A.lift_to_phase() * pn if A else A.lift_to_phase()
+            for i, A in enumerate(F.normal_form)}
+    return subs, pn ** (r // 2)
+
+
+def _project(g: AbnormalGenerator, F: Frame, goh: GohMatrix,
+             subs: dict[int, Polynomial], scale: Polynomial) -> AbnormalGenerator:
+    """:func:`project_corank1` with the substitution and factor given."""
     assert goh.reduced is not None
     red_coeffs = tuple(
-        epsilon_sign(g.I, i) * pfaffian_by_recursion(goh.reduced, tuple(k for k in g.I if k != i))
+        epsilon_sign(g.I, i) * _pf_cached(goh.reduced, tuple(k for k in g.I if k != i))
         for i in g.I
     )
     Z = _combination(F.space, "base", red_coeffs, [F.fields[i - 1] for i in g.I])
 
-    # exact consistency of the projection with the phase generator
-    phase = F.space.phase
-    pn_pos = phase.p(F.n)
-    pn = Polynomial.variable(phase, pn_pos)
-    subs = {phase.p(i + 1): -F.normal_form[i].lift_to_phase() * pn for i in range(F.n - 1)}
-    scale = pn ** (g.rank // 2)
+    # exact consistency of the projection with the phase generator; a zero
+    # component of Y needs no substitution, only a zero component of Z
     for k in range(F.n):
-        restricted = g.Y.components[k].substitute(subs)
-        if restricted != scale * Z.components[k].lift_to_phase():
+        restricted = g.Y.components[k]
+        if restricted:
+            restricted = restricted.substitute(subs)
+        expected = Z.components[k].lift_to_phase()
+        if expected:
+            expected = scale * expected
+        if restricted != expected:
             raise NormalFormError(
                 f"x-block component {k + 1} of Y_{g.I} does not factor through p{F.n}^{g.rank // 2}"
             )

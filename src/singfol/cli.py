@@ -347,6 +347,8 @@ def cmd_integrate(F: Frame, args):
         raise InputError("--h must be a positive finite number")
     if not (math.isfinite(args.T) and args.T >= 0):
         raise InputError("--T must be a finite number >= 0")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise InputError("--tolerance must be a finite number >= 0")
     try:
         x0 = [float(v) for v in args.start.split(",")]
     except ValueError as exc:
@@ -449,9 +451,11 @@ class _Parser(argparse.ArgumentParser):
     # certificate failures
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like "-0.5,0.5" (box bounds, start points) pass as
-        # arguments instead of being mistaken for option strings
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?(,-?\d+(\.\d+)?)*$")
+        # let values like "-0.5,0.5" or "-1e-1,1e-1" (box bounds, start
+        # points, tolerances) pass as arguments instead of being mistaken
+        # for option strings
+        number = r"\d+(\.\d+)?([eE][+-]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
 
     def error(self, message):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")

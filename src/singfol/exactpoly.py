@@ -28,6 +28,12 @@ resulting ``ratio_sup`` with ``repr``, so a different order can change the
 last digits of CLI output.  Every kernel below fills its dictionary in the
 order the plain term-by-term loops would.
 
+Callers test for zero before they build a product: :func:`_sum_products`
+skips a pair with a zero operand, and brackets, Pfaffian expansions and
+:meth:`Polynomial.substitute` skip a zero factor before they differentiate
+or multiply.  An empty product adds nothing to an accumulator, so skipping
+it leaves every dictionary, and its insertion order, as it was.
+
 The module also provides truncated power series in the base variables
 (:class:`JetSeries`) and a recursive-descent parser for the expression
 grammar used by the CLI input format.
@@ -202,10 +208,15 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
 
 
 def _sum_products(space: Space, pairs) -> "Polynomial":
-    """The sum of ``a * b`` over ``pairs``, added into one dictionary in order."""
+    """The sum of ``a * b`` over ``pairs``, added into one dictionary in order.
+
+    A pair with a falsy operand (an empty Polynomial, ``Fraction(0)``) is
+    skipped: its product is empty and would add nothing.
+    """
     acc: dict = {}
     for a, b in pairs:
-        _add_terms(acc, (a * b).terms)
+        if a and b:
+            _add_terms(acc, (a * b).terms)
     return Polynomial._trusted(space, acc)
 
 
@@ -455,13 +466,15 @@ class Polynomial:
                 raise SpaceMismatchError("replacement lives in a different space")
             if not 0 <= pos < self.space.nvars:
                 raise IndexError(f"variable position {pos} out of range")
-        # cache powers of each replacement up to its max needed exponent
+        # cache powers of each replacement up to its max needed exponent; a
+        # zero replacement has zero powers, and a term using one vanishes
+        one = Polynomial._trusted(self.space, {(0,) * self.space.nvars: Fraction(1)})
         pow_cache: dict[int, list[Polynomial]] = {}
         for pos, rep in replacements.items():
             top = max((e[pos] for e in self.terms), default=0)
-            powers = [Polynomial.constant(self.space, 1)]
+            powers = [one]
             for _ in range(top):
-                powers.append(powers[-1] * rep)
+                powers.append(powers[-1] * rep if rep else rep)
             pow_cache[pos] = powers
         result: dict = {}
         for exps, coeff in self.terms.items():
@@ -471,8 +484,12 @@ class Polynomial:
             term = {tuple(kept): coeff}
             for pos in replacements:
                 if exps[pos]:
-                    term = _mul_terms(term, pow_cache[pos][exps[pos]].terms)
-            _add_terms(result, term)
+                    power = pow_cache[pos][exps[pos]].terms
+                    if not power:
+                        break
+                    term = _mul_terms(term, power)
+            else:
+                _add_terms(result, term)
         return Polynomial._trusted(self.space, result)
 
     def lift_to_phase(self) -> "Polynomial":

@@ -100,14 +100,15 @@ class SkewMatrix:
         raise AttributeError("SkewMatrix is immutable")
 
     def entry(self, i: int, j: int) -> Polynomial:
+        """The entry a_ij.  A missing entry (the diagonal, or a zero that
+        the constructor dropped) is a trusted empty polynomial, built only
+        in that case."""
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise IndexError(f"entry ({i},{j}) out of range")
-        if i == j:
-            return Polynomial.zero(self.space)
-        if i < j:
-            return self.upper.get((i, j), Polynomial.zero(self.space))
-        value = self.upper.get((j, i))
-        return -value if value is not None else Polynomial.zero(self.space)
+        value = self.upper.get((i, j) if i < j else (j, i))
+        if value is None:
+            return Polynomial._trusted(self.space, {})
+        return value if i < j else -value
 
     def evaluate(self, point: Sequence) -> list[list[Fraction]]:
         """Full numeric matrix at a rational point."""
@@ -241,8 +242,11 @@ def _raw_recursion_sum(A: SkewMatrix, I: tuple[int, ...], i0: int,
         a = A.entry(i0, j)
         if a.is_zero():
             continue
+        phi = sub(tuple(k for k in rest if k != j))
+        if phi.is_zero():
+            continue
         sign = epsilon_sign(I, i0) * epsilon_sign(rest, j)
-        _add_terms(acc, (a * sub(tuple(k for k in rest if k != j))).terms, sign)
+        _add_terms(acc, (a * phi).terms, sign)
     return Polynomial._trusted(A.space, acc)
 
 
@@ -269,8 +273,11 @@ def _raw_derivative_sum(A: SkewMatrix, I: tuple[int, ...], d: Callable[[Polynomi
             da = d(A.entry(i, j))
             if da.is_zero():
                 continue
+            phi = sub(tuple(k for k in rest if k != j))
+            if phi.is_zero():
+                continue
             sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
-            _add_terms(acc, (sub(tuple(k for k in rest if k != j)) * da).terms, sign)
+            _add_terms(acc, (phi * da).terms, sign)
     return Polynomial._trusted(A.space, acc)
 
 

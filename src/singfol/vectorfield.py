@@ -236,15 +236,22 @@ class Frame:
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Exact Lie bracket [X, Y] = DY . X - DX . Y, componentwise."""
+    """Exact Lie bracket [X, Y] = DY . X - DX . Y, componentwise.
+
+    A partial is taken only against a nonzero component, and a product is
+    formed only when both factors are nonzero.
+    """
     if X.kind != Y.kind or X.space != Y.space:
         raise ValueError("kind mismatch")
     comps = []
     for k in range(len(X.components)):
         acc: dict = {}
         for j in range(len(X.components)):
-            _add_terms(acc, (X.components[j] * Y.components[k].partial(j)).terms)
-            _add_terms(acc, (Y.components[j] * X.components[k].partial(j)).terms, -1)
+            Xj, Yj = X.components[j], Y.components[j]
+            if Xj and (dY := Y.components[k].partial(j)):
+                _add_terms(acc, (Xj * dY).terms)
+            if Yj and (dX := X.components[k].partial(j)):
+                _add_terms(acc, (Yj * dX).terms, -1)
         comps.append(Polynomial._trusted(X.space, acc))
     return VectorField(comps, X.kind)
 
@@ -272,15 +279,21 @@ def hamiltonian_vector_field(h: Polynomial) -> VectorField:
 
 
 def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
-    """{h, g} = sum_k dh/dp_k dg/dx_k - dh/dx_k dg/dp_k."""
+    """{h, g} = sum_k dh/dp_k dg/dx_k - dh/dx_k dg/dp_k.
+
+    A partial of g is taken only when the matching partial of h is nonzero,
+    and a product only when both are.
+    """
     space = h.space
     if not space.fiber or g.space != space:
         raise ValueError("Poisson bracket needs two phase-space functions")
     out: dict = {}
     for k in range(1, space.n + 1):
         xk, pk = space.x(k), space.p(k)
-        _add_terms(out, (h.partial(pk) * g.partial(xk)).terms)
-        _add_terms(out, (h.partial(xk) * g.partial(pk)).terms, -1)
+        if (dh := h.partial(pk)) and (dg := g.partial(xk)):
+            _add_terms(out, (dh * dg).terms)
+        if (dh := h.partial(xk)) and (dg := g.partial(pk)):
+            _add_terms(out, (dh * dg).terms, -1)
     return Polynomial._trusted(space, out)
 
 

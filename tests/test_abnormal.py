@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from singfol.abnormal import (
     singular_set_equations,
     stratify,
 )
+from singfol import exactpoly
 from singfol.demos import DEMOS, demo_frame
 from singfol.exactpoly import Polynomial, Space, parse_expression
 from singfol.pfaffian import SkewMatrix, epsilon_sign, pfaffian_by_definition, skew_rank
@@ -260,6 +262,44 @@ def test_zero_generator_projects_to_zero_field():
     for g in abnormal_generators(F, 2):
         assert g.Y.is_zero()
         assert g.Z.is_zero()
+
+
+def test_projection_check_covers_zero_components_of_y():
+    # a zero component of Y is checked without a substitution: it needs
+    # the matching component of Z to be zero, and fails as before if not
+    F = demo_frame("dim5")
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, 2, goh)[0]
+    k = next(k for k, c in enumerate(g.Z.components) if not c.is_zero())
+    hollow = AbnormalGenerator(g.I, g.rank, VectorField.zero(F.space.phase, "phase"),
+                               g.coefficients)
+    with pytest.raises(NormalFormError, match=re.escape(f"component {k + 1} of Y_{g.I} ")):
+        project_corank1(hollow, F, goh)
+    assert project_corank1(g, F, goh) == g
+
+
+def test_certify_path_forms_no_empty_product(monkeypatch):
+    # brackets, Pfaffian expansions, generator sums and the projection
+    # check test for zero before they multiply
+    frames = [demo_frame(name) for name in DEMOS]
+    rng = random.Random(3)
+    frames += [random_corank1_frame(rng, 7), random_corank1_frame(rng, 9)]
+    products = {"all": 0, "empty": 0}
+    mul_terms = exactpoly._mul_terms
+
+    def counting(a, b, order=None):
+        products["all"] += 1
+        products["empty"] += not a or not b
+        return mul_terms(a, b, order)
+
+    monkeypatch.setattr(exactpoly, "_mul_terms", counting)
+    for F in frames:
+        goh = goh_matrix(F)
+        for r in range(0, F.m, 2):
+            for g in abnormal_generators(F, r, goh):
+                divergence_certificate(g, F, goh)
+    assert products["all"] > 1000
+    assert products["empty"] == 0
 
 
 def test_projection_requires_normal_form():

@@ -101,7 +101,7 @@ def test_integrate_engel_csv(capsys, tmp_path):
 def test_integrate_impossible_tolerance_fails_with_exit_2(capsys, tmp_path):
     # dim4 from a generic point has float-level residuals; tolerance 0 cannot hold
     code, out, err = run(capsys, "integrate", "--from", "0.3,0.2,0.1,0.4", "--T", "0.1",
-                         "--h", "0.01", "--tolerance", "-1",
+                         "--h", "0.01", "--tolerance", "0",
                          "--frame", frame_file(tmp_path, "dim4"))
     assert code == EXIT_CERTIFICATE
     assert "certificate failure" in err
@@ -190,6 +190,12 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["bracket-check", "--depth", "-1"], "--depth"),
     (["stratify", "--seed", "1", "--tolerance", "nan"], "--tolerance"),
     (["stratify", "--seed", "1", "--tolerance", "-0.5"], "--tolerance"),
+    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "nan"],
+     "--tolerance"),
+    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "-1"],
+     "--tolerance"),
+    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "inf"],
+     "--tolerance"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -216,6 +222,20 @@ def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
         code, out, _ = run(capsys, "scan-div", "--seed", "1", "--samples", "4", *argv, "--json")
         assert code == EXIT_INPUT
         assert "double range" in json.loads(out)["error"]
+
+
+def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path):
+    frame = frame_file(tmp_path, "dim4")
+    scan = ["scan-div", "--seed", "1", "--samples", "8", "--frame", frame]
+    for extra in ([], ["--json"]):
+        want = run(capsys, *scan, "--box=-0.1,0.1", *extra)
+        assert want[0] == EXIT_OK
+        assert run(capsys, *scan, "--box", "-1e-1,1e-1", *extra) == want
+    # the value reaches the handler's range check instead of being taken
+    # for an option
+    code, out, err = run(capsys, "stratify", "--seed", "1", "--tolerance", "-1e-8", "--frame", frame)
+    assert code == EXIT_INPUT
+    assert out == "" and err == "error: --tolerance must be a finite number >= 0\n"
 
 
 def test_scan_div_zero_samples_is_valid(capsys, tmp_path):

@@ -357,6 +357,37 @@ def test_in_place_sums_match_reference(seed, space):
     assert same_order(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), _spaces)
+def test_sum_of_products_matches_reference(seed, space):
+    # the operands callers pass: polynomials, empty polynomials and
+    # Fractions (zero ones included), in either slot
+    rng = random.Random(seed)
+
+    def polynomial():
+        if rng.random() < 0.3:
+            return Polynomial.zero(space)
+        return random_polynomial(rng, space, rng.choice((1, 3, 8)), 2, _RATIONAL)
+
+    def operand():
+        if rng.random() < 0.4:
+            return Fraction(rng.randint(-2, 2), rng.choice(_RATIONAL))
+        return polynomial()
+
+    pairs = []
+    for _ in range(8):
+        pair = (operand(), polynomial())
+        pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+    # cancel the first products again, then bring one of them back
+    pairs += [(a, -b) for a, b in pairs[:2]] + pairs[:1]
+
+    def as_poly(v):
+        return v if isinstance(v, Polynomial) else Polynomial.constant(space, v)
+
+    want = reference_sum(space, [(1, reference_product(as_poly(a), as_poly(b))) for a, b in pairs])
+    assert same_order(exactpoly._sum_products(space, pairs), want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([1, 4, 12]))
 def test_substitute_matches_reference(seed, size):
@@ -378,30 +409,73 @@ def test_substitute_matches_reference(seed, size):
     assert same_order(f.substitute(reps), want)
 
 
+def _poisson_matches_reference(h: Polynomial, g: Polynomial) -> bool:
+    space = h.space
+    signed = []
+    for k in range(1, space.n + 1):
+        xk, pk = space.x(k), space.p(k)
+        signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
+        signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
+    return same_order(poisson_bracket(h, g), reference_sum(space, signed))
+
+
+def _lie_and_divergence_match_reference(X: VectorField, Y: VectorField) -> bool:
+    base, n = X.space, len(X.components)
+    bracket = lie_bracket(X, Y)
+    for k in range(n):
+        signed = []
+        for j in range(n):
+            signed.append((1, reference_product(X.components[j], Y.components[k].partial(j))))
+            signed.append((-1, reference_product(Y.components[j], X.components[k].partial(j))))
+        if not same_order(bracket.components[k], reference_sum(base, signed)):
+            return False
+    want = reference_sum(base, [(1, c.partial(pos)) for pos, c in enumerate(X.components)])
+    return same_order(divergence(X), want)
+
+
+def _polynomial_in(rng: random.Random, space: Space, positions, max_terms: int) -> Polynomial:
+    """A random polynomial in the variables at ``positions`` only (zero
+    when there are none), so most of its partials are empty."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms) if positions else 0):
+        exps = [0] * space.nvars
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.choice(positions)] += 1
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + Fraction(rng.randint(-4, 4),
+                                                                  rng.choice(_RATIONAL))
+    return Polynomial(space, terms)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_brackets_and_divergence_match_reference_sums(seed):
     space = Space(2, True)
     rng = random.Random(seed)
     h, g = (random_polynomial(rng, space, 6, 3, _RATIONAL) for _ in range(2))
-    signed = []
-    for k in range(1, space.n + 1):
-        xk, pk = space.x(k), space.p(k)
-        signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
-        signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
-    assert same_order(poisson_bracket(h, g), reference_sum(space, signed))
+    assert _poisson_matches_reference(h, g)
     base = Space(3)
     X, Y = (VectorField([random_polynomial(rng, base, 4, 2, _RATIONAL) for _ in range(3)])
             for _ in range(2))
-    bracket = lie_bracket(X, Y)
-    for k in range(3):
-        signed = []
-        for j in range(3):
-            signed.append((1, reference_product(X.components[j], Y.components[k].partial(j))))
-            signed.append((-1, reference_product(Y.components[j], X.components[k].partial(j))))
-        assert same_order(bracket.components[k], reference_sum(base, signed))
-    want = reference_sum(base, [(1, c.partial(pos)) for pos, c in enumerate(X.components)])
-    assert same_order(divergence(X), want)
+    assert _lie_and_divergence_match_reference(X, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_brackets_match_reference_sums_on_zero_heavy_inputs(seed):
+    # the brackets skip zero factors and empty partials; the skipped
+    # products are empty, so the sums must still match term for term
+    rng = random.Random(seed)
+    space = Space(3, True)
+    for _ in range(3):
+        h, g = (_polynomial_in(rng, space, rng.sample(range(space.nvars), rng.randint(0, 3)), 5)
+                for _ in range(2))
+        assert _poisson_matches_reference(h, g)
+    base = Space(4)
+    for _ in range(3):
+        X, Y = (VectorField([_polynomial_in(rng, base, rng.sample(range(4), rng.randint(1, 2)), 3)
+                             if rng.random() < 0.5 else Polynomial.zero(base) for _ in range(4)])
+                for _ in range(2))
+        assert _lie_and_divergence_match_reference(X, Y)
 
 
 def test_poisson_bracket_adds_then_subtracts():
