@@ -39,8 +39,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from singfol.exactpoly import Polynomial, Space, _add_terms, _sum_products
 from singfol.pfaffian import (
     SkewMatrix,
@@ -54,11 +52,11 @@ from singfol.pfaffian import (
 from singfol.vectorfield import (
     Frame,
     VectorField,
+    _hamiltonian_derivative,
     divergence,
     hamiltonian_lift,
     hamiltonian_vector_field,
     lie_bracket,
-    poisson_bracket,
 )
 
 __all__ = [
@@ -123,6 +121,9 @@ class GohMatrix:
     cyclic Jacobi sums J(T), at most one per triple of {1..m}, shared by all
     certificates.  Every J(T) is zero when H is the bracket matrix of the
     hamiltonians, so a nonzero one shows that H or the bracket code is wrong.
+    ``_identity`` memoizes that check over all triples at once
+    (:meth:`jacobi_identity_holds`), so certificates on a bracket matrix do
+    not look up J(T) per generator.
     """
 
     frame: Frame
@@ -131,6 +132,7 @@ class GohMatrix:
     ham_fields: tuple[VectorField, ...]
     reduced: SkewMatrix | None = None
     _jacobi: dict = field(default_factory=dict, compare=False, repr=False)
+    _identity: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -138,16 +140,24 @@ class GohMatrix:
 
     def jacobi_sum(self, T: tuple[int, int, int]) -> Polynomial:
         """J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} for
-        T = (a, b, c), a < b < c, memoized."""
+        T = (a, b, c), a < b < c, memoized.  Each bracket differentiates
+        along the cached Hamiltonian field of its h^j."""
         value = self._jacobi.get(T)
         if value is None:
             a, b, c = T
-            h, H = self.hamiltonians, self.H
             acc: dict = {}
             for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
-                _add_terms(acc, poisson_bracket(h[j - 1], H.entry(k, l)).terms, sign)
+                bracket = _hamiltonian_derivative(self.ham_fields[j - 1], self.H.entry(k, l))
+                _add_terms(acc, bracket.terms, sign)
             value = self._jacobi[T] = Polynomial._trusted(self.H.space, acc)
         return value
+
+    def jacobi_identity_holds(self) -> bool:
+        """Whether J(T) = 0 for every triple T of {1..m}, memoized."""
+        if not self._identity:
+            self._identity.append(all(
+                self.jacobi_sum(T).is_zero() for T in combinations(range(1, self.m + 1), 3)))
+        return self._identity[0]
 
 
 def goh_matrix(F: Frame) -> GohMatrix:
@@ -351,9 +361,13 @@ def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
     eps(I,T) the sign of moving T, in order, to the front of I: for T at
     positions p0 < p1 < p2 of I that is (-1)^(p0 + p1-1 + p2-2).  So the sum
     runs over unordered triples, and a triple with J(T) = 0 costs no product.
+    Every term has a factor J(T), so when the Jacobi identity holds for all
+    triples of the frame the sum is empty without visiting them.
     """
     I = g.I
     acc: dict = {}
+    if len(I) < 3 or goh.jacobi_identity_holds():
+        return Polynomial._trusted(goh.H.space, acc)
     for pos in combinations(range(len(I)), 3):
         J = goh.jacobi_sum(tuple(I[p] for p in pos))
         if J.is_zero():
@@ -523,6 +537,10 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
     univariate polynomial whose float roots are rationalized and verified
     against ALL minors exactly.  Returns an exact locus point or None.
     """
+    # numpy is imported here, its only use in the module, so that the
+    # symbolic commands start without it
+    import numpy as np
+
     n = len(x)
     nonzero = [q for q in minors if not q.is_zero()]
     if not nonzero:

@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from singfol import abnormal, dynamics
+from singfol import abnormal
 from singfol.demos import DEMOS, demo_names
 from singfol.exactpoly import ParseError, Space, parse_expression
 from singfol.pfaffian import calibration_report, index_sets, pfaffian_by_recursion, skew_rank
@@ -33,6 +33,9 @@ EXIT_CERTIFICATE = 2
 
 # integrate rejects a --T/--h asking for more RK4 steps than this
 MAX_STEPS = 10 ** 7
+# bracket-check rejects a --depth at which it would form more iterated
+# brackets than this (m^2 + ... + m^depth for m frame fields)
+MAX_BRACKETS = 10 ** 4
 
 
 class InputError(Exception):
@@ -341,6 +344,9 @@ def _pick_generator(F: Frame, args, goh, r: int):
 
 
 def cmd_integrate(F: Frame, args):
+    # dynamics (and numpy with it) is imported only by the numeric commands
+    from singfol import dynamics
+
     if F.normal_form is None:
         raise InputError("integrate needs a corank-1 frame")
     if not (math.isfinite(args.h) and args.h > 0):
@@ -385,6 +391,8 @@ def cmd_integrate(F: Frame, args):
 
 
 def cmd_scan_div(F: Frame, args):
+    from singfol import dynamics
+
     if F.normal_form is None:
         raise InputError("scan-div needs a corank-1 frame")
     if not args.cutoff > 0:
@@ -423,6 +431,13 @@ def cmd_bracket_check(F: Frame, args):
         raise InputError(f"--at expects comma-separated numbers: {exc}") from exc
     if len(x) != F.n:
         raise InputError(f"--at needs {F.n} coordinates")
+    brackets, layer = 0, F.m
+    for _ in range(1, args.depth):
+        layer *= F.m
+        brackets += layer
+        if brackets > MAX_BRACKETS:
+            raise InputError(f"--depth {args.depth} needs more than {MAX_BRACKETS} brackets "
+                             f"of the {F.m} frame fields")
     depth = F.bracket_generation_depth(x, args.depth)
     if depth is None:
         lines = [f"brackets up to depth {args.depth} do NOT span at the point (diagnostic only)"]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -59,6 +59,9 @@ __all__ = [
 
 # Guard against pathological inputs like "x1^99999999" blowing up memory.
 MAX_EXPONENT = 4096
+# The parser rejects a power whose result may have more terms than this:
+# (t terms)^k has at most C(k+t-1, t-1) of them.
+MAX_TERMS = 10 ** 4
 
 
 class SpaceMismatchError(ValueError):
@@ -746,6 +749,11 @@ class _Scanner:
             k = self.uint()
             if k > MAX_EXPONENT:
                 raise ParseError(f"exponent {k} exceeds limit {MAX_EXPONENT}", at)
+            t = len(base.terms)
+            bound = comb(k + t - 1, t - 1) if t else 1
+            if bound > MAX_TERMS:
+                raise ParseError(f"a {t}-term base to the power {k} may have up to "
+                                 f"{bound} terms, above the limit {MAX_TERMS}", at)
             return base ** k
         return base
 
@@ -784,7 +792,8 @@ def parse_expression(text: str, space: Space) -> Polynomial:
     """Parse an expression into a canonical Polynomial over ``space``.
 
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
-    unknown variables and oversized exponents.
+    unknown variables, oversized exponents and powers that may exceed
+    ``MAX_TERMS`` terms.
     """
     scanner = _Scanner(text, space)
     value = scanner.expr()

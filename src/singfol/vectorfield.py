@@ -226,6 +226,8 @@ class Frame:
             vectors = [V.evaluate(x) for V in everything]
             if _linalg.rank(vectors) == self.n:
                 return depth
+            if depth == max_depth:
+                break
             new_layer = []
             for V in layers[-1]:
                 for X in self.fields:
@@ -257,14 +259,19 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def hamiltonian_lift(X: VectorField) -> Polynomial:
-    """The momentum function p . X(x) of a base field (fiber-linear)."""
+    """The momentum function p . X(x) of a base field (fiber-linear).
+
+    Component k contributes its terms with the exponent of p_k raised to 1,
+    in component order; terms of different components never share a key.
+    """
     if X.kind != "base":
         raise ValueError("lift applies to base fields")
-    phase = X.space.phase
-    return _sum_products(phase, (
-        (comp.lift_to_phase(), Polynomial.variable(phase, phase.p(k + 1)))
-        for k, comp in enumerate(X.components)
-    ))
+    n = X.space.n
+    units = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+    return Polynomial._trusted(X.space.phase, {
+        exps + unit: coeff
+        for comp, unit in zip(X.components, units) for exps, coeff in comp.terms.items()
+    })
 
 
 def hamiltonian_vector_field(h: Polynomial) -> VectorField:
@@ -278,23 +285,34 @@ def hamiltonian_vector_field(h: Polynomial) -> VectorField:
     return VectorField(xblock + pblock, "phase")
 
 
+def _hamiltonian_derivative(Xh: VectorField, g: Polynomial) -> Polynomial:
+    """{h, g} = X_h(g) for X_h = (dh/dp, -dh/dx) the Hamiltonian field of h.
+
+    For each k the dg/dx_k term is added before the dg/dp_k term, as in the
+    coordinate formula of :func:`poisson_bracket`; a partial of g is taken
+    only behind a nonzero component of X_h, and a product only when both
+    factors are nonzero.
+    """
+    space = Xh.space
+    n, comps = space.n, Xh.components
+    out: dict = {}
+    for k in range(n):
+        for pos in (k, n + k):
+            if (dh := comps[pos]) and (dg := g.partial(pos)):
+                _add_terms(out, (dh * dg).terms)
+    return Polynomial._trusted(space, out)
+
+
 def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
     """{h, g} = sum_k dh/dp_k dg/dx_k - dh/dx_k dg/dp_k.
 
-    A partial of g is taken only when the matching partial of h is nonzero,
-    and a product only when both are.
+    The p-block of the Hamiltonian field holds -dh/dx_k, so its products
+    are added; negation commutes exactly with the product, so every key,
+    value and insertion order equals that of subtracting dh/dx_k dg/dp_k.
     """
-    space = h.space
-    if not space.fiber or g.space != space:
+    if not h.space.fiber or g.space != h.space:
         raise ValueError("Poisson bracket needs two phase-space functions")
-    out: dict = {}
-    for k in range(1, space.n + 1):
-        xk, pk = space.x(k), space.p(k)
-        if (dh := h.partial(pk)) and (dg := g.partial(xk)):
-            _add_terms(out, (dh * dg).terms)
-        if (dh := h.partial(xk)) and (dg := g.partial(pk)):
-            _add_terms(out, (dh * dg).terms, -1)
-    return Polynomial._trusted(space, out)
+    return _hamiltonian_derivative(hamiltonian_vector_field(h), g)
 
 
 def divergence(V: VectorField) -> Polynomial:

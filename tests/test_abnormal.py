@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -25,7 +26,7 @@ from singfol.abnormal import (
 )
 from singfol import exactpoly
 from singfol.demos import DEMOS, demo_frame
-from singfol.exactpoly import Polynomial, Space, parse_expression
+from singfol.exactpoly import Polynomial, Space, _add_terms, parse_expression
 from singfol.pfaffian import SkewMatrix, epsilon_sign, pfaffian_by_definition, skew_rank
 from singfol.vectorfield import (
     Frame,
@@ -466,14 +467,75 @@ def test_cyclic_jacobi_sums_vanish_on_the_bracket_matrix():
         assert len(goh._jacobi) == len(triples)
 
 
-def _goh_with_shifted_entry(F, k, l):
-    """The Goh matrix of F with x1 added to the single entry H[k,l]."""
+def _goh_with_shifted_entry(F, k, l, shift="x1"):
+    """The Goh matrix of F with ``shift`` added to the single entry H[k,l]."""
     goh = goh_matrix(F)
     phase = F.space.phase
     upper = dict(goh.H.upper)
-    upper[(k, l)] = goh.H.entry(k, l) + Polynomial.variable(phase, phase.x(1))
+    upper[(k, l)] = goh.H.entry(k, l) + parse_expression(shift, phase)
     return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
                      goh.reduced)
+
+
+def _coordinate_poisson(h, g):
+    """{h, g} by the coordinate formula, in its loop order: for each k,
+    + dh/dp_k dg/dx_k first, then - dh/dx_k dg/dp_k."""
+    space = h.space
+    out = {}
+    for k in range(1, space.n + 1):
+        xk, pk = space.x(k), space.p(k)
+        if (dh := h.partial(pk)) and (dg := g.partial(xk)):
+            _add_terms(out, (dh * dg).terms)
+        if (dh := h.partial(xk)) and (dg := g.partial(pk)):
+            _add_terms(out, (dh * dg).terms, -1)
+    return Polynomial._trusted(space, out)
+
+
+def _cyclic_sum(goh, T, bracket):
+    """J(T) by its definition, each Poisson bracket formed by ``bracket``."""
+    a, b, c = T
+    acc = {}
+    for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
+        _add_terms(acc, bracket(goh.hamiltonians[j - 1], goh.H.entry(k, l)).terms, sign)
+    return list(acc.items())
+
+
+def _jacobi_test_frames():
+    frames = [demo_frame(name) for name in DEMOS]
+    return frames + [random_corank1_frame(random.Random(seed), n) for seed, n in ((81, 7), (82, 8))]
+
+
+def test_jacobi_sums_keep_the_coordinate_bracket_order():
+    # jacobi_sum differentiates along the cached Hamiltonian fields; its
+    # keys, values and insertion order must be those of the cyclic sum of
+    # coordinate-formula brackets, on bracket and on tampered matrices
+    # a shift that depends on p reaches the p-block products, which the
+    # x-only shifts of the tampered matrices leave out
+    nonzero = 0
+    cases = [(F, "x1") for F in _jacobi_test_frames()]
+    cases += [(random_general_frame(random.Random(seed), 4, 3), "x2*p1 + x1*p3")
+              for seed in (71, 72, 73, 74)]
+    for F, shift in cases:
+        gohs = [goh_matrix(F), _tampered_goh(F)]
+        if F.m >= 3:
+            gohs.append(_goh_with_shifted_entry(F, F.m - 1, F.m, shift))
+        for goh in gohs:
+            for T in combinations(range(1, F.m + 1), 3):
+                got = list(goh.jacobi_sum(T).terms.items())
+                assert got == _cyclic_sum(goh, T, _coordinate_poisson), (F.name, T)
+                assert got == _cyclic_sum(goh, T, poisson_bracket), (F.name, T)
+                nonzero += bool(got)
+    assert nonzero > 50
+
+
+def test_jacobi_identity_check_per_frame():
+    for F in _jacobi_test_frames():
+        goh = goh_matrix(F)
+        assert goh.jacobi_identity_holds() and goh.jacobi_identity_holds()
+        assert len(goh._jacobi) == math.comb(F.m, 3)
+        if F.m >= 3:
+            assert not _tampered_goh(F).jacobi_identity_holds(), F.name
+            assert not _goh_with_shifted_entry(F, F.m - 1, F.m).jacobi_identity_holds(), F.name
 
 
 def test_jacobi_failure_names_the_first_nonzero_triple():

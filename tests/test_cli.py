@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import singfol
 from singfol.cli import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, build_frame, main
 from singfol.demos import DEMOS, demo_names
 
@@ -129,6 +133,10 @@ def test_bracket_check(capsys, tmp_path):
     code, out, _ = run(capsys, "bracket-check", "--frame", frame_file(tmp_path, "martinet"))
     assert code == EXIT_OK
     assert "span the tangent space at depth 3" in out
+    # the default depth stays within the bracket budget on every demo
+    for name in demo_names():
+        code, out, _ = run(capsys, "bracket-check", "--frame", frame_file(tmp_path, name))
+        assert code == EXIT_OK and "diagnostic only" in out, name
 
 
 def test_malformed_expression_reports_offset(capsys, tmp_path):
@@ -162,7 +170,9 @@ def test_schema_validation_errors(capsys, tmp_path):
                       ({"dimension": 3, "rank": 2, "normal_form": [1, 2]}, "normal_form"),
                       ({"dimension": 3, "rank": 2, "normal_form": "x1"}, "normal_form"),
                       ({"dimension": 3, "rank": 2, "fields": [1, 2]}, "fields"),
-                      ({"dimension": 3, "rank": 2, "fields": "ab"}, "fields")]:
+                      ({"dimension": 3, "rank": 2, "fields": "ab"}, "fields"),
+                      ({"dimension": 4, "rank": 3,
+                        "normal_form": ["(x1+x2+x3+1)^60", "0", "0"]}, "limit")]:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "goh", "--frame", str(path))
         assert code == EXIT_INPUT, doc
@@ -196,6 +206,10 @@ def test_schema_validation_errors(capsys, tmp_path):
      "--tolerance"),
     (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "inf"],
      "--tolerance"),
+    # 3^2 + ... + 3^9 brackets exceed the budget; so does a depth no loop
+    # could reach, rejected before the first bracket is formed
+    (["bracket-check", "--depth", "9"], "--depth"),
+    (["bracket-check", "--depth", str(10 ** 30)], "--depth"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -257,6 +271,25 @@ def test_integrate_below_generic_goh_rank_is_an_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT
     report = json.loads(out)
     assert report["command"] == "integrate" and "singular set" in report["error"]
+
+
+def test_symbolic_commands_start_without_numpy():
+    # numpy is loaded only by the numeric commands (integrate, scan-div)
+    # and by the locus projection of stratify
+    script = (
+        "import io, sys\n"
+        "from singfol import cli\n"
+        "sys.stdin = io.StringIO(sys.argv[1])\n"
+        "code = cli.main(['certify'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singfol.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    doc = json.dumps(DEMOS["dim4"].to_spec())
+    done = subprocess.run([sys.executable, "-c", script, doc], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_usage_errors_exit_1():

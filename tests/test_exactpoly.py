@@ -186,6 +186,20 @@ def test_parse_errors_carry_offsets():
     assert err.value.offset == 3
 
 
+def test_parse_power_term_budget():
+    # (t terms)^k has at most C(k+t-1, t-1) terms; the bound is checked
+    # before expanding, so the rejection comes at once
+    s = Space(3)
+    assert len(parse_expression("(x1+x2+x3+1)^16", s).terms) == 969
+    assert len(parse_expression("(x1+x2+x3+1)^30", s).terms) == 5456
+    assert len(parse_expression("(2*x1)^4096", s).terms) == 1
+    assert parse_expression("0^4096", s).is_zero()
+    with pytest.raises(ParseError, match="39711 terms") as err:
+        parse_expression("(x1+x2+x3+1)^60", s)
+    assert err.value.offset == 13
+    assert math.comb(60 + 3, 3) == 39711 > exactpoly.MAX_TERMS
+
+
 def test_parse_zero_denominator():
     with pytest.raises(ParseError):
         parse_expression("1/0", BASE2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial, random_corank1_frame, scale_fiber
-from singfol.exactpoly import Polynomial, Space, parse_expression
+from singfol.exactpoly import Polynomial, Space, _sum_products, parse_expression
 from singfol.vectorfield import (
     Frame,
     VectorField,
@@ -89,6 +89,28 @@ def test_hamiltonian_lift_examples():
     assert lift == parse_expression("p2 + x1*p3", phase)
     assert hamiltonian_lift(VectorField.zero(s)).is_zero()
     assert lift.p_homogeneous_degree() == 1
+
+
+def _lift_by_products(X):
+    """p . X as the sum of the products comp_k * p_k, the lift's definition."""
+    phase = X.space.phase
+    return _sum_products(phase, (
+        (comp.lift_to_phase(), Polynomial.variable(phase, phase.p(k + 1)))
+        for k, comp in enumerate(X.components)
+    ))
+
+
+def test_hamiltonian_lift_matches_the_products_term_for_term():
+    # the lift writes p_k into the terms of component k directly; keys,
+    # values and insertion order must be those of the sum of products
+    for seed in range(30):
+        rng = random.Random(300 + seed)
+        s = Space(rng.randint(1, 5))
+        X = VectorField([random_polynomial(rng, s, 4, 3, (1, 2, 3, 7))
+                         if rng.random() < 0.6 else Polynomial.zero(s) for _ in range(s.n)])
+        lift = hamiltonian_lift(X)
+        assert list(lift.terms.items()) == list(_lift_by_products(X).terms.items()), seed
+        assert lift.space == s.phase
 
 
 def test_hamiltonian_vector_field_examples():
