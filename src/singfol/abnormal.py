@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from singfol.exactpoly import Polynomial, Space, _add_terms, _sum_products
+from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator, _sum_products
 from singfol.pfaffian import (
     SkewMatrix,
     _pf_cached,
@@ -189,11 +189,12 @@ def goh_matrix(F: Frame) -> GohMatrix:
 
 
 def _annihilator_offenders(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction]):
+    value = _exact_evaluator(x)
     offenders = []
     for i, X in enumerate(F.fields, start=1):
-        value = sum((Fraction(pk) * vk for pk, vk in zip(p, X.evaluate(x))), Fraction(0))
-        if value != 0:
-            offenders.append((i, value))
+        pairing = sum((Fraction(pk) * value(c) for pk, c in zip(p, X.components)), Fraction(0))
+        if pairing != 0:
+            offenders.append((i, pairing))
     return offenders
 
 
@@ -444,8 +445,10 @@ class SamplerConfig:
 
     ``box`` bounds every base coordinate; samples are exact rationals on the
     grid with the given denominator, so every rank decision downstream stays
-    in exact arithmetic.  ``tolerance`` is the relative singular-value
-    threshold used by the float path when screening locus candidates.
+    in exact arithmetic.  ``tolerance`` bounds the float steps of the locus
+    search: the imaginary part of an ``np.roots`` root that is still taken as
+    real, and the largest |minor| of the float screen that fills
+    ``Stratification.unconfirmed``.
     """
 
     seed: int
@@ -499,6 +502,12 @@ def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den: int) -
     return Fraction(rng.randint(lo_n, hi_n), den)
 
 
+def _corank1_covector(F: Frame, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(-A_1(x), ..., -A_{n-1}(x), 1), the covector annihilating a corank-1 frame."""
+    value = _exact_evaluator(x)
+    return tuple(-value(A) for A in F.normal_form) + (Fraction(1),)
+
+
 def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
                              ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Draw one exact point (x, p) with p annihilating the frame at x."""
@@ -506,8 +515,7 @@ def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
     for _ in range(64):
         x = tuple(_random_rational(rng, lo, hi, config.denominator) for _ in range(F.n))
         if F.normal_form is not None:
-            p = tuple(-A.eval_exact(x) for A in F.normal_form) + (Fraction(1),)
-            return x, p
+            return x, _corank1_covector(F, x)
         basis = F.annihilator_basis(x)
         if not basis:
             continue
@@ -566,7 +574,7 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
                 continue
             for cand in _rationalize_near(root.real):
                 point = x[:k] + (cand,) + x[k + 1:]
-                if all(q.eval_exact(point) == 0 for q in nonzero):
+                if not any(map(_exact_evaluator(point), nonzero)):
                     return point
     return None
 
@@ -578,9 +586,10 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
     Level one comes from exact random sampling; deeper levels are searched
     on the symbolic vanishing loci (corank-1 reduced minors when available)
     by projecting samples onto the locus one coordinate at a time, keeping
-    only witnesses where every minor vanishes exactly.  Float candidates
-    that survive the singular-value screen but admit no nearby exact locus
-    point are reported in ``unconfirmed`` and excluded from the dims.
+    only witnesses where every minor vanishes exactly.  When no seed reaches
+    the locus, those of the first four seeds at which every nonzero minor is
+    below ``tolerance`` in absolute value, in floats, are reported in
+    ``unconfirmed`` and excluded from the dims.
     """
     if goh is None:
         goh = goh_matrix(F)
@@ -614,7 +623,7 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
                 point = _project_onto_locus(minors, x, config.tolerance)
                 if point is None:
                     continue
-                pt_p = tuple(-A.eval_exact(point) for A in F.normal_form) + (Fraction(1),)
+                pt_p = _corank1_covector(F, point)
                 d = kernel_dim_at(F, point, pt_p, goh)
                 found.append(Witness(point, pt_p, d, True))
             if not found:

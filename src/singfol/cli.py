@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -558,6 +559,18 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
+
+
+def _main(argv: list[str] | None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     as_json = getattr(args, "json", False)

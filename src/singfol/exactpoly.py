@@ -62,6 +62,9 @@ MAX_EXPONENT = 4096
 # The parser rejects a power whose result may have more terms than this:
 # (t terms)^k has at most C(k+t-1, t-1) of them.
 MAX_TERMS = 10 ** 4
+# ... and a product that multiplies more term pairs than this (about a second
+# of work): two powers within MAX_TERMS can still multiply 3*10^7 pairs.
+MAX_PRODUCT_PAIRS = 10 ** 6
 
 
 class SpaceMismatchError(ValueError):
@@ -221,6 +224,30 @@ def _sum_products(space: Space, pairs) -> "Polynomial":
         if a and b:
             _add_terms(acc, (a * b).terms)
     return Polynomial._trusted(space, acc)
+
+
+def _exact_evaluator(point: Sequence):
+    """``value(poly) -> Fraction`` at one exact point.  The point is converted
+    to Fractions once, and each power v**e is computed once in a table shared
+    by every polynomial it values; an exact sum has no order, so each value is
+    the term-by-term sum.  A point of another length raises ``ValueError``."""
+    vals = [_as_fraction(v) for v in point]
+    powers: dict[tuple[int, int], Fraction] = {}
+
+    def value(poly: "Polynomial") -> Fraction:
+        if poly.space.nvars != len(vals):
+            raise ValueError(f"point of length {len(vals)}, expected {poly.space.nvars}")
+        total = Fraction(0)
+        for exps, term in poly.terms.items():
+            for pos, e in enumerate(exps):
+                if e:
+                    if (pos, e) not in powers:
+                        powers[pos, e] = vals[pos] ** e
+                    term *= powers[pos, e]
+            total += term
+        return total
+
+    return value
 
 
 def _eval_float_form(form, point: Sequence[float]) -> float:
@@ -427,15 +454,7 @@ class Polynomial:
         return self.eval_float([float(v) for v in point])
 
     def eval_exact(self, point: Sequence) -> Fraction:
-        vals = [_as_fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(exps, vals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        return _exact_evaluator(point)(self)
 
     def eval_float(self, point: Sequence[float]) -> float:
         """IEEE double value at a point: the loop of :func:`_eval_float_form`
@@ -739,7 +758,14 @@ class _Scanner:
     def term(self) -> Polynomial:
         value = self.factor()
         while self.take("*"):
-            value = value * self.factor()
+            at = self.pos
+            other = self.factor()
+            pairs = len(value.terms) * len(other.terms)
+            if pairs > MAX_PRODUCT_PAIRS:
+                raise ParseError(f"a product of {len(value.terms)} and {len(other.terms)} terms "
+                                 f"multiplies {pairs} term pairs, above the limit "
+                                 f"{MAX_PRODUCT_PAIRS}", at)
+            value = value * other
         return value
 
     def factor(self) -> Polynomial:
@@ -792,8 +818,9 @@ def parse_expression(text: str, space: Space) -> Polynomial:
     """Parse an expression into a canonical Polynomial over ``space``.
 
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
-    unknown variables, oversized exponents and powers that may exceed
-    ``MAX_TERMS`` terms.
+    unknown variables, oversized exponents, powers that may exceed
+    ``MAX_TERMS`` terms and products of more than ``MAX_PRODUCT_PAIRS``
+    term pairs.
     """
     scanner = _Scanner(text, space)
     value = scanner.expr()

@@ -35,7 +35,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms
+from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -111,9 +111,14 @@ class SkewMatrix:
         return value if i < j else -value
 
     def evaluate(self, point: Sequence) -> list[list[Fraction]]:
-        """Full numeric matrix at a rational point."""
-        return [[self.entry(i, j).eval_exact(point) for j in range(1, self.size + 1)]
-                for i in range(1, self.size + 1)]
+        """Full numeric matrix at a rational point: each stored upper entry
+        is valued once, by one evaluator, and negated for the lower triangle."""
+        value = _exact_evaluator(point)
+        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
+        for (i, j), entry in self.upper.items():
+            rows[i - 1][j - 1] = value(entry)
+            rows[j - 1][i - 1] = -rows[i - 1][j - 1]
+        return rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkewMatrix):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms, _sum_products
+from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator, _sum_products
 
 __all__ = [
     "VectorField",
@@ -121,8 +121,10 @@ class VectorField:
             for pos, comp in enumerate(self.components) if not comp.is_zero()
         ))
 
-    def evaluate(self, point: Sequence) -> list:
-        return [c.evaluate(point) for c in self.components]
+    def evaluate(self, point: Sequence) -> list[Fraction]:
+        """Exact component values at a rational point, through one evaluator."""
+        value = _exact_evaluator(point)
+        return [value(c) for c in self.components]
 
     def constant_part(self) -> list[Fraction]:
         return [c.constant_term() for c in self.components]
@@ -211,8 +213,8 @@ class Frame:
 
     def annihilator_basis(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
         """Exact basis of covectors p with p . X^i(x) = 0 for all i."""
-        rows = [X.evaluate(x) for X in self.fields]
-        return _linalg.nullspace(rows)
+        value = _exact_evaluator(x)
+        return _linalg.nullspace([[value(c) for c in X.components] for X in self.fields])
 
     def bracket_generation_depth(self, x: Sequence[Fraction], max_depth: int = 4) -> int | None:
         """Smallest bracket depth at which the iterated brackets span R^n at x.
@@ -220,20 +222,16 @@ class Frame:
         Returns None when the span is still deficient at ``max_depth``.  This
         is a bounded diagnostic only; it never certifies nonholonomicity.
         """
-        layers = [list(self.fields)]
-        everything = list(self.fields)
+        value = _exact_evaluator(x)
+        layer = list(self.fields)
+        vectors = []
         for depth in range(1, max_depth + 1):
-            vectors = [V.evaluate(x) for V in everything]
+            vectors.extend([value(c) for c in V.components] for V in layer)
             if _linalg.rank(vectors) == self.n:
                 return depth
             if depth == max_depth:
                 break
-            new_layer = []
-            for V in layers[-1]:
-                for X in self.fields:
-                    new_layer.append(lie_bracket(X, V))
-            layers.append(new_layer)
-            everything.extend(new_layer)
+            layer = [lie_bracket(X, V) for V in layer for X in self.fields]
         return None
 
 

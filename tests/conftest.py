@@ -121,3 +121,17 @@ def scale_fiber(f: Polynomial, lam: Fraction) -> Polynomial:
         k = sum(exps[n:])
         out[exps] = coeff * lam ** k
     return Polynomial(f.space, out)
+
+
+def reference_eval_exact(f: Polynomial, point) -> Fraction:
+    """The term-by-term exact value with a fresh power per factor (the loop
+    ``Polynomial.eval_exact`` ran before the shared evaluator)."""
+    vals = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for exps, coeff in f.terms.items():
+        term = coeff
+        for e, v in zip(exps, vals):
+            if e:
+                term *= v ** e
+        total += term
+    return total

@@ -6,7 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import matvec, random_corank1_frame, random_general_frame, scale_fiber
+from conftest import (
+    matvec,
+    random_corank1_frame,
+    random_general_frame,
+    random_rational_point,
+    reference_eval_exact,
+    scale_fiber,
+)
 from singfol.abnormal import (
     AbnormalGenerator,
     AnnihilatorError,
@@ -106,6 +113,24 @@ def test_goh_entries_are_pair_brackets():
             for l in range(1, F.m + 1):
                 bracket = poisson_bracket(goh.hamiltonians[k - 1], goh.hamiltonians[l - 1])
                 assert goh.H.entry(k, l) == bracket, (F.name, k, l)
+
+
+def test_goh_evaluate_matches_entrywise_values():
+    # SkewMatrix.evaluate values the stored upper entries once and negates
+    # them for the lower triangle; every cell equals its entry's own value
+    frames = [demo_frame(name) for name in DEMOS]
+    frames.append(random_corank1_frame(random.Random(94), 6))
+    rng = random.Random(95)
+    for F in frames:
+        goh = goh_matrix(F)
+        for A in (goh.H, goh.reduced):
+            point = random_rational_point(rng, A.space.nvars)
+            values = A.evaluate(point)
+            for i in range(A.size):
+                assert values[i][i] == 0, (F.name, i)
+                for j in range(A.size):
+                    want = reference_eval_exact(A.entry(i + 1, j + 1), point)
+                    assert values[i][j] == want == -values[j][i], (F.name, i, j)
 
 
 # -- kernel dimension ------------------------------------------------------------

@@ -172,7 +172,11 @@ def test_schema_validation_errors(capsys, tmp_path):
                       ({"dimension": 3, "rank": 2, "fields": [1, 2]}, "fields"),
                       ({"dimension": 3, "rank": 2, "fields": "ab"}, "fields"),
                       ({"dimension": 4, "rank": 3,
-                        "normal_form": ["(x1+x2+x3+1)^60", "0", "0"]}, "limit")]:
+                        "normal_form": ["(x1+x2+x3+1)^60", "0", "0"]}, "limit"),
+                      # two powers within the term limit, 5456^2 pairs apart
+                      ({"dimension": 4, "rank": 3,
+                        "normal_form": ["(x1+x2+x3+1)^30*(x1+x2+x3+x4)^30", "0", "0"]},
+                       "29767936 term pairs")]:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "goh", "--frame", str(path))
         assert code == EXIT_INPUT, doc
@@ -290,6 +294,27 @@ def test_symbolic_commands_start_without_numpy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_early_closed_pipe_exits_1_without_traceback():
+    # `integrate ... | head -1`: the output (about 114 KB) exceeds the 64 KiB
+    # a pipe buffers, so a write fails once the reader has gone; the
+    # interpreter's final flush runs too, in this child process, on a
+    # block-buffered stdout as in a plain shell
+    src = os.path.dirname(os.path.dirname(os.path.abspath(singfol.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "singfol.cli", "integrate",
+            "--from", "0.1,0.2,0.3,0.1", "--T", "1", "--h", "0.001"]
+    with subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        child.stdin.write(json.dumps(DEMOS["dim4"].to_spec()))
+        child.stdin.close()
+        assert child.stdout.readline() == "# frame: dim4\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == EXIT_INPUT
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_usage_errors_exit_1():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial, random_rational_point
+from conftest import random_polynomial, random_rational_point, reference_eval_exact
 from singfol import exactpoly
 from singfol.exactpoly import (
     JetSeries,
@@ -98,6 +98,14 @@ def test_evaluate_examples():
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
         var(BASE2, "x1").evaluate([1])
+    # the exact path refuses a short point (zip used to drop x2 and value
+    # x2 + 5 at [3] as 6) and a long one, such as a phase point
+    f = parse_expression("x2 + 5", BASE2)
+    for point in ([3], [3, 4, 5, 6]):
+        with pytest.raises(ValueError, match="point of length"):
+            f.eval_exact(point)
+        with pytest.raises(ValueError, match="point of length"):
+            VectorField([f, f], "base").evaluate(point)
 
 
 # -- fiber grading ----------------------------------------------------------
@@ -198,6 +206,12 @@ def test_parse_power_term_budget():
         parse_expression("(x1+x2+x3+1)^60", s)
     assert err.value.offset == 13
     assert math.comb(60 + 3, 3) == 39711 > exactpoly.MAX_TERMS
+    # a product is bounded by its term pairs, checked before multiplying
+    s4 = Space(4)
+    assert len(parse_expression("(x1+x2+x3+1)^30*x4", s4).terms) == 5456
+    with pytest.raises(ParseError, match="29767936 term pairs") as err:
+        parse_expression("(x1+x2+x3+1)^30*(x1+x2+x3+x4)^30", s4)
+    assert err.value.offset == 16
 
 
 def test_parse_zero_denominator():
@@ -245,6 +259,32 @@ def test_evaluation_is_ring_homomorphism(data, seed):
     point = random_rational_point(random.Random(seed), space.nvars)
     assert (f * g).eval_exact(point) == f.eval_exact(point) * g.eval_exact(point)
     assert (f + g).eval_exact(point) == f.eval_exact(point) + g.eval_exact(point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), _spaces)
+def test_shared_evaluator_matches_reference_loop(seed, space):
+    # one evaluator values many polynomials through one power table; each
+    # value equals the fresh term-by-term loop
+    rng = random.Random(seed)
+    coords = [0, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    point = [rng.choice(coords) for _ in range(space.nvars)]
+    value = exactpoly._exact_evaluator(point)
+    for _ in range(8):
+        f = random_polynomial(rng, space, max_terms=6, max_degree=5)
+        assert value(f) == f.eval_exact(point) == reference_eval_exact(f, point)
+
+
+def test_evaluators_keep_their_own_power_tables():
+    s = Space(2, True)
+    f = parse_expression("x1^3*p2^2 - 2*x2^2 + 1/3*x1^3 + p1", s)
+    g = parse_expression("x1^3 - x2^2*p2^2", s)
+    a, b = [Fraction(1, 2), 2, -1, 3], [3, Fraction(-2, 5), 0, -1]
+    va, vb = exactpoly._exact_evaluator(a), exactpoly._exact_evaluator(b)
+    for h in (f, g, f, g):
+        assert va(h) == reference_eval_exact(h, a)
+        assert vb(h) == reference_eval_exact(h, b)
+    assert va(f) != vb(f)
 
 
 @settings(max_examples=60, deadline=None)
