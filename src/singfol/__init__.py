@@ -8,6 +8,7 @@ from singfol.exactpoly import (
     NonUnitError,
     ParseError,
     Polynomial,
+    SingfolError,
     Space,
     SpaceMismatchError,
     parse_expression,
@@ -18,6 +19,7 @@ __all__ = [
     "NonUnitError",
     "ParseError",
     "Polynomial",
+    "SingfolError",
     "Space",
     "SpaceMismatchError",
     "parse_expression",

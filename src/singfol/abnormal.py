@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator, _sum_products
+from singfol.exactpoly import Polynomial, SingfolError, Space, _add_terms, _exact_evaluator, _sum_products
 from singfol.pfaffian import (
     SkewMatrix,
     _pf_cached,
@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-class AnnihilatorError(ValueError):
+class AnnihilatorError(SingfolError, ValueError):
     """A point fails the constraints p . X^i(x) = 0, p != 0."""
 
     def __init__(self, offenders: list[tuple[int, Fraction]]):
@@ -94,19 +94,23 @@ class AnnihilatorError(ValueError):
             super().__init__("covector p must be nonzero")
 
 
-class CertificateError(RuntimeError):
-    """A divergence certificate has a nonzero residual polynomial."""
+class CertificateError(SingfolError, RuntimeError):
+    """A certificate does not hold.  A divergence certificate carries the
+    nonzero ``residual`` of the identity that broke, and names I in ``detail``."""
 
-    def __init__(self, message: str, residual: Polynomial):
-        super().__init__(f"{message}: residual {residual}")
+    exit_code = 2
+
+    def __init__(self, message: str, detail: dict, residual: Polynomial | None = None):
+        super().__init__(message)
+        self.detail = detail
         self.residual = residual
 
 
-class NormalFormError(ValueError):
+class NormalFormError(SingfolError, ValueError):
     """An operation needing the corank-1 normal form got a general frame."""
 
 
-class SamplingError(RuntimeError):
+class SamplingError(SingfolError, RuntimeError):
     """No valid annihilator sample could be drawn."""
 
 
@@ -411,14 +415,19 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
             base_residual = div_z - combo * base_constant
         base_coeffs = tuple(dA[j - 1] * base_constant for j in g.I)
     cert = DivergenceCertificate(g.I, phase_div, jacobi, base_constant, base_coeffs, base_residual)
+
+    def failure(message: str, residual: Polynomial) -> CertificateError:
+        return CertificateError(f"{message}: residual {residual}",
+                                {"I": list(g.I), "residual": str(residual)}, residual)
+
     if not phase_div.is_zero():
-        raise CertificateError(f"phase divergence of Y_{g.I} is nonzero", phase_div)
+        raise failure(f"phase divergence of Y_{g.I} is nonzero", phase_div)
     if not jacobi.is_zero():
         T = next(T for T in combinations(g.I, 3) if not goh.jacobi_sum(T).is_zero())
-        raise CertificateError(f"Jacobi expansion for Y_{g.I} is nonzero: the cyclic Jacobi "
-                               f"sum of the triple T={T} is nonzero", jacobi)
+        raise failure(f"Jacobi expansion for Y_{g.I} is nonzero: the cyclic Jacobi "
+                      f"sum of the triple T={T} is nonzero", jacobi)
     if base_residual is not None and not base_residual.is_zero():
-        raise CertificateError(f"base divergence of Z_{g.I} is not a frame combination", base_residual)
+        raise failure(f"base divergence of Z_{g.I} is not a frame combination", base_residual)
     return cert
 
 
@@ -439,24 +448,28 @@ def singular_set_equations(F: Frame, r: int, goh: GohMatrix | None = None) -> li
 # ---------------------------------------------------------------------------
 
 
+# samples are exact rationals with this denominator
+SAMPLE_DENOMINATOR = 64
+# stratify searches at most this many loci below the open stratum
+MAX_LEVELS = 4
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Reproducible sampling plan for annihilator points.
 
     ``box`` bounds every base coordinate; samples are exact rationals on the
-    grid with the given denominator, so every rank decision downstream stays
-    in exact arithmetic.  ``tolerance`` bounds the float steps of the locus
-    search: the imaginary part of an ``np.roots`` root that is still taken as
-    real, and the largest |minor| of the float screen that fills
-    ``Stratification.unconfirmed``.
+    grid with denominator ``SAMPLE_DENOMINATOR``, so every rank decision
+    downstream stays in exact arithmetic.  ``tolerance`` bounds the float
+    steps of the locus search: the imaginary part of an ``np.roots`` root that
+    is still taken as real, and the largest |minor| of the float screen that
+    fills ``Stratification.unconfirmed``.
     """
 
     seed: int
     count: int = 256
     box: tuple[Fraction, Fraction] = (Fraction(-1), Fraction(1))
     tolerance: float = 1e-8
-    denominator: int = 64
-    max_levels: int = 4
 
 
 @dataclass(frozen=True)
@@ -496,10 +509,9 @@ class Stratification:
     unconfirmed: tuple[tuple[float, ...], ...] = ()
 
 
-def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den: int) -> Fraction:
-    lo_n = int(lo * den)
-    hi_n = int(hi * den)
-    return Fraction(rng.randint(lo_n, hi_n), den)
+def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    den = SAMPLE_DENOMINATOR
+    return Fraction(rng.randint(int(lo * den), int(hi * den)), den)
 
 
 def _corank1_covector(F: Frame, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -513,7 +525,7 @@ def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
     """Draw one exact point (x, p) with p annihilating the frame at x."""
     lo, hi = config.box
     for _ in range(64):
-        x = tuple(_random_rational(rng, lo, hi, config.denominator) for _ in range(F.n))
+        x = tuple(_random_rational(rng, lo, hi) for _ in range(F.n))
         if F.normal_form is not None:
             return x, _corank1_covector(F, x)
         basis = F.annihilator_basis(x)
@@ -589,7 +601,9 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
     only witnesses where every minor vanishes exactly.  When no seed reaches
     the locus, those of the first four seeds at which every nonzero minor is
     below ``tolerance`` in absolute value, in floats, are reported in
-    ``unconfirmed`` and excluded from the dims.
+    ``unconfirmed`` and excluded from the dims.  A :class:`SamplingError`
+    reports samples that all miss the open stratum of a bracket-generating
+    frame.
     """
     if goh is None:
         goh = goh_matrix(F)
@@ -611,7 +625,7 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
         current_dim = min(observed)
         seen_dims = set(observed)
         seeds = [w.x for w in observed[current_dim][:16]]
-        for _ in range(config.max_levels):
+        for _ in range(MAX_LEVELS):
             rank_here = F.m - current_dim
             if rank_here <= 0:
                 break
@@ -656,10 +670,13 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
         strata.append(Stratum(d, rank_here, level == 0, counts.get(d, len(observed[d])),
                               witnesses, locus, parity_ok))
         if level == 0 and not parity_ok:
+            # the Goh matrix vanishes at every sample, so the samples all lie
+            # on a proper subset when the frame is bracket generating
             w = observed[d][0]
             if F.bracket_generation_depth(w.x) is not None:
-                raise AssertionError(
-                    f"generic kernel dimension {d} violates the parity/bound constraints "
-                    f"although the frame is bracket generating at {w.x}"
+                raise SamplingError(
+                    f"every sample has kernel dimension {d}, against the parity/bound "
+                    f"constraints, although the frame is bracket generating at "
+                    f"x = ({', '.join(map(str, w.x))}): no sample reached the open stratum"
                 )
     return Stratification(F.name, F.m, dims, tuple(strata), config, tuple(unconfirmed))

@@ -9,7 +9,9 @@ from stdin, with polynomial payloads written in the expression grammar:
 ``singfol demo <name>`` emits such a document for the built-in fixtures, so
 demos pipe into the other subcommands.  Every report is deterministic:
 identical inputs, flags and seeds produce byte-identical output.  Exit
-codes: 0 success, 1 input error, 2 certificate failure.
+codes: 0 success, 1 input error, 2 certificate failure.  Every reported error
+is a :class:`singfol.SingfolError` carrying its ``exit_code``, and a float
+overflow is an input error; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from singfol import abnormal
 from singfol.demos import DEMOS, demo_names
-from singfol.exactpoly import ParseError, Space, parse_expression
+from singfol.exactpoly import ParseError, SingfolError, Space, parse_expression
 from singfol.pfaffian import calibration_report, index_sets, pfaffian_by_recursion, skew_rank
 from singfol.vectorfield import Frame, VectorField, divergence
 
@@ -39,14 +41,8 @@ MAX_STEPS = 10 ** 7
 MAX_BRACKETS = 10 ** 4
 
 
-class InputError(Exception):
-    pass
-
-
-class CertificateFailure(Exception):
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload or {}
+class InputError(SingfolError):
+    """A frame document or a flag value the command cannot take."""
 
 
 def _load_frame_spec(path: str | None) -> dict:
@@ -62,7 +58,8 @@ def _load_frame_spec(path: str | None) -> dict:
         text = sys.stdin.read()
     try:
         spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # arrays or objects nested deeper than the decoder recurses
         raise InputError(f"invalid JSON frame document: {exc}") from exc
     if not isinstance(spec, dict):
         raise InputError("frame document must be a JSON object")
@@ -78,11 +75,11 @@ def _expressions(value, what: str) -> list:
 
 def build_frame(spec: dict) -> Frame:
     """Validate a frame-spec document and build the Frame."""
-    try:
-        n = int(spec["dimension"])
-        m = int(spec["rank"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"frame document needs integer 'dimension' and 'rank': {exc}") from exc
+    n, m = spec.get("dimension"), spec.get("rank")
+    # a JSON number with a fraction or an exponent (3.7, 1e400), or a bool,
+    # is not an integer, although int() would take it
+    if type(n) is not int or type(m) is not int:
+        raise InputError("frame document needs integer 'dimension' and 'rank'")
     if n < 1:
         raise InputError(f"'dimension' must be >= 1, got {n}")
     name = str(spec.get("name", ""))
@@ -121,8 +118,6 @@ def build_frame(spec: dict) -> Frame:
             return Frame(n, m, tuple(fields), None, name)
         raise InputError("frame document needs 'normal_form' or 'fields'")
     except (ValueError, IndexError) as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(str(exc)) from exc
 
 
@@ -228,13 +223,7 @@ def cmd_certify(F: Frame, args):
     lines = [f"divergence certificates at rank {r}"]
     results = []
     for g in gens:
-        try:
-            cert = abnormal.divergence_certificate(g, F, goh)
-        except abnormal.CertificateError as exc:
-            raise CertificateFailure(
-                f"certificate failed for I={_index_set_to_str(g.I)}: {exc}",
-                {"I": list(g.I), "residual": str(exc.residual)},
-            ) from exc
+        cert = abnormal.divergence_certificate(g, F, goh)
         entry = {
             "I": list(g.I),
             "phase_divergence": str(cert.phase_divergence),
@@ -371,16 +360,11 @@ def cmd_integrate(F: Frame, args):
         raise InputError(f"rank-{r} generators span the Goh kernel only on the singular set, "
                          f"not along a flow: the generic Goh rank is {generic}")
     g = _pick_generator(F, args, goh, r)
-    try:
-        traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance, goh)
-    except dynamics.BlowUpError as exc:
-        raise InputError(str(exc)) from exc
+    traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance, goh)
     csv = traj.to_csv(seed=None)
     if not traj.certified:
-        raise CertificateFailure(
-            f"trajectory residuals exceed tolerance {args.tolerance}",
-            {"violations": traj.violations()[:8]},
-        )
+        raise abnormal.CertificateError(f"trajectory residuals exceed tolerance {args.tolerance}",
+                                        {"violations": traj.violations()[:8]})
     payload = {
         "I": list(g.I), "rank": r, "T": args.T, "h": args.h,
         "end_state": [float(v) for v in traj.states[-1]],
@@ -403,11 +387,7 @@ def cmd_scan_div(F: Frame, args):
     goh = abnormal.goh_matrix(F)
     g = _pick_generator(F, args, goh, _generator_rank(F, args, goh))
     box = _parse_box(args.box)
-    try:
-        scan = dynamics.divergence_ratio_scan(g.Z, box, args.samples, args.seed, args.cutoff)
-    except OverflowError as exc:
-        raise InputError(f"Z_{_index_set_to_str(g.I)} has a coefficient or a value beyond "
-                         f"the double range: {exc}") from exc
+    scan = dynamics.divergence_ratio_scan(g.Z, box, args.samples, args.seed, args.cutoff)
     lines = [
         f"divergence ratio scan for Z_{_index_set_to_str(g.I)} on [{box[0]}, {box[1]}]^{F.n}",
         f"  samples={scan.samples} seed={scan.seed} cutoff={scan.cutoff}",
@@ -454,6 +434,8 @@ def _parse_box(text: str) -> tuple[float, float]:
         raise InputError(f"--box expects LO,HI: {exc}") from exc
     if not lo < hi:
         raise InputError("--box needs LO < HI")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError("--box needs finite LO and HI")
     return lo, hi
 
 
@@ -584,20 +566,17 @@ def _main(argv: list[str] | None) -> int:
         spec = _load_frame_spec(args.frame)
         frame = build_frame(spec)
         lines, results, seed = _HANDLERS[args.command](frame, args)
-    except (InputError, abnormal.AnnihilatorError, abnormal.NormalFormError,
-            abnormal.SamplingError) as exc:
+    except (SingfolError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):
+            # only an exact value turned into a float, or a float power, overflows
+            exc = InputError(f"a coefficient or a value is beyond the double range: {exc}")
         if as_json:
-            print(json.dumps({"command": args.command, "error": str(exc)}, sort_keys=True))
+            detail = {} if exc.detail is None else {"detail": exc.detail}
+            print(json.dumps({"command": args.command, "error": str(exc), **detail}, sort_keys=True))
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CertificateFailure as exc:
-        if as_json:
-            print(json.dumps({"command": args.command, "error": str(exc),
-                              "detail": exc.payload}, sort_keys=True))
-        else:
-            print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+            kind = "certificate failure" if exc.exit_code == EXIT_CERTIFICATE else "error"
+            print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     if as_json:
         report = {

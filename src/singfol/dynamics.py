@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from singfol.abnormal import AbnormalGenerator, GohMatrix, goh_matrix
-from singfol.exactpoly import _eval_float_form
+from singfol.exactpoly import SingfolError, _eval_float_form
 from singfol.vectorfield import Frame, VectorField, divergence
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(SingfolError, RuntimeError):
     """The integrator produced a non-finite state."""
 
     def __init__(self, last_valid_time: float):

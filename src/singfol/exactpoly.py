@@ -53,12 +53,15 @@ __all__ = [
     "JetSeries",
     "SpaceMismatchError",
     "NonUnitError",
+    "SingfolError",
     "ParseError",
     "parse_expression",
 ]
 
 # Guard against pathological inputs like "x1^99999999" blowing up memory.
 MAX_EXPONENT = 4096
+# ... and "((((x1))))" or "----x1" nested deeper than the parser recurses.
+MAX_NESTING = 100
 # The parser rejects a power whose result may have more terms than this:
 # (t terms)^k has at most C(k+t-1, t-1) of them.
 MAX_TERMS = 10 ** 4
@@ -75,7 +78,15 @@ class NonUnitError(ValueError):
     """Raised when inverting a series whose constant term is zero."""
 
 
-class ParseError(ValueError):
+class SingfolError(Exception):
+    """Bad input or a failed certificate: ``exit_code`` is the command line's
+    exit status, ``detail`` (if set) the detail of its ``--json`` error."""
+
+    exit_code = 1
+    detail = None
+
+
+class ParseError(SingfolError, ValueError):
     """Syntax or lookup error while parsing an expression.
 
     The byte offset of the offending position is available as ``offset``.
@@ -717,6 +728,7 @@ class _Scanner:
         self.text = text
         self.space = space
         self.pos = 0
+        self.depth = 0  # open '(' and unary '-' around the current atom
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -785,13 +797,17 @@ class _Scanner:
 
     def atom(self) -> Polynomial:
         ch = self.peek()
-        if ch == "-":
+        if ch in ("-", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"'(' and unary '-' nested deeper than {MAX_NESTING}", self.pos)
+            self.depth += 1
             self.pos += 1
-            return -self.atom()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            self.expect(")")
+            if ch == "-":
+                value = -self.atom()
+            else:
+                value = self.expr()
+                self.expect(")")
+            self.depth -= 1
             return value
         if ch in ("x", "p"):
             at = self.pos
@@ -818,9 +834,9 @@ def parse_expression(text: str, space: Space) -> Polynomial:
     """Parse an expression into a canonical Polynomial over ``space``.
 
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
-    unknown variables, oversized exponents, powers that may exceed
-    ``MAX_TERMS`` terms and products of more than ``MAX_PRODUCT_PAIRS``
-    term pairs.
+    unknown variables, oversized exponents, '(' and unary '-' nested more
+    than ``MAX_NESTING`` deep, powers that may exceed ``MAX_TERMS`` terms and
+    products of more than ``MAX_PRODUCT_PAIRS`` term pairs.
     """
     scanner = _Scanner(text, space)
     value = scanner.expr()

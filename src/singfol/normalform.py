@@ -198,12 +198,8 @@ def psi_step(F: JetFrame, j: int) -> JetFrame:
     return out
 
 
-def normalize_frame(F: JetFrame, order: int | None = None) -> JetFrame:
+def normalize_frame(F: JetFrame) -> JetFrame:
     """Full sweep: linear change, then unit rescale and elimination per column."""
-    if order is not None and order != F.order:
-        F = JetFrame(F.n, F.m, order,
-                     tuple(tuple(JetSeries(js.body, order) for js in row) for row in F.components),
-                     "raw", F.chart)
     out = normalize_linear(F)
     for j in range(1, F.m + 1):
         out = phi_step(out, j)

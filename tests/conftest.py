@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from singfol import _linalg
+from singfol.abnormal import GohMatrix, goh_matrix
 from singfol.exactpoly import Polynomial, Space
 from singfol.pfaffian import SkewMatrix
 from singfol.vectorfield import Frame, VectorField
@@ -121,6 +122,31 @@ def scale_fiber(f: Polynomial, lam: Fraction) -> Polynomial:
         k = sum(exps[n:])
         out[exps] = coeff * lam ** k
     return Polynomial(f.space, out)
+
+
+def tampered_goh(F):
+    """The Goh matrix of a corank-1 frame with E[k,l] added to every upper
+    entry (k, l), where E[k,l] is the product of the x_i, i <= m, i not k, l.
+
+    Its H is no longer the bracket matrix of its hamiltonians.  The bracket
+    part of the expansion still cancels by the Jacobi identity, and each
+    triple {a, b, c} leaves {h^a, E[b,c]} + {h^b, E[c,a]} + {h^c, E[a,b]},
+    which is the product of the x_i outside the triple, up to sign: the p_a
+    term of h^a = p_a + A_a p_n differentiates x_a out of E[b,c], whatever
+    the coefficients A_a are.
+    """
+    goh = goh_matrix(F)
+    phase = F.space.phase
+    upper = {}
+    for k in range(1, F.m + 1):
+        for l in range(k + 1, F.m + 1):
+            extra = Polynomial.constant(phase, 1)
+            for i in range(1, F.m + 1):
+                if i not in (k, l):
+                    extra = extra * Polynomial.variable(phase, phase.x(i))
+            upper[(k, l)] = goh.H.entry(k, l) + extra
+    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
+                     goh.reduced)
 
 
 def reference_eval_exact(f: Polynomial, point) -> Fraction:

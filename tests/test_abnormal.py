@@ -13,6 +13,7 @@ from conftest import (
     random_rational_point,
     reference_eval_exact,
     scale_fiber,
+    tampered_goh,
 )
 from singfol.abnormal import (
     AbnormalGenerator,
@@ -421,31 +422,6 @@ def test_certificate_failure_carries_residual():
     assert not err.value.residual.is_zero()
 
 
-def _tampered_goh(F):
-    """The Goh matrix of a corank-1 frame with E[k,l] added to every upper
-    entry (k, l), where E[k,l] is the product of the x_i, i <= m, i not k, l.
-
-    Its H is no longer the bracket matrix of its hamiltonians.  The bracket
-    part of the expansion still cancels by the Jacobi identity, and each
-    triple {a, b, c} leaves {h^a, E[b,c]} + {h^b, E[c,a]} + {h^c, E[a,b]},
-    which is the product of the x_i outside the triple, up to sign: the p_a
-    term of h^a = p_a + A_a p_n differentiates x_a out of E[b,c], whatever
-    the coefficients A_a are.
-    """
-    goh = goh_matrix(F)
-    phase = F.space.phase
-    upper = {}
-    for k in range(1, F.m + 1):
-        for l in range(k + 1, F.m + 1):
-            extra = Polynomial.constant(phase, 1)
-            for i in range(1, F.m + 1):
-                if i not in (k, l):
-                    extra = extra * Polynomial.variable(phase, phase.x(i))
-            upper[(k, l)] = goh.H.entry(k, l) + extra
-    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
-                     goh.reduced)
-
-
 def _reference_jacobi(I, goh):
     """The expansion by its definition: no memo, H.entry(k, l) in both orders."""
     acc = Polynomial.zero(goh.frame.space.phase)
@@ -470,7 +446,7 @@ def test_jacobi_expansion_nonzero_off_the_bracket_matrix():
               (random_corank1_frame(random.Random(81), 7), (2, 4))]
     for F, ranks in frames:
         goh = goh_matrix(F)
-        tampered = _tampered_goh(F)
+        tampered = tampered_goh(F)
         for r in ranks:
             for g in abnormal_generators(F, r, goh):
                 expansion = _jacobi_expansion(g, tampered)
@@ -541,7 +517,7 @@ def test_jacobi_sums_keep_the_coordinate_bracket_order():
     cases += [(random_general_frame(random.Random(seed), 4, 3), "x2*p1 + x1*p3")
               for seed in (71, 72, 73, 74)]
     for F, shift in cases:
-        gohs = [goh_matrix(F), _tampered_goh(F)]
+        gohs = [goh_matrix(F), tampered_goh(F)]
         if F.m >= 3:
             gohs.append(_goh_with_shifted_entry(F, F.m - 1, F.m, shift))
         for goh in gohs:
@@ -559,14 +535,14 @@ def test_jacobi_identity_check_per_frame():
         assert goh.jacobi_identity_holds() and goh.jacobi_identity_holds()
         assert len(goh._jacobi) == math.comb(F.m, 3)
         if F.m >= 3:
-            assert not _tampered_goh(F).jacobi_identity_holds(), F.name
+            assert not tampered_goh(F).jacobi_identity_holds(), F.name
             assert not _goh_with_shifted_entry(F, F.m - 1, F.m).jacobi_identity_holds(), F.name
 
 
 def test_jacobi_failure_names_the_first_nonzero_triple():
     # every J(T) of the tampered matrix is nonzero: the first triple of I fails
     F = demo_frame("dim5")
-    tampered = _tampered_goh(F)
+    tampered = tampered_goh(F)
     for g in abnormal_generators(F, 2, goh_matrix(F)):
         with pytest.raises(CertificateError) as err:
             divergence_certificate(g, F, tampered)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,10 +6,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singfol
-from singfol.cli import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, build_frame, main
+from conftest import tampered_goh
+from singfol import abnormal
+from singfol.cli import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, InputError, build_frame, main
 from singfol.demos import DEMOS, demo_names
+from singfol.exactpoly import ParseError
 
 
 def run(capsys, *argv):
@@ -150,10 +156,12 @@ def test_malformed_expression_reports_offset(capsys, tmp_path):
 
 def test_input_error_as_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, out, _ = run(capsys, "goh", "--frame", str(path), "--json")
-    assert code == EXIT_INPUT
-    assert "error" in json.loads(out)
+    # arrays nested deeper than the JSON decoder recurses are invalid JSON too
+    for text in ("{not json", "[" * 100000):
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "goh", "--frame", str(path), "--json")
+        assert code == EXIT_INPUT
+        assert "invalid JSON frame document" in json.loads(out)["error"]
 
 
 def test_schema_validation_errors(capsys, tmp_path):
@@ -176,8 +184,17 @@ def test_schema_validation_errors(capsys, tmp_path):
                       # two powers within the term limit, 5456^2 pairs apart
                       ({"dimension": 4, "rank": 3,
                         "normal_form": ["(x1+x2+x3+1)^30*(x1+x2+x3+x4)^30", "0", "0"]},
-                       "29767936 term pairs")]:
-        path.write_text(json.dumps(doc), encoding="utf-8")
+                       "29767936 term pairs"),
+                      # nesting deeper than the parser recurses
+                      ({"dimension": 3, "rank": 2,
+                        "normal_form": ["0", "(" * 3000 + "x1" + ")" * 3000]}, "nested"),
+                      ({"dimension": 3, "rank": 2, "normal_form": ["0", "-" * 5000 + "x1"]},
+                       "nested"),
+                      # only a JSON integer is an integer
+                      ('{"dimension": 1e400, "rank": 2, "normal_form": ["0", "x1"]}', "integer"),
+                      ({"dimension": 3.7, "rank": 2, "normal_form": ["0", "x1"]}, "integer"),
+                      ({"dimension": 3, "rank": True, "fields": [["1", "0", "0"]]}, "integer")]:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "goh", "--frame", str(path))
         assert code == EXIT_INPUT, doc
         assert out == "" and err.startswith("error: ") and word in err, doc
@@ -214,6 +231,8 @@ def test_schema_validation_errors(capsys, tmp_path):
     # could reach, rejected before the first bracket is formed
     (["bracket-check", "--depth", "9"], "--depth"),
     (["bracket-check", "--depth", str(10 ** 30)], "--depth"),
+    (["scan-div", "--seed", "1", "--box=-1e400,1"], "--box"),
+    (["stratify", "--seed", "1", "--box=-1e400,1"], "--box"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -227,19 +246,38 @@ def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
 
 
 def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
-    # a coefficient that no double holds, and a box whose powers overflow
+    # a coefficient that no double holds, and a box whose powers overflow,
+    # in the float scan of scan-div and in the locus search of stratify
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dimension": 4, "rank": 3,
                                 "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
                     encoding="utf-8")
-    for argv in (["--frame", str(path)],
-                 ["--frame", frame_file(tmp_path, "dim4"), "--box=-1e200,1e200"]):
-        code, out, err = run(capsys, "scan-div", "--seed", "1", "--samples", "4", *argv)
-        assert code == EXIT_INPUT
-        assert out == "" and err.startswith("error: ") and "double range" in err
-        code, out, _ = run(capsys, "scan-div", "--seed", "1", "--samples", "4", *argv, "--json")
-        assert code == EXIT_INPUT
-        assert "double range" in json.loads(out)["error"]
+    dim4 = frame_file(tmp_path, "dim4")
+    for argv in (["scan-div", "--samples", "4", "--frame", str(path)],
+                 ["scan-div", "--samples", "4", "--frame", dim4, "--box=-1e200,1e200"],
+                 ["stratify", "--samples", "16", "--frame", str(path)],
+                 ["stratify", "--samples", "16", "--frame", dim4, "--box", "1e200,1e201"]):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert code == EXIT_INPUT, argv
+        assert out == "" and err.startswith("error: ") and "double range" in err, argv
+        code, out, _ = run(capsys, *argv, "--seed", "1", "--json")
+        assert code == EXIT_INPUT, argv
+        assert "double range" in json.loads(out)["error"], argv
+
+
+def test_samples_that_miss_the_open_stratum_are_an_input_error(capsys, tmp_path):
+    # martinet's Goh matrix vanishes on x1 = 0: the one sample of seed 77
+    # lies there, and a box narrower than the sampling grid puts every
+    # sample at x1 = 0
+    frame = frame_file(tmp_path, "martinet")
+    for argv in (["--seed", "77", "--samples", "1"], ["--seed", "1", "--box", "0,0.01"]):
+        code, out, err = run(capsys, "stratify", *argv, "--frame", frame)
+        assert code == EXIT_INPUT, argv
+        assert out == "" and err.startswith("error: every sample has kernel dimension 2"), argv
+        assert "no sample reached the open stratum" in err, argv
+        code, out, _ = run(capsys, "stratify", *argv, "--frame", frame, "--json")
+        assert code == EXIT_INPUT, argv
+        assert "open stratum" in json.loads(out)["error"], argv
 
 
 def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path):
@@ -317,6 +355,42 @@ def test_early_closed_pipe_exits_1_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+def test_failed_certificate_exits_2(capsys, tmp_path, monkeypatch):
+    # certify the real generators against a Goh matrix that is no longer the
+    # bracket matrix of its hamiltonians: the Jacobi identity of the triple
+    # (1, 2, 3) breaks
+    certificate = abnormal.divergence_certificate
+    monkeypatch.setattr(abnormal, "divergence_certificate",
+                        lambda g, F, goh=None: certificate(g, F, tampered_goh(F)))
+    frame = frame_file(tmp_path, "dim5")
+    code, out, err = run(capsys, "certify", "--frame", frame)
+    assert code == EXIT_CERTIFICATE
+    assert out == "" and err.startswith("certificate failure: Jacobi expansion for Y_(1, 2, 3)")
+    code, out, _ = run(capsys, "certify", "--frame", frame, "--json")
+    assert code == EXIT_CERTIFICATE
+    report = json.loads(out)
+    assert report["command"] == "certify" and "T=(1, 2, 3)" in report["error"]
+    assert report["detail"] == {"I": [1, 2, 3], "residual": "2*x4"}
+
+
+def test_every_reported_error_is_a_singfol_error():
+    from singfol import dynamics
+
+    reported = [ParseError, abnormal.AnnihilatorError, abnormal.NormalFormError,
+                abnormal.SamplingError, abnormal.CertificateError, dynamics.BlowUpError,
+                InputError]
+    for cls in reported:
+        assert issubclass(cls, singfol.SingfolError), cls
+        assert cls.exit_code == (EXIT_CERTIFICATE if cls is abnormal.CertificateError
+                                 else EXIT_INPUT), cls
+    # library callers that caught the old bases still catch these
+    assert issubclass(ParseError, ValueError) and issubclass(dynamics.BlowUpError, RuntimeError)
+    assert issubclass(abnormal.CertificateError, RuntimeError)
+    # a misuse of the API is not a reported error
+    for cls in (singfol.SpaceMismatchError, singfol.NonUnitError):
+        assert not issubclass(cls, singfol.SingfolError), cls
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["demo", "no-such-demo"])
@@ -349,3 +423,111 @@ def test_byte_identical_reruns(capsys, tmp_path):
                            "--frame", frame_file(tmp_path, "dim4"))
         outputs.add(out)
     assert len(outputs) == 1
+
+
+# -- fuzz of the whole command line -------------------------------------------------
+
+INTS = ["0", "-1", "1", "2", "7"]
+RANKS = ["2", "0", "-1", "1", "7"]
+FLOATS = ["0.01", "nan", "inf", "1e400", "-1e400", "0", "-0.5"]
+BOXES = ["-1,1", "0,0.5", "1e200,1e201", "-1e400,1", "nan,1", "1,-1", "1"]
+POINTS = ["0.1,0.2,0.3,0.1", "0,0,0", "0,0,0,0,0", "0,0,0,0,0,0", "nan,0,0,0", "1e400,0,0,0", "x"]
+FIELDS = ["1,2,3", "1", "2,1", "a", "0,9"]
+# flag -> value pool, per subcommand; each pool starts with a valid value
+FLAGS = {
+    "goh": {},
+    "pfaffian": {"--minors": ["2", "4", "0", "-1", "3"]},
+    "generators": {"--rank": RANKS},
+    "certify": {"--rank": RANKS},
+    "singular-set": {"--rank": RANKS},
+    "stratify": {"--seed": INTS, "--samples": ["1", "7", "0", "-1"], "--box": BOXES,
+                 "--tolerance": FLOATS},
+    "normalform": {"--order": ["0", "1", "3", "-1"]},
+    "integrate": {"--from": POINTS, "--T": ["0.05", "0", "-1", "nan", "1e400"],
+                  "--h": ["0.01", "0", "-0.01", "nan", "1e400"], "--field": FIELDS,
+                  "--rank": RANKS, "--tolerance": FLOATS},
+    "scan-div": {"--seed": INTS, "--samples": ["0", "7", "-1"], "--box": BOXES,
+                 "--cutoff": FLOATS, "--field": FIELDS, "--rank": RANKS},
+    "bracket-check": {"--depth": ["1", "4", "0", "-1"], "--at": POINTS},
+}
+MALFORMED = [
+    "{not json", "[]", '{"dimension": 3}', "[" * 100000,
+    json.dumps({"dimension": 3, "rank": 2, "normal_form": ["0", "(" * 3000 + "x1" + ")" * 3000]}),
+    json.dumps({"dimension": 3, "rank": 2, "normal_form": ["0", "-" * 5000 + "x1"]}),
+    '{"dimension": 1e400, "rank": 2, "normal_form": ["0", "x1"]}',
+    json.dumps({"dimension": 3.7, "rank": 2, "normal_form": ["0", "x1"]}),
+    json.dumps({"dimension": 3, "rank": True, "fields": [["1", "0", "0"]]}),
+    json.dumps({"dimension": 4, "rank": 3, "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
+]
+
+
+def _polynomials(n: int):
+    """Expression strings with at most 3 terms and exponents at most 3."""
+    term = st.tuples(st.sampled_from(["1", "-1", "2", "-3/2"]),
+                     st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+    def text(terms):
+        return " + ".join(c + "".join(f"*x{k}^{e}" for k, e in enumerate(exps, 1) if e)
+                          for c, exps in terms) or "0"
+
+    return st.lists(term, max_size=3).map(text)
+
+
+@st.composite
+def _frame_documents(draw) -> str:
+    kind = draw(st.sampled_from(["demo", "normal_form", "fields", "malformed"]))
+    if kind == "demo":
+        return json.dumps(DEMOS[draw(st.sampled_from(demo_names()))].to_spec())
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED))
+    n = draw(st.integers(2, 4))
+    if kind == "normal_form":
+        coeffs = draw(st.lists(_polynomials(n), min_size=n - 1, max_size=n - 1))
+        return json.dumps({"dimension": n, "rank": n - 1, "normal_form": coeffs})
+    m = draw(st.integers(1, n - 1))
+    # the unit vectors plus random terms, so most frames are independent at 0
+    rows = [[draw(_polynomials(n)) + (" + 1" if i == j else "") for j in range(n)]
+            for i in range(m)]
+    return json.dumps({"dimension": n, "rank": m, "fields": rows})
+
+
+REQUIRED = {"--minors", "--seed", "--from", "--T", "--h"}
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, pool in FLAGS[command].items():
+        # a required flag is left out now and then (a usage error); a value
+        # is the valid one about half the time
+        if draw(st.sampled_from([True] * 7 + [False] if flag in REQUIRED else [True, False])):
+            argv += [flag, draw(st.sampled_from([pool[0]] * len(pool) + pool))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=300, deadline=5000, derandomize=True, database=None)
+@given(argv=_argvs(), doc=_frame_documents())
+def test_fuzzed_command_lines_exit_0_1_or_2(argv, doc):
+    stdin = io.StringIO(doc)
+    stdin.isatty = lambda: False
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse's usage errors, as input errors
+                assert exc.code == EXIT_INPUT, (argv, err.getvalue())
+                code = None
+    finally:
+        sys.stdin = saved
+    assert code in (None, EXIT_OK, EXIT_INPUT, EXIT_CERTIFICATE), argv
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv:
+        # one document, or nothing after a usage error
+        assert json.loads(out.getvalue()) if code is not None else out.getvalue() == ""

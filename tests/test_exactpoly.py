@@ -214,6 +214,22 @@ def test_parse_power_term_budget():
     assert err.value.offset == 16
 
 
+def test_parse_nesting_bound():
+    # MAX_NESTING levels of '(' and unary '-' parse; one more is refused at
+    # the offset of the first '(' or '-' too many, before Python's
+    # recursion limit is near
+    s = Space(2)
+    k = exactpoly.MAX_NESTING
+    assert parse_expression("(" * k + "x1" + ")" * k, s) == var(s, "x1")
+    assert parse_expression("-(" * (k // 2) + "x1" + ")" * (k // 2), s) == var(s, "x1")
+    assert parse_expression("(x1)*" * 3 * k + "1", s) == var(s, "x1") ** (3 * k)
+    for text in ("(" * (k + 1) + "x1" + ")" * (k + 1), "-" * (k + 1) + "x1",
+                 "x2 + " + "-(" * k + "x1" + ")" * k, "-" * 5000 + "x1"):
+        with pytest.raises(ParseError, match="nested deeper than") as err:
+            parse_expression(text, s)
+        assert text[err.value.offset] in "(-", text
+
+
 def test_parse_zero_denominator():
     with pytest.raises(ParseError):
         parse_expression("1/0", BASE2)
