@@ -12,7 +12,7 @@ from fractions import Fraction
 
 
 def _copy(matrix) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in matrix]
+    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
 
 
 def row_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -42,7 +42,28 @@ def row_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(matrix) -> int:
-    return len(row_echelon(matrix)[1])
+    """Number of pivots of forward elimination: only the rows below each
+    pivot are cleared, skipping zero multipliers and zero pivot-row entries,
+    and the reduced form is never built."""
+    m = _copy(matrix)
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r]
+        inv = 1 / head[c]
+        tail = [(k, v) for k in range(c + 1, len(head)) if (v := head[k])]
+        for row in m[r + 1:]:
+            if row[c]:
+                f = row[c] * inv
+                for k, v in tail:
+                    row[k] -= f * v
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def nullspace(matrix) -> list[list[Fraction]]:

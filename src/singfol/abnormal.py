@@ -33,6 +33,7 @@ stated off the ideal is checked fully symbolically.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -460,7 +461,8 @@ class SamplerConfig:
 
     ``box`` bounds every base coordinate; samples are exact rationals on the
     grid with denominator ``SAMPLE_DENOMINATOR``, so every rank decision
-    downstream stays in exact arithmetic.  ``tolerance`` bounds the float
+    downstream stays in exact arithmetic.  A box that holds fewer than two
+    grid values raises :class:`SamplingError`.  ``tolerance`` bounds the float
     steps of the locus search: the imaginary part of an ``np.roots`` root that
     is still taken as real, and the largest |minor| of the float screen that
     fills ``Stratification.unconfirmed``.
@@ -470,6 +472,13 @@ class SamplerConfig:
     count: int = 256
     box: tuple[Fraction, Fraction] = (Fraction(-1), Fraction(1))
     tolerance: float = 1e-8
+
+    def __post_init__(self):
+        lo, hi = _grid_numerators(self.box)
+        if hi - lo < 1:
+            raise SamplingError(
+                f"box [{self.box[0]}, {self.box[1]}] holds fewer than two sample values "
+                f"k/{SAMPLE_DENOMINATOR}: every sample would be one point")
 
 
 @dataclass(frozen=True)
@@ -509,9 +518,9 @@ class Stratification:
     unconfirmed: tuple[tuple[float, ...], ...] = ()
 
 
-def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    den = SAMPLE_DENOMINATOR
-    return Fraction(rng.randint(int(lo * den), int(hi * den)), den)
+def _grid_numerators(box) -> tuple[int, int]:
+    """The least and greatest k with k/SAMPLE_DENOMINATOR inside the box."""
+    return math.ceil(box[0] * SAMPLE_DENOMINATOR), math.floor(box[1] * SAMPLE_DENOMINATOR)
 
 
 def _corank1_covector(F: Frame, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -523,9 +532,9 @@ def _corank1_covector(F: Frame, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
                              ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Draw one exact point (x, p) with p annihilating the frame at x."""
-    lo, hi = config.box
+    lo, hi = _grid_numerators(config.box)
     for _ in range(64):
-        x = tuple(_random_rational(rng, lo, hi) for _ in range(F.n))
+        x = tuple(Fraction(rng.randint(lo, hi), SAMPLE_DENOMINATOR) for _ in range(F.n))
         if F.normal_form is not None:
             return x, _corank1_covector(F, x)
         basis = F.annihilator_basis(x)

@@ -252,8 +252,7 @@ def cmd_singular_set(F: Frame, args):
     else:
         # the locus equations live at the full generic rank, even when m is
         # too small to admit generators there
-        matrix = goh.reduced if goh.reduced is not None else goh.H
-        r = skew_rank(matrix)
+        r = _goh_rank(goh)
     if r == 0:
         return ["rank 0: the singular-set equations are empty"], {"rank": 0, "equations": []}, None
     eqs = abnormal.singular_set_equations(F, r, goh)

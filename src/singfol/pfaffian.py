@@ -437,18 +437,28 @@ def kernel_generators(A: SkewMatrix, r: int) -> list[KernelGenerator]:
 def skew_rank(A: SkewMatrix, at: Sequence | None = None) -> int:
     """Largest even r with a nonvanishing Pfaffian minor of size r.
 
-    Without ``at`` this is the generic rank over the fraction field: the
-    largest size with a Pfaffian minor that is a nonzero polynomial, so the
-    rank decision and the stratification equations are the same objects.
-    With a rational point it is the exact rank of the evaluated matrix, by
-    Gaussian elimination over Q (the rank of a skew matrix is even, and
-    equals the largest size of a nonvanishing Pfaffian minor).
+    With a rational point ``at`` this is the exact rank of the evaluated
+    matrix, by forward elimination over Q (the rank of a skew matrix is
+    even, and equals the largest size of a nonvanishing Pfaffian minor).
+
+    Without ``at`` it is the generic rank over the fraction field: the
+    largest size with a Pfaffian minor that is a nonzero polynomial.  A
+    stored entry is a nonzero 2-minor, and the rank at the fixed point
+    (k % 5 + 1)_k is a lower bound too, since a minor that is nonzero at a
+    point is a nonzero polynomial.  From that bound r upwards, r is proven
+    once every (r+2)-minor is the zero polynomial: by row expansion of the
+    Pfaffian every larger minor then vanishes as well.  A nonzero
+    (r+2)-minor means the point was unlucky, and r steps up by 2.  Only the
+    minors checked are expanded, and they stay in the matrix's memo.
     """
     if at is not None:
         return _linalg.rank(A.evaluate(at))
-    top = A.size if A.size % 2 == 0 else A.size - 1
-    for r in range(top, 0, -2):
-        for I in index_sets(A.size, r):
-            if not _pf_cached(A, I).is_zero():
-                return r
-    return 0
+    r = 2 if A.upper else 0
+    if r + 2 <= A.size:
+        point = [Fraction(k % 5 + 1) for k in range(A.space.nvars)]
+        r = max(r, _linalg.rank(A.evaluate(point)))
+    while r + 2 <= A.size:
+        if all(_pf_cached(A, I).is_zero() for I in index_sets(A.size, r + 2)):
+            return r
+        r += 2
+    return r

@@ -12,7 +12,7 @@ from fractions import Fraction
 from singfol import _linalg
 from singfol.abnormal import GohMatrix, goh_matrix
 from singfol.exactpoly import Polynomial, Space
-from singfol.pfaffian import SkewMatrix
+from singfol.pfaffian import SkewMatrix, index_sets, pfaffian_by_recursion
 from singfol.vectorfield import Frame, VectorField
 
 
@@ -37,6 +37,34 @@ def random_skew(rng: random.Random, space: Space, size: int, max_terms: int = 2)
         for j in range(i + 1, size + 1)
     }
     return SkewMatrix(space, size, upper)
+
+
+def random_low_rank_skew(rng: random.Random, space: Space, size: int, blocks: int) -> SkewMatrix:
+    """Sum of ``blocks`` wedges u ^ v of random polynomial vectors, each
+    component zero with probability 1/3: its generic rank is at most
+    2 * blocks, and often less."""
+    def vector():
+        return [random_polynomial(rng, space, 2, 1) if rng.randrange(3) else Polynomial.zero(space)
+                for _ in range(size)]
+
+    upper = {(i, j): Polynomial.zero(space) for i in range(1, size + 1) for j in range(i + 1, size + 1)}
+    for _ in range(blocks):
+        u, v = vector(), vector()
+        for i, j in upper:
+            upper[(i, j)] = upper[(i, j)] + u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
+    return SkewMatrix(space, size, upper)
+
+
+def top_down_skew_rank(A: SkewMatrix) -> int:
+    """The generic rank by searching every even Pfaffian minor from the top
+    size down until one is a nonzero polynomial.  It reads no point, so it
+    checks ``skew_rank``'s route through a point and the minors above it."""
+    top = A.size if A.size % 2 == 0 else A.size - 1
+    for r in range(top, 0, -2):
+        for I in index_sets(A.size, r):
+            if not pfaffian_by_recursion(A, I).is_zero():
+                return r
+    return 0
 
 
 def random_scalar_skew_of_rank(rng: random.Random, m: int, r: int) -> list[list[Fraction]]:

@@ -22,6 +22,7 @@ from singfol.abnormal import (
     GohMatrix,
     NormalFormError,
     SamplerConfig,
+    SamplingError,
     _jacobi_expansion,
     abnormal_generators,
     divergence_certificate,
@@ -622,6 +623,27 @@ def test_stratify_even_rank_generic_dimension_zero():
     F = random_corank1_frame(random.Random(91), 5, max_terms=3)
     S = stratify(F, SamplerConfig(seed=91, count=24))
     assert S.dims[0] == 0
+
+
+def test_samples_stay_inside_the_box():
+    # the grid numerators are rounded inwards: a box (0.01, 0.5) never
+    # samples 0, and neither does (-1.01, -0.001)
+    F = demo_frame("dim6-cubic")
+    for box in ((Fraction(1, 100), Fraction(1, 2)), (Fraction(-101, 100), Fraction(-1, 1000))):
+        rng = random.Random(4)
+        config = SamplerConfig(seed=4, count=32, box=box)
+        for _ in range(32):
+            x, _ = sample_annihilator_point(F, rng, config)
+            assert all(box[0] <= v <= box[1] for v in x), (box, x)
+
+
+def test_box_with_fewer_than_two_grid_values_is_refused():
+    for box in ((Fraction(0), Fraction(1, 100)), (Fraction(1, 100), Fraction(1, 64)),
+                (Fraction(1, 100), Fraction(1, 50))):
+        with pytest.raises(SamplingError, match="fewer than two sample values"):
+            SamplerConfig(seed=1, box=box)
+    # two grid values, 0 and 1/64, are enough
+    SamplerConfig(seed=1, box=(Fraction(0), Fraction(1, 64)))
 
 
 def test_stratify_deterministic():

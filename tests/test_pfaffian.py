@@ -1,16 +1,23 @@
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     matvec,
+    random_low_rank_skew,
     random_rational_point,
     random_scalar_skew_of_rank,
     random_skew,
     scalar_to_skew,
     skew_from_rows,
+    top_down_skew_rank,
 )
+from singfol import abnormal, cli
 from singfol import _linalg
 from singfol.exactpoly import Polynomial, Space
 from singfol.pfaffian import (
@@ -263,6 +270,62 @@ def test_rank_examples():
     assert skew_rank(A) == 2
     assert skew_rank(A, at=[Fraction(0), Fraction(5)]) == 0
     assert skew_rank(A, at=[Fraction(1, 2), Fraction(0)]) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.integers(0, 3), st.integers(1, 3))
+def test_generic_rank_matches_top_down_search(seed, size, blocks, nvars):
+    A = random_low_rank_skew(random.Random(seed), Space(nvars), size, blocks)
+    assert skew_rank(A) == top_down_skew_rank(A)
+
+
+def test_generic_rank_steps_up_from_an_unlucky_point():
+    # every entry is divisible by x1 - 1, so the whole matrix vanishes at the
+    # point (1, 2) where the generic rank is first read; the rank there is 0,
+    # and the minors of sizes 4 and 6 must lift it to 4
+    sp = Space(2)
+    factor = Polynomial.variable(sp, 0) - Polynomial.constant(sp, 1)
+    rows = random_scalar_skew_of_rank(random.Random(5), 6, 4)
+    upper = {(i + 1, j + 1): factor * rows[i][j] for i in range(6) for j in range(i + 1, 6)}
+    A = SkewMatrix(sp, 6, upper)
+    assert skew_rank(A, at=[Fraction(1), Fraction(2)]) == 0
+    assert skew_rank(A) == top_down_skew_rank(A) == 4
+
+
+def test_generic_rank_of_the_general_10_8_frame(monkeypatch):
+    # the n = 10, m = 8 general frame built the way the stratify-sample
+    # workload builds its general-8-6 frame; the top-down search had no rank
+    # after 100 s, the point proves rank 8 = m at once
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import StratifySample
+
+    rows = StratifySample._general_fields(random.Random(1), 10, 8)
+    goh = abnormal.goh_matrix(cli.build_frame({"dimension": 10, "rank": 8, "fields": rows}))
+    start = time.perf_counter()
+    assert skew_rank(goh.H) == 8
+    assert time.perf_counter() - start < 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 7), st.integers(0, 7), st.integers(0, 4))
+def test_forward_rank_matches_row_echelon(seed, rows, cols, rank_bound):
+    # a product of random rows x k and k x cols factors, with some rows and
+    # columns zeroed, so ranks below min(rows, cols) and zero lines are common
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.randrange(3) else Fraction(0)
+
+    left = [[entry() for _ in range(rank_bound)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank_bound)]
+    M = [[sum((left[i][k] * right[k][j] for k in range(rank_bound)), Fraction(0))
+          for j in range(cols)] for i in range(rows)]
+    for line in rng.sample(range(rows), rng.randint(0, rows)):
+        M[line] = [Fraction(0)] * cols
+    for col in rng.sample(range(cols), rng.randint(0, cols)):
+        for line in M:
+            line[col] = Fraction(0)
+    assert _linalg.rank(M) == len(_linalg.row_echelon(M)[1])
 
 
 def _rank_by_pfaffian_minors(values):
