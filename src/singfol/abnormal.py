@@ -40,7 +40,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from singfol.exactpoly import Polynomial, SingfolError, Space, _add_terms, _exact_evaluator, _sum_products
+from singfol.exactpoly import (Polynomial, SingfolError, Space, _add_terms, _exact_evaluator,
+                               _exact_pairs, _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
     _pf_cached,
@@ -194,12 +195,31 @@ def goh_matrix(F: Frame) -> GohMatrix:
 
 
 def _annihilator_offenders(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction]):
-    value = _exact_evaluator(x)
+    """The pairs (i, p . X^i(x)) with a nonzero pairing.
+
+    p is scaled to ints by the lcm E of its denominators, and each pairing
+    is summed over ints by cross-multiplying the components' unreduced
+    values, skipping zero p_k and zero components; only an offender becomes
+    a Fraction.
+    """
+    pair = _exact_pairs(x)
+    ratios = [Fraction(v).as_integer_ratio() for v in p]
+    E = math.lcm(*(q for _, q in ratios))
+    scaled = [(k, a * (E // q)) for k, (a, q) in enumerate(ratios) if a]
     offenders = []
     for i, X in enumerate(F.fields, start=1):
-        pairing = sum((Fraction(pk) * value(c) for pk, c in zip(p, X.components)), Fraction(0))
-        if pairing != 0:
-            offenders.append((i, pairing))
+        num, den = 0, 1
+        for k, a in scaled:
+            c = X.components[k]
+            if c:
+                cn, cd = pair(c)
+                if cn:
+                    if cd == den:
+                        num += a * cn
+                    else:
+                        num, den = num * cd + a * cn * den, den * cd
+        if num:
+            offenders.append((i, Fraction(num, den * E)))
     return offenders
 
 
@@ -595,7 +615,8 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
                 continue
             for cand in _rationalize_near(root.real):
                 point = x[:k] + (cand,) + x[k + 1:]
-                if not any(map(_exact_evaluator(point), nonzero)):
+                pair = _exact_pairs(point)
+                if not any(pair(q)[0] for q in nonzero):
                     return point
     return None
 

@@ -60,6 +60,12 @@ __all__ = [
 ]
 
 
+# volume_distortion evaluates div Z and |Z|_inf on blocks of whole time
+# steps holding at most this many states (or one time step, if the cloud is
+# larger), so its power columns do not grow with the number of steps
+VOLUME_BLOCK_ROWS = 4096
+
+
 class BlowUpError(SingfolError, RuntimeError):
     """The integrator produced a non-finite state."""
 
@@ -353,7 +359,8 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     """Monte-Carlo volume factors along the flow of Z.
 
     The whole cloud is integrated with one batched RK4, then div Z and
-    |Z|_inf are evaluated over all stored states and accumulated by the
+    |Z|_inf are evaluated over the stored states, in blocks of whole time
+    steps of about ``VOLUME_BLOCK_ROWS`` states, and accumulated by the
     trapezoid rule, yielding the exact-flow volume weight exp(int div) up
     to O(h^2) quadrature error and the trajectory length used in the
     exp(-K C) lower-bound comparison.  Every value is bit for bit the one
@@ -363,15 +370,22 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     X = np.array([[float(v) for v in x0] for x0 in cloud], dtype=float).reshape(len(cloud), Z.n)
     forms = _field_forms(Z)
     states = _rk4(_rows_rhs(forms), X, h, steps)
-    S = states.reshape(-1, Z.n)
-    shape = (steps + 1, len(cloud))
+    div = divergence(Z)._float_terms()
+    div_vals = np.empty(states.shape[:2])
+    speed = np.empty(states.shape[:2])
+    block = max(1, VOLUME_BLOCK_ROWS // max(1, len(cloud)))
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = {}
-        div_vals = _eval_rows(divergence(Z)._float_terms(), S, powers).reshape(shape).T
-        # Python's max over the components, as on one state: keep the first
-        # unless a later one is greater
-        speed = reduce(lambda a, b: np.where(b > a, b, a),
-                       [np.abs(_eval_rows(form, S, powers)) for form in forms]).reshape(shape).T
+        for t in range(0, steps + 1, block):
+            chunk = states[t:t + block]
+            S = chunk.reshape(-1, Z.n)
+            powers = {}
+            div_vals[t:t + block] = _eval_rows(div, S, powers).reshape(chunk.shape[:2])
+            # Python's max over the components, as on one state: keep the
+            # first unless a later one is greater
+            speed[t:t + block] = reduce(lambda a, b: np.where(b > a, b, a),
+                                        [np.abs(_eval_rows(form, S, powers))
+                                         for form in forms]).reshape(chunk.shape[:2])
+        div_vals, speed = div_vals.T, speed.T
         start = np.zeros((len(cloud), 1))
         integral = np.hstack([start, np.cumsum((div_vals[:, 1:] + div_vals[:, :-1]) * 0.5 * h, axis=1)])
         length = np.hstack([start, np.cumsum((speed[:, 1:] + speed[:, :-1]) * 0.5 * h, axis=1)])

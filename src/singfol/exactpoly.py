@@ -28,6 +28,16 @@ resulting ``ratio_sup`` with ``repr``, so a different order can change the
 last digits of CLI output.  Every kernel below fills its dictionary in the
 order the plain term-by-term loops would.
 
+Exact point values run on ints.  A polynomial valued at a rational point
+keeps its integer form in the slot ``_exact``: integer numerators over one
+common denominator, and the nonzero exponents and total degree of each
+term.  The slot is set on first use, never by the constructors, which run
+far more often than points are valued; equality, hashing and printing do not
+read it.  The point is written as integer numerators over one common
+denominator too, so a value is a sum of ints, normalized into one Fraction
+at the end (:func:`_exact_pairs`).  A rational has one canonical Fraction,
+so every value equals the term-by-term Fraction sum.
+
 Callers test for zero before they build a product: :func:`_sum_products`
 skips a pair with a zero operand, and brackets, Pfaffian expansions and
 :meth:`Polynomial.substitute` skip a zero factor before they differentiate
@@ -62,8 +72,9 @@ __all__ = [
 MAX_EXPONENT = 4096
 # ... and "((((x1))))" or "----x1" nested deeper than the parser recurses.
 MAX_NESTING = 100
-# The parser rejects a power whose result may have more terms than this:
-# (t terms)^k has at most C(k+t-1, t-1) of them.
+# The parser rejects a power whose result may have more terms than this
+# ((t terms)^k has at most C(k+t-1, t-1) of them), and a product or sum
+# that has more.
 MAX_TERMS = 10 ** 4
 # ... and a product that multiplies more term pairs than this (about a second
 # of work): two powers within MAX_TERMS can still multiply 3*10^7 pairs.
@@ -237,26 +248,51 @@ def _sum_products(space: Space, pairs) -> "Polynomial":
     return Polynomial._trusted(space, acc)
 
 
+def _exact_pairs(point: Sequence):
+    """``pair(poly, form=None) -> (num, den)``: the value at one exact point
+    as an unreduced ratio of ints, den > 0, so num is 0 iff the value is.
+
+    The point is a/D, integer numerators over the lcm D of its denominators,
+    so a term c x^e of a form over d is c * a^e * D^(top - deg) over
+    d * D^top; each power a_pos**e and D**k is computed once per point.
+    ``form`` defaults to the polynomial's cached form.  A point of another
+    length raises ``ValueError``.
+    """
+    ratios = [_as_fraction(v).as_integer_ratio() for v in point]
+    D = lcm(*(q for _, q in ratios))
+    nums = [a * (D // q) for a, q in ratios]
+    powers: dict[tuple[int, int], int] = {}
+    scale = [1]
+
+    def pair(poly: "Polynomial", form=None) -> tuple[int, int]:
+        if poly.space.nvars != len(nums):
+            raise ValueError(f"point of length {len(nums)}, expected {poly.space.nvars}")
+        items, d, top = form or poly._exact_form()
+        while len(scale) <= top:
+            scale.append(scale[-1] * D)
+        total = 0
+        for factors, c, deg in items:
+            for key in factors:
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = nums[key[0]] ** key[1]
+                c *= power
+            if deg != top:
+                c *= scale[top - deg]
+            total += c
+        return total, d * scale[top]
+
+    return pair
+
+
 def _exact_evaluator(point: Sequence):
-    """``value(poly) -> Fraction`` at one exact point.  The point is converted
-    to Fractions once, and each power v**e is computed once in a table shared
-    by every polynomial it values; an exact sum has no order, so each value is
-    the term-by-term sum.  A point of another length raises ``ValueError``."""
-    vals = [_as_fraction(v) for v in point]
-    powers: dict[tuple[int, int], Fraction] = {}
+    """``value(poly) -> Fraction`` at one exact point: the ratio of
+    :func:`_exact_pairs`, normalized once into one Fraction."""
+    pair = _exact_pairs(point)
 
     def value(poly: "Polynomial") -> Fraction:
-        if poly.space.nvars != len(vals):
-            raise ValueError(f"point of length {len(vals)}, expected {poly.space.nvars}")
-        total = Fraction(0)
-        for exps, term in poly.terms.items():
-            for pos, e in enumerate(exps):
-                if e:
-                    if (pos, e) not in powers:
-                        powers[pos, e] = vals[pos] ** e
-                    term *= powers[pos, e]
-            total += term
-        return total
+        num, den = pair(poly)
+        return Fraction(num, den)
 
     return value
 
@@ -275,7 +311,7 @@ def _eval_float_form(form, point: Sequence[float]) -> float:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "_exact")
 
     def __init__(self, space: Space, terms: Mapping[tuple, Fraction] | None = None):
         object.__setattr__(self, "space", space)
@@ -465,7 +501,28 @@ class Polynomial:
         return self.eval_float([float(v) for v in point])
 
     def eval_exact(self, point: Sequence) -> Fraction:
-        return _exact_evaluator(point)(self)
+        """Exact value at a rational point.  A form not cached yet is built
+        for this call only, so one value does not keep a copy of the terms."""
+        num, den = _exact_pairs(point)(self, self._exact_form(store=False))
+        return Fraction(num, den)
+
+    def _exact_form(self, store: bool = True) -> tuple[tuple, int, int]:
+        """The integer form ``(items, d, top)`` that exact point values read:
+        one ``(((pos, e), ...), c, deg)`` per term in insertion order, with
+        the nonzero exponents, the integer numerator c over the common
+        denominator d and the total degree; ``top`` is the top total degree.
+        Cached in the ``_exact`` slot on first use, unless ``store`` is false.
+        """
+        try:
+            return self._exact
+        except AttributeError:
+            ints, d = _integer_terms(self.terms)
+            items = tuple((tuple((pos, e) for pos, e in enumerate(exps) if e), c, sum(exps))
+                          for exps, c in ints)
+            form = items, d, max((deg for _, _, deg in items), default=0)
+            if store:
+                object.__setattr__(self, "_exact", form)
+            return form
 
     def eval_float(self, point: Sequence[float]) -> float:
         """IEEE double value at a point: the loop of :func:`_eval_float_form`
@@ -485,7 +542,8 @@ class Polynomial:
 
         Compile once and evaluate many times: ``eval_float`` on one point,
         ``dynamics`` also on arrays of points, with the same arithmetic in
-        the same order.  Not memoized, so a polynomial carries no extra slot.
+        the same order.  Not memoized: a float form lives as long as its
+        caller holds it (the exact integer form is the one that is cached).
         """
         return [(float(coeff), tuple((pos, e) for pos, e in enumerate(exps) if e))
                 for exps, coeff in self.terms.items()]
@@ -761,11 +819,14 @@ class _Scanner:
         value = self.term()
         while True:
             if self.take("+"):
+                at = self.pos
                 value = value + self.term()
             elif self.take("-"):
+                at = self.pos
                 value = value - self.term()
             else:
                 return value
+            self.check_size(value, "a sum", at)
 
     def term(self) -> Polynomial:
         value = self.factor()
@@ -778,7 +839,14 @@ class _Scanner:
                                  f"multiplies {pairs} term pairs, above the limit "
                                  f"{MAX_PRODUCT_PAIRS}", at)
             value = value * other
+            self.check_size(value, "a product", at)
         return value
+
+    @staticmethod
+    def check_size(value: Polynomial, what: str, at: int):
+        if len(value.terms) > MAX_TERMS:
+            raise ParseError(f"{what} with {len(value.terms)} terms, above the limit "
+                             f"{MAX_TERMS}", at)
 
     def factor(self) -> Polynomial:
         base = self.atom()
@@ -835,8 +903,9 @@ def parse_expression(text: str, space: Space) -> Polynomial:
 
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
     unknown variables, oversized exponents, '(' and unary '-' nested more
-    than ``MAX_NESTING`` deep, powers that may exceed ``MAX_TERMS`` terms and
-    products of more than ``MAX_PRODUCT_PAIRS`` term pairs.
+    than ``MAX_NESTING`` deep, powers that may exceed ``MAX_TERMS`` terms,
+    products of more than ``MAX_PRODUCT_PAIRS`` term pairs, and products and
+    sums of more than ``MAX_TERMS`` terms.
     """
     scanner = _Scanner(text, space)
     value = scanner.expr()

@@ -189,3 +189,16 @@ def reference_eval_exact(f: Polynomial, point) -> Fraction:
                 term *= v ** e
         total += term
     return total
+
+
+def reference_offenders(F: Frame, x, p) -> list[tuple[int, Fraction]]:
+    """The pairs (i, p . X^i(x)) with a nonzero pairing, each a Fraction sum
+    over every component (the loop ``_annihilator_offenders`` ran before it
+    summed over ints)."""
+    offenders = []
+    for i, X in enumerate(F.fields, start=1):
+        pairing = sum((Fraction(pk) * reference_eval_exact(c, x)
+                       for pk, c in zip(p, X.components)), Fraction(0))
+        if pairing != 0:
+            offenders.append((i, pairing))
+    return offenders

@@ -12,6 +12,7 @@ from conftest import (
     random_general_frame,
     random_rational_point,
     reference_eval_exact,
+    reference_offenders,
     scale_fiber,
     tampered_goh,
 )
@@ -23,6 +24,7 @@ from singfol.abnormal import (
     NormalFormError,
     SamplerConfig,
     SamplingError,
+    _annihilator_offenders,
     _jacobi_expansion,
     abnormal_generators,
     divergence_certificate,
@@ -184,6 +186,36 @@ def test_kernel_dim_rejects_bad_points():
     assert err.value.offenders  # names the violated momenta
     with pytest.raises(AnnihilatorError):
         kernel_dim_at(F, [Fraction(0)] * 4, [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("F", [demo_frame("dim6-cubic"), random_general_frame(random.Random(8), 5, 3)],
+                         ids=["corank1", "fields"])
+def test_annihilator_pairings_match_fraction_loop(F):
+    # the pairings are summed over ints; the offenders, their values and the
+    # error of kernel_dim_at are those of the Fraction loop, on the bundle
+    # and off it, for covectors with zeros and mixed denominators
+    rng = random.Random(5)
+    config = SamplerConfig(seed=0)
+    dens = (1, 2, 3, 7, 64)
+    checked = 0
+    for _ in range(24):
+        x, p = sample_annihilator_point(F, rng, config)
+        assert _annihilator_offenders(F, x, p) == reference_offenders(F, x, p) == []
+        for q in ([v + Fraction(rng.randint(-3, 3), rng.choice(dens)) for v in p],
+                  [Fraction(rng.randint(-2, 2), rng.choice(dens)) for _ in p],
+                  [0] * (F.n - 1) + [rng.randint(1, 3)]):
+            want = reference_offenders(F, x, q)
+            got = _annihilator_offenders(F, x, q)
+            assert got == want and all(type(v) is Fraction for _, v in got)
+            if not any(q):
+                continue
+            if want:
+                checked += 1
+                with pytest.raises(AnnihilatorError) as err:
+                    kernel_dim_at(F, x, q)
+                assert err.value.offenders == want
+                assert str(err.value) == str(AnnihilatorError(want))
+    assert checked > 24
 
 
 # -- generators --------------------------------------------------------------------

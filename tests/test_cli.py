@@ -185,6 +185,10 @@ def test_schema_validation_errors(capsys, tmp_path):
                       ({"dimension": 4, "rank": 3,
                         "normal_form": ["(x1+x2+x3+1)^30*(x1+x2+x3+x4)^30", "0", "0"]},
                        "29767936 term pairs"),
+                      # within the pair budget, but 53361 terms
+                      ({"dimension": 4, "rank": 3,
+                        "normal_form": ["(x1+x2+1)^20*(x3+x4+1)^20", "0", "0"]},
+                       "a product with 53361 terms"),
                       # nesting deeper than the parser recurses
                       ({"dimension": 3, "rank": 2,
                         "normal_form": ["0", "(" * 3000 + "x1" + ")" * 3000]}, "nested"),

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_corank1_frame
 from singfol.abnormal import abnormal_generators, divergence_certificate, goh_matrix
+from singfol import dynamics
 from singfol.demos import demo_frame
 from singfol.dynamics import (
     BlowUpError,
@@ -363,6 +364,22 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
         if znorm >= 1e-3:
             best = max(best, abs(_reference_eval(div, x)) / znorm)
     assert scan.ratio_sup == best
+
+
+def test_volume_in_blocks_of_steps_is_bitwise_equal(monkeypatch):
+    # blocks of one step (a block smaller than the cloud still takes one),
+    # of three steps with a shorter last block, and one block for all
+    F = _flow_frame((29, 6))
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, skew_rank(goh.reduced), goh)[0]
+    cloud = sample_cloud((-0.6, 0.6), 16, F.n, seed=F.n)
+    weights, lengths, min_weights = _reference_volume(g.Z, cloud, 0.1, 1e-3)
+    for rows in (1, 16, 50, dynamics.VOLUME_BLOCK_ROWS):
+        monkeypatch.setattr(dynamics, "VOLUME_BLOCK_ROWS", rows)
+        report = volume_distortion(g.Z, cloud, 0.1, 1e-3)
+        assert _same(report.weights, weights), rows
+        assert _same(report.lengths, lengths), rows
+        assert _same(report.min_weights, min_weights), rows
 
 
 def test_eval_float_matches_term_loop_on_random_polynomials():

@@ -212,6 +212,19 @@ def test_parse_power_term_budget():
     with pytest.raises(ParseError, match="29767936 term pairs") as err:
         parse_expression("(x1+x2+x3+1)^30*(x1+x2+x3+x4)^30", s4)
     assert err.value.offset == 16
+    # ... and a product or sum by its terms, checked after each '*', '+'
+    # or '-': powers in disjoint variables are within the pair budget and
+    # have as many terms as pairs
+    with pytest.raises(ParseError, match="a product with 53361 terms") as err:
+        parse_expression("(x1+x2+1)^20*(x3+x4+1)^20", s4)
+    assert err.value.offset == 13
+    assert 231 * 231 == 53361 <= exactpoly.MAX_PRODUCT_PAIRS
+    row = "+".join(f"x1^{k}" for k in range(100))
+    text = f"({row}) * ({row.replace('x1', 'x2')})"
+    assert len(parse_expression(text, s4).terms) == exactpoly.MAX_TERMS
+    with pytest.raises(ParseError, match="a sum with 10001 terms") as err:
+        parse_expression(text + " - x3", s4)
+    assert err.value.offset == len(text) + 2
 
 
 def test_parse_nesting_bound():
@@ -277,18 +290,55 @@ def test_evaluation_is_ring_homomorphism(data, seed):
     assert (f + g).eval_exact(point) == f.eval_exact(point) + g.eval_exact(point)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 6), _spaces)
 def test_shared_evaluator_matches_reference_loop(seed, space):
-    # one evaluator values many polynomials through one power table; each
-    # value equals the fresh term-by-term loop
+    # one evaluator values many polynomials through one power table, on ints
+    # over the common denominators of the point and of each polynomial; each
+    # value is the canonical Fraction of the fresh term-by-term loop, and
+    # its unreduced numerator is 0 exactly when the value is
     rng = random.Random(seed)
-    coords = [0, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    coords = [0, 0, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4),
+              Fraction(-3, 64), Fraction(10, 9)]
     point = [rng.choice(coords) for _ in range(space.nvars)]
     value = exactpoly._exact_evaluator(point)
-    for _ in range(8):
-        f = random_polynomial(rng, space, max_terms=6, max_degree=5)
-        assert value(f) == f.eval_exact(point) == reference_eval_exact(f, point)
+    pair = exactpoly._exact_pairs(point)
+    polys = [Polynomial.zero(space), Polynomial.constant(space, Fraction(-7, 6)),
+             Polynomial.constant(space, 3)]
+    polys += [random_polynomial(rng, space, max_terms=6, max_degree=5,
+                                denominators=(1, 2, 3, 5, 64)) for _ in range(8)]
+    # a nonzero polynomial that vanishes at the point (no random term has
+    # degree 7, so x1^7 stays)
+    h = polys[-1] + Polynomial.monomial(space, (7,) + (0,) * (space.nvars - 1))
+    polys.append(h - h.eval_exact(point))
+    for f in polys:
+        want = reference_eval_exact(f, point)
+        got = value(f)
+        assert type(got) is Fraction and got == want
+        assert f.eval_exact(point) == want
+        num, den = pair(f)
+        assert den > 0 and Fraction(num, den) == want
+        assert (num == 0) == (want == 0)
+    assert pair(polys[-1])[0] == 0 and polys[-1]
+
+
+def test_integer_form_is_cached_out_of_band():
+    # valuing a polynomial stores its integer form in a slot that equality,
+    # hashing and printing never read, and the polynomial stays immutable
+    s = Space(2, True)
+    text = "x1^3*p2^2 - 2/3*x2^2 + 1/5*x1 + p1 - 7"
+    f, g = parse_expression(text, s), parse_expression(text, s)
+    before = (hash(f), str(f), repr(f))
+    assert exactpoly._exact_evaluator([Fraction(1, 2), -1, 0, Fraction(3, 7)])(f) != 0
+    assert hasattr(f, "_exact") and not hasattr(g, "_exact")
+    assert f == g and hash(f) == hash(g) and (hash(f), str(f), repr(f)) == before
+    assert f.terms == g.terms and len({f, g}) == 1
+    for name in ("_exact", "terms", "space", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    # eval_exact on its own values a polynomial without keeping a form
+    assert g.eval_exact([1, 2, 3, 4]) == f.eval_exact([1, 2, 3, 4])
+    assert not hasattr(g, "_exact")
 
 
 def test_evaluators_keep_their_own_power_tables():
