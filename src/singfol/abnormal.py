@@ -40,8 +40,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from singfol.exactpoly import (Polynomial, SingfolError, Space, _add_terms, _exact_evaluator,
-                               _exact_pairs, _sum_products)
+from singfol.exactpoly import (Polynomial, SingfolError, Space, _exact_evaluator, _exact_pairs,
+                               _signed_sum, _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
     _pf_cached,
@@ -151,11 +151,9 @@ class GohMatrix:
         value = self._jacobi.get(T)
         if value is None:
             a, b, c = T
-            acc: dict = {}
-            for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
-                bracket = _hamiltonian_derivative(self.ham_fields[j - 1], self.H.entry(k, l))
-                _add_terms(acc, bracket.terms, sign)
-            value = self._jacobi[T] = Polynomial._trusted(self.H.space, acc)
+            value = self._jacobi[T] = _signed_sum(self.H.space, (
+                (sign, _hamiltonian_derivative(self.ham_fields[j - 1], self.H.entry(k, l)))
+                for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1))))
         return value
 
     def jacobi_identity_holds(self) -> bool:
@@ -391,19 +389,18 @@ def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
     triples of the frame the sum is empty without visiting them.
     """
     I = g.I
-    acc: dict = {}
     if len(I) < 3 or goh.jacobi_identity_holds():
-        return Polynomial._trusted(goh.H.space, acc)
-    for pos in combinations(range(len(I)), 3):
-        J = goh.jacobi_sum(tuple(I[p] for p in pos))
-        if J.is_zero():
-            continue
-        phi = _pf_cached(goh.H, tuple(i for p, i in enumerate(I) if p not in pos))
-        if phi.is_zero():
-            continue
-        sign = -1 if (sum(pos) - 3) % 2 else 1
-        _add_terms(acc, (phi * J * (2 * sign)).terms)
-    return Polynomial._trusted(goh.H.space, acc)
+        return Polynomial.zero(goh.H.space)
+
+    def items():
+        for pos in combinations(range(len(I)), 3):
+            J = goh.jacobi_sum(tuple(I[p] for p in pos))
+            if J.is_zero():
+                continue
+            phi = _pf_cached(goh.H, tuple(i for p, i in enumerate(I) if p not in pos))
+            if not phi.is_zero():
+                yield (-1 if (sum(pos) - 3) % 2 else 1), phi * J * 2
+    return _signed_sum(goh.H.space, items())
 
 
 def divergence_certificate(g: AbnormalGenerator, F: Frame,

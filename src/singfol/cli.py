@@ -126,16 +126,17 @@ def _goh_rank(goh) -> int:
     return skew_rank(goh.reduced if goh.reduced is not None else goh.H)
 
 
-def _certify_rank(F: Frame, goh) -> int:
-    """Even rank at which generators are produced by default."""
+def _certify_rank(F: Frame, generic: int) -> int:
+    """Even rank at which generators are produced by default, from the
+    generic Goh rank."""
     top = F.m - 1 if F.m % 2 else F.m - 2
-    return min(_goh_rank(goh), max(top, 0))
+    return min(generic, max(top, 0))
 
 
 def _generator_rank(F: Frame, args, goh) -> int:
     """The checked ``--rank`` flag, or the default certify rank."""
     if args.rank is None:
-        return _certify_rank(F, goh)
+        return _certify_rank(F, _goh_rank(goh))
     if args.rank % 2 or not 0 <= args.rank < F.m:
         raise InputError(f"--rank must be an even integer in 0..{F.m - 1}")
     return args.rank
@@ -354,7 +355,8 @@ def cmd_integrate(F: Frame, args):
     if not math.isfinite(steps) or round(steps) > MAX_STEPS:
         raise InputError(f"--T/--h asks for more than {MAX_STEPS} steps")
     goh = abnormal.goh_matrix(F)
-    r, generic = _generator_rank(F, args, goh), _goh_rank(goh)
+    generic = _goh_rank(goh)
+    r = _certify_rank(F, generic) if args.rank is None else _generator_rank(F, args, goh)
     if r < generic:
         raise InputError(f"rank-{r} generators span the Goh kernel only on the singular set, "
                          f"not along a flow: the generic Goh rank is {generic}")

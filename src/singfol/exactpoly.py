@@ -18,15 +18,20 @@ deterministic and round-trips through :func:`parse_expression`.
 
 Term-dictionary invariants.  Every stored dictionary has tuple keys of
 length ``space.nvars`` and nonzero ``Fraction`` values.  The public
-constructor enforces them; library code that already guarantees them builds
-results with ``Polynomial._trusted`` and sums with :func:`_add_terms`, which
-adds one term dictionary into another in place.  The insertion order of each
+constructor enforces them; ``Polynomial._trusted`` wraps a dictionary that
+already meets them without a check.  Only this module adds one dictionary
+into another in place (:func:`_add_terms`).  Other modules sum through
+:func:`_signed_sum`, which adds ``(sign, polynomial)`` items into one
+dictionary in the order they come, and :func:`_sum_products`, its filter for
+sums of products; outside this module ``_trusted`` wraps only the disjoint
+reshape of ``vectorfield.hamiltonian_lift``.  The insertion order of each
 dictionary is part of the contract, although equality ignores it:
 ``eval_float`` (and the compiled float form ``dynamics`` evaluates on arrays
-of points) sums terms in that order, and ``scan-div`` prints the
-resulting ``ratio_sup`` with ``repr``, so a different order can change the
-last digits of CLI output.  Every kernel below fills its dictionary in the
-order the plain term-by-term loops would.
+of points) sums terms in that order, and ``scan-div`` prints the resulting
+``ratio_sup`` with ``repr``, so a different order can change the last digits
+of CLI output.  Every kernel below fills its dictionary in the order the
+plain term-by-term loops would, and a sum keeps the order in which its
+caller visits the items.
 
 Exact point values run on ints.  A polynomial valued at a rational point
 keeps its integer form in the slot ``_exact``: integer numerators over one
@@ -39,10 +44,13 @@ at the end (:func:`_exact_pairs`).  A rational has one canonical Fraction,
 so every value equals the term-by-term Fraction sum.
 
 Callers test for zero before they build a product: :func:`_sum_products`
-skips a pair with a zero operand, and brackets, Pfaffian expansions and
-:meth:`Polynomial.substitute` skip a zero factor before they differentiate
-or multiply.  An empty product adds nothing to an accumulator, so skipping
-it leaves every dictionary, and its insertion order, as it was.
+skips a pair with a zero operand, and the brackets, Pfaffian expansions and
+:meth:`Polynomial.substitute` skip a zero factor lazily, before they
+differentiate or multiply, so a sum is given only the products formed.  An
+empty product adds nothing to a sum, so skipping it leaves every dictionary,
+and its insertion order, as it was.  Adding ``(-1, t)`` is adding
+``(1, -t)``: negation commutes exactly with the product, so a sign may sit
+in the item or in a factor.
 
 The module also provides truncated power series in the base variables
 (:class:`JetSeries`) and a recursive-descent parser for the expression
@@ -76,8 +84,9 @@ MAX_NESTING = 100
 # ((t terms)^k has at most C(k+t-1, t-1) of them), and a product or sum
 # that has more.
 MAX_TERMS = 10 ** 4
-# ... and a product that multiplies more term pairs than this (about a second
-# of work): two powers within MAX_TERMS can still multiply 3*10^7 pairs.
+# ... and a product, or one multiplication of a power's square-and-multiply
+# schedule, that multiplies more term pairs than this (about a second of
+# work): two powers within MAX_TERMS can still multiply 3*10^7 pairs.
 MAX_PRODUCT_PAIRS = 10 ** 6
 
 
@@ -235,17 +244,20 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
     return {e: Fraction(v, scale) for e, v in out.items()}
 
 
-def _sum_products(space: Space, pairs) -> "Polynomial":
-    """The sum of ``a * b`` over ``pairs``, added into one dictionary in order.
-
-    A pair with a falsy operand (an empty Polynomial, ``Fraction(0)``) is
-    skipped: its product is empty and would add nothing.
-    """
+def _signed_sum(space: Space, items) -> "Polynomial":
+    """The sum of ``sign * poly`` over ``(sign, poly)`` items, each added
+    into one dictionary in order by :func:`_add_terms`."""
     acc: dict = {}
-    for a, b in pairs:
-        if a and b:
-            _add_terms(acc, (a * b).terms)
+    for sign, poly in items:
+        _add_terms(acc, poly.terms, sign)
     return Polynomial._trusted(space, acc)
+
+
+def _sum_products(space: Space, pairs) -> "Polynomial":
+    """The sum of ``a * b`` over ``pairs``, in order.  A pair with a falsy
+    operand (an empty Polynomial, ``Fraction(0)``) is skipped: its product
+    is empty and would add nothing."""
+    return _signed_sum(space, ((1, a * b) for a, b in pairs if a and b))
 
 
 def _exact_pairs(point: Sequence):
@@ -348,7 +360,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, space: Space) -> "Polynomial":
-        return cls(space)
+        return cls._trusted(space, {})
 
     @classmethod
     def constant(cls, space: Space, value) -> "Polynomial":
@@ -860,8 +872,33 @@ class _Scanner:
             if bound > MAX_TERMS:
                 raise ParseError(f"a {t}-term base to the power {k} may have up to "
                                  f"{bound} terms, above the limit {MAX_TERMS}", at)
+            pairs = self.power_pairs(t, k) if t else 0
+            if pairs > MAX_PRODUCT_PAIRS:
+                raise ParseError(f"a {t}-term base to the power {k} may multiply {pairs} "
+                                 f"term pairs in one step, above the limit "
+                                 f"{MAX_PRODUCT_PAIRS}", at)
             return base ** k
         return base
+
+    @staticmethod
+    def power_pairs(t: int, k: int) -> int:
+        """The most term pairs one multiplication of ``Polynomial.__pow__``
+        may multiply for a t-term base (t >= 1) to the power k: its
+        square-and-multiply schedule, with (t terms)^e bounded by
+        C(e+t-1, t-1) terms."""
+        def bound(e: int) -> int:
+            return comb(e + t - 1, t - 1)
+
+        most, done, base = 0, 0, 1  # exponents of the result and of the base
+        while k:
+            if k & 1:
+                most = max(most, bound(done) * bound(base))
+                done += base
+            if k > 1:
+                most = max(most, bound(base) ** 2)
+                base *= 2
+            k >>= 1
+        return most
 
     def atom(self) -> Polynomial:
         ch = self.peek()
@@ -904,8 +941,9 @@ def parse_expression(text: str, space: Space) -> Polynomial:
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
     unknown variables, oversized exponents, '(' and unary '-' nested more
     than ``MAX_NESTING`` deep, powers that may exceed ``MAX_TERMS`` terms,
-    products of more than ``MAX_PRODUCT_PAIRS`` term pairs, and products and
-    sums of more than ``MAX_TERMS`` terms.
+    products and steps of a power that may multiply more than
+    ``MAX_PRODUCT_PAIRS`` term pairs, and products and sums of more than
+    ``MAX_TERMS`` terms.
     """
     scanner = _Scanner(text, space)
     value = scanner.expr()

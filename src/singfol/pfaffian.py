@@ -35,7 +35,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator
+from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _signed_sum
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -101,13 +101,13 @@ class SkewMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         """The entry a_ij.  A missing entry (the diagonal, or a zero that
-        the constructor dropped) is a trusted empty polynomial, built only
-        in that case."""
+        the constructor dropped) is the zero polynomial, built only in that
+        case."""
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise IndexError(f"entry ({i},{j}) out of range")
         value = self.upper.get((i, j) if i < j else (j, i))
         if value is None:
-            return Polynomial._trusted(self.space, {})
+            return Polynomial.zero(self.space)
         return value if i < j else -value
 
     def evaluate(self, point: Sequence) -> list[list[Fraction]]:
@@ -161,21 +161,18 @@ def _merge_disjoint(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, 
 
 
 def _wedge(u: dict, v: dict, space: Space) -> dict:
-    out: dict = {}
+    """u ^ v for forms stored as {ascending basis tuple: coefficient}: the
+    signed products on each basis are summed in order, and a basis whose
+    sum is zero is dropped."""
+    products: dict = {}
     for bu, cu in u.items():
         for bv, cv in v.items():
             merged = _merge_disjoint(bu, bv)
-            if merged is None:
-                continue
-            basis, sign = merged
-            term = cu * cv if sign > 0 else -(cu * cv)
-            acc = out.get(basis)
-            acc = term if acc is None else acc + term
-            if acc.is_zero():
-                out.pop(basis, None)
-            else:
-                out[basis] = acc
-    return out
+            if merged is not None:
+                basis, sign = merged
+                products.setdefault(basis, []).append((sign, cu * cv))
+    sums = {basis: _signed_sum(space, items) for basis, items in products.items()}
+    return {basis: value for basis, value in sums.items() if value}
 
 
 def pfaffian_by_definition(A: SkewMatrix, I: Sequence[int]) -> Polynomial:
@@ -241,18 +238,18 @@ def _proportionality(target: Polynomial, raw: Polynomial) -> Fraction:
 
 def _raw_recursion_sum(A: SkewMatrix, I: tuple[int, ...], i0: int,
                        sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
-    acc: dict = {}
+    """Sum of eps(I,i0) eps(I-i0,j) a_i0j sub(I-i0j) over j in I-i0, in order."""
     rest = tuple(k for k in I if k != i0)
-    for j in rest:
-        a = A.entry(i0, j)
-        if a.is_zero():
-            continue
-        phi = sub(tuple(k for k in rest if k != j))
-        if phi.is_zero():
-            continue
-        sign = epsilon_sign(I, i0) * epsilon_sign(rest, j)
-        _add_terms(acc, (a * phi).terms, sign)
-    return Polynomial._trusted(A.space, acc)
+
+    def items():
+        for j in rest:
+            a = A.entry(i0, j)
+            if a.is_zero():
+                continue
+            phi = sub(tuple(k for k in rest if k != j))
+            if not phi.is_zero():
+                yield epsilon_sign(I, i0) * epsilon_sign(rest, j), a * phi
+    return _signed_sum(A.space, items())
 
 
 def _recursion_prefactor(r: int) -> Fraction:
@@ -271,19 +268,17 @@ def _recursion_prefactor(r: int) -> Fraction:
 def _raw_derivative_sum(A: SkewMatrix, I: tuple[int, ...], d: Callable[[Polynomial], Polynomial],
                         sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
     """Sum of eps(I,i) eps(I-i,j) sub(I-ij) d(a_ij) over ordered pairs (i, j) of I."""
-    acc: dict = {}
-    for i in I:
-        rest = tuple(k for k in I if k != i)
-        for j in rest:
-            da = d(A.entry(i, j))
-            if da.is_zero():
-                continue
-            phi = sub(tuple(k for k in rest if k != j))
-            if phi.is_zero():
-                continue
-            sign = epsilon_sign(I, i) * epsilon_sign(rest, j)
-            _add_terms(acc, (phi * da).terms, sign)
-    return Polynomial._trusted(A.space, acc)
+    def items():
+        for i in I:
+            rest = tuple(k for k in I if k != i)
+            for j in rest:
+                da = d(A.entry(i, j))
+                if da.is_zero():
+                    continue
+                phi = sub(tuple(k for k in rest if k != j))
+                if not phi.is_zero():
+                    yield epsilon_sign(I, i) * epsilon_sign(rest, j), phi * da
+    return _signed_sum(A.space, items())
 
 
 def _derivative_prefactor(r: int) -> Fraction:
@@ -382,16 +377,15 @@ def minor_determinant(A: SkewMatrix, rows: Sequence[int], cols: Sequence[int] | 
             return Polynomial.constant(A.space, 1)
         if remaining in memo:
             return memo[remaining]
-        i = rows[depth]
-        acc: dict = {}
-        for pos, j in enumerate(remaining):
-            a = A.entry(i, j)
-            if a.is_zero():
-                continue
-            sub = expand(depth + 1, remaining[:pos] + remaining[pos + 1:])
-            _add_terms(acc, (a * sub).terms, 1 if pos % 2 == 0 else -1)
-        memo[remaining] = value = Polynomial._trusted(A.space, acc)
+        memo[remaining] = value = _signed_sum(A.space, cofactors(depth, remaining))
         return value
+
+    def cofactors(depth: int, remaining: tuple[int, ...]):
+        for pos, j in enumerate(remaining):
+            a = A.entry(rows[depth], j)
+            if not a.is_zero():
+                sub = expand(depth + 1, remaining[:pos] + remaining[pos + 1:])
+                yield 1 if pos % 2 == 0 else -1, a * sub
 
     return expand(0, cols)
 

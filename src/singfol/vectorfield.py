@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator, _sum_products
+from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _signed_sum, _sum_products
 
 __all__ = [
     "VectorField",
@@ -243,17 +243,16 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """
     if X.kind != Y.kind or X.space != Y.space:
         raise ValueError("kind mismatch")
-    comps = []
-    for k in range(len(X.components)):
-        acc: dict = {}
-        for j in range(len(X.components)):
+    n = len(X.components)
+
+    def items(k: int):
+        for j in range(n):
             Xj, Yj = X.components[j], Y.components[j]
             if Xj and (dY := Y.components[k].partial(j)):
-                _add_terms(acc, (Xj * dY).terms)
+                yield 1, Xj * dY
             if Yj and (dX := X.components[k].partial(j)):
-                _add_terms(acc, (Yj * dX).terms, -1)
-        comps.append(Polynomial._trusted(X.space, acc))
-    return VectorField(comps, X.kind)
+                yield -1, Yj * dX
+    return VectorField([_signed_sum(X.space, items(k)) for k in range(n)], X.kind)
 
 
 def hamiltonian_lift(X: VectorField) -> Polynomial:
@@ -291,14 +290,14 @@ def _hamiltonian_derivative(Xh: VectorField, g: Polynomial) -> Polynomial:
     only behind a nonzero component of X_h, and a product only when both
     factors are nonzero.
     """
-    space = Xh.space
-    n, comps = space.n, Xh.components
-    out: dict = {}
-    for k in range(n):
-        for pos in (k, n + k):
-            if (dh := comps[pos]) and (dg := g.partial(pos)):
-                _add_terms(out, (dh * dg).terms)
-    return Polynomial._trusted(space, out)
+    n, comps = Xh.space.n, Xh.components
+
+    def items():
+        for k in range(n):
+            for pos in (k, n + k):
+                if comps[pos] and (dg := g.partial(pos)):
+                    yield 1, comps[pos] * dg
+    return _signed_sum(Xh.space, items())
 
 
 def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
@@ -315,7 +314,4 @@ def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
 
 def divergence(V: VectorField) -> Polynomial:
     """Euclidean divergence in the declared coordinates."""
-    out: dict = {}
-    for pos, comp in enumerate(V.components):
-        _add_terms(out, comp.partial(pos).terms)
-    return Polynomial._trusted(V.space, out)
+    return _signed_sum(V.space, ((1, comp.partial(pos)) for pos, comp in enumerate(V.components)))

@@ -202,3 +202,71 @@ def reference_offenders(F: Frame, x, p) -> list[tuple[int, Fraction]]:
         if pairing != 0:
             offenders.append((i, pairing))
     return offenders
+
+
+# -- plain reference loops ---------------------------------------------------
+#
+# The exact kernels must fill each term dictionary in exactly the order of
+# these loops (eval_float sums in that order), so tests compare
+# list(terms.items()) against them, not only the dictionaries.
+
+
+def reference_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The plain Fraction double loop."""
+    out: dict = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            acc = out.get(key, 0) + ca * cb
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return Polynomial(f.space, out)
+
+
+def reference_power(f: Polynomial, k: int) -> Polynomial:
+    """Square-and-multiply, as in Polynomial.__pow__, on the reference loop."""
+    result, base = Polynomial.constant(f.space, 1), f
+    while k:
+        if k & 1:
+            result = reference_product(result, base)
+        base = reference_product(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def reference_add(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
+    """A fresh copy of f with the terms of sign*g added one by one."""
+    out = dict(f.terms)
+    for exps, coeff in g.terms.items():
+        acc = out.get(exps, 0) + sign * coeff
+        if acc:
+            out[exps] = acc
+        else:
+            out.pop(exps, None)
+    return Polynomial(f.space, out)
+
+
+def reference_sum(space: Space, signed_terms) -> Polynomial:
+    """acc = acc + term (or - term), copying the accumulator at every step."""
+    acc = Polynomial.zero(space)
+    for sign, term in signed_terms:
+        acc = reference_add(acc, term, sign)
+    return acc
+
+
+def same_order(got: Polynomial, want: Polynomial) -> bool:
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+def reference_poisson(h: Polynomial, g: Polynomial) -> Polynomial:
+    """{h, g} by the coordinate formula on the reference loops: for each k,
+    + dh/dp_k dg/dx_k first, then - dh/dx_k dg/dp_k."""
+    space = h.space
+    signed = []
+    for k in range(1, space.n + 1):
+        xk, pk = space.x(k), space.p(k)
+        signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
+        signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
+    return reference_sum(space, signed)

@@ -2,7 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -13,6 +13,10 @@ from conftest import (
     random_rational_point,
     reference_eval_exact,
     reference_offenders,
+    reference_poisson,
+    reference_product,
+    reference_sum,
+    same_order,
     scale_fiber,
     tampered_goh,
 )
@@ -37,8 +41,19 @@ from singfol.abnormal import (
 )
 from singfol import exactpoly
 from singfol.demos import DEMOS, demo_frame
-from singfol.exactpoly import Polynomial, Space, _add_terms, parse_expression
-from singfol.pfaffian import SkewMatrix, epsilon_sign, pfaffian_by_definition, skew_rank
+from singfol.exactpoly import Polynomial, Space, parse_expression
+from singfol.pfaffian import (
+    SkewMatrix,
+    _derivative_prefactor,
+    _recursion_prefactor,
+    epsilon_sign,
+    index_sets,
+    minor_determinant,
+    pfaffian_by_definition,
+    pfaffian_by_recursion,
+    pfaffian_derivative,
+    skew_rank,
+)
 from singfol.vectorfield import (
     Frame,
     VectorField,
@@ -511,27 +526,13 @@ def _goh_with_shifted_entry(F, k, l, shift="x1"):
                      goh.reduced)
 
 
-def _coordinate_poisson(h, g):
-    """{h, g} by the coordinate formula, in its loop order: for each k,
-    + dh/dp_k dg/dx_k first, then - dh/dx_k dg/dp_k."""
-    space = h.space
-    out = {}
-    for k in range(1, space.n + 1):
-        xk, pk = space.x(k), space.p(k)
-        if (dh := h.partial(pk)) and (dg := g.partial(xk)):
-            _add_terms(out, (dh * dg).terms)
-        if (dh := h.partial(xk)) and (dg := g.partial(pk)):
-            _add_terms(out, (dh * dg).terms, -1)
-    return Polynomial._trusted(space, out)
-
-
 def _cyclic_sum(goh, T, bracket):
-    """J(T) by its definition, each Poisson bracket formed by ``bracket``."""
+    """J(T) by its definition on the reference sum, each Poisson bracket
+    formed by ``bracket``."""
     a, b, c = T
-    acc = {}
-    for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
-        _add_terms(acc, bracket(goh.hamiltonians[j - 1], goh.H.entry(k, l)).terms, sign)
-    return list(acc.items())
+    return reference_sum(goh.H.space, [
+        (sign, bracket(goh.hamiltonians[j - 1], goh.H.entry(k, l)))
+        for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1))])
 
 
 def _jacobi_test_frames():
@@ -555,11 +556,98 @@ def test_jacobi_sums_keep_the_coordinate_bracket_order():
             gohs.append(_goh_with_shifted_entry(F, F.m - 1, F.m, shift))
         for goh in gohs:
             for T in combinations(range(1, F.m + 1), 3):
-                got = list(goh.jacobi_sum(T).terms.items())
-                assert got == _cyclic_sum(goh, T, _coordinate_poisson), (F.name, T)
-                assert got == _cyclic_sum(goh, T, poisson_bracket), (F.name, T)
+                got = goh.jacobi_sum(T)
+                assert same_order(got, _cyclic_sum(goh, T, reference_poisson)), (F.name, T)
+                assert same_order(got, _cyclic_sum(goh, T, poisson_bracket)), (F.name, T)
                 nonzero += bool(got)
     assert nonzero > 50
+
+
+def _scaled(f, c):
+    return Polynomial(f.space, {e: v * c for e, v in f.terms.items()})
+
+
+def _reference_pfaffian(A, I, memo):
+    """phi(A, I) by the calibrated pivot recursion on the reference loops:
+    every product is formed, zero or not, and added to a fresh copy."""
+    if I not in memo:
+        if len(I) % 2:
+            memo[I] = Polynomial.zero(A.space)
+        elif len(I) <= 2:
+            memo[I] = A.entry(*I) if I else Polynomial.constant(A.space, 1)
+        else:
+            rest = I[1:]
+            raw = reference_sum(A.space, [
+                (epsilon_sign(I, I[0]) * epsilon_sign(rest, j),
+                 reference_product(A.entry(I[0], j),
+                                   _reference_pfaffian(A, tuple(k for k in rest if k != j), memo)))
+                for j in rest])
+            memo[I] = _scaled(raw, _recursion_prefactor(len(I)))
+    return memo[I]
+
+
+def _reference_determinant(A, rows, cols):
+    """The cofactor expansion along the first row, without a memo."""
+    if not rows:
+        return Polynomial.constant(A.space, 1)
+    return reference_sum(A.space, [
+        ((-1) ** pos, reference_product(A.entry(rows[0], j),
+                                        _reference_determinant(A, rows[1:], cols[:pos] + cols[pos + 1:])))
+        for pos, j in enumerate(cols)])
+
+
+def _reference_derivative(A, I, D, memo):
+    """The calibrated derivative formula over ordered pairs (i, j) of I."""
+    def apply(f):
+        return reference_sum(A.space, [(1, reference_product(c, f.partial(pos)))
+                                       for pos, c in enumerate(D.components)])
+
+    signed = []
+    for i in I:
+        rest = tuple(k for k in I if k != i)
+        for j in rest:
+            phi = _reference_pfaffian(A, tuple(k for k in rest if k != j), memo)
+            signed.append((epsilon_sign(I, i) * epsilon_sign(rest, j),
+                           reference_product(phi, apply(A.entry(i, j)))))
+    return _scaled(reference_sum(A.space, signed), _derivative_prefactor(len(I)))
+
+
+def _reference_expansion(I, goh, memo):
+    """The Jacobi expansion over unordered triples of I, in combination order."""
+    signed = []
+    for pos in combinations(range(len(I)), 3):
+        J = _cyclic_sum(goh, tuple(I[p] for p in pos), reference_poisson)
+        phi = _reference_pfaffian(goh.H, tuple(i for p, i in enumerate(I) if p not in pos), memo)
+        signed.append(((-1) ** (sum(pos) - 3), _scaled(reference_product(phi, J), 2)))
+    return reference_sum(goh.H.space, signed)
+
+
+def test_pfaffian_sums_keep_the_reference_order():
+    # the Pfaffian recursion, the determinant oracle, the derivative formula
+    # and the Jacobi expansion are signed sums of products; their keys,
+    # values and insertion order must be those of the plain loops.  A sum
+    # visited in another order has the same value but, on these entries,
+    # another insertion order
+    frames = [(demo_frame("dim5"), (2,)), (demo_frame("dim6-cubic"), (2, 4)),
+              (random_corank1_frame(random.Random(81), 7), (2, 4))]
+    for F, ranks in frames:
+        goh, tampered = goh_matrix(F), tampered_goh(F)
+        fours = index_sets(F.m, 4)
+        for A in (goh.H, tampered.H):
+            memo = {}
+            for I in chain.from_iterable(index_sets(F.m, k) for k in range(4, F.m + 1, 2)):
+                pfaffian_by_recursion(A, I)
+            for I, value in A._pfaffians.items():
+                assert same_order(value, _reference_pfaffian(A, I, memo)), (F.name, I)
+            for I, J in zip(fours, fours[1:] + fours[:1]):
+                assert same_order(minor_determinant(A, I), _reference_determinant(A, I, I))
+                assert same_order(minor_determinant(A, I, J), _reference_determinant(A, I, J))
+                D = goh.ham_fields[I[0] - 1]
+                assert same_order(pfaffian_derivative(A, I, D), _reference_derivative(A, I, D, memo))
+        # J(T) is nonzero on the tampered matrix, so the expansion is too
+        for g in (g for r in ranks for g in abnormal_generators(F, r, goh)):
+            got = _jacobi_expansion(g, tampered)
+            assert got and same_order(got, _reference_expansion(g.I, tampered, memo)), (F.name, g.I)
 
 
 def test_jacobi_identity_check_per_frame():

@@ -15,6 +15,7 @@ from singfol import abnormal
 from singfol.cli import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, InputError, build_frame, main
 from singfol.demos import DEMOS, demo_names
 from singfol.exactpoly import ParseError
+from singfol.pfaffian import skew_rank
 
 
 def run(capsys, *argv):
@@ -99,10 +100,20 @@ def test_normalform_fixture_is_fixed_point(capsys, tmp_path):
     assert "X1 = (1, 0, 0, 0)" in out
 
 
-def test_integrate_engel_csv(capsys, tmp_path):
+def test_integrate_engel_csv(capsys, tmp_path, monkeypatch):
+    # the generic Goh rank gives the default rank and the bound it is
+    # checked against: it is computed once
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return skew_rank(A)
+
+    monkeypatch.setattr("singfol.cli.skew_rank", counted)
     code, out, _ = run(capsys, "integrate", "--from", "0,0,0,0", "--T", "0.02",
                        "--h", "0.01", "--frame", frame_file(tmp_path, "dim4-engel"))
     assert code == EXIT_OK
+    assert len(calls) == 1
     lines = out.splitlines()
     assert lines[1].startswith("# seed=none, h=0.01, T=0.02")
     assert lines[2] == "t,x1,x2,x3,x4,residual_b,residual_c"
@@ -464,6 +475,7 @@ MALFORMED = [
     json.dumps({"dimension": 3.7, "rank": 2, "normal_form": ["0", "x1"]}),
     json.dumps({"dimension": 3, "rank": True, "fields": [["1", "0", "0"]]}),
     json.dumps({"dimension": 4, "rank": 3, "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
+    json.dumps({"dimension": 3, "rank": 2, "normal_form": ["(x1+x2+1)^139", "0"]}),
 ]
 
 

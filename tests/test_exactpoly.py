@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial, random_rational_point, reference_eval_exact
+from conftest import (
+    random_polynomial,
+    random_rational_point,
+    reference_add,
+    reference_eval_exact,
+    reference_poisson,
+    reference_power,
+    reference_product,
+    reference_sum,
+    same_order,
+)
 from singfol import exactpoly
 from singfol.exactpoly import (
     JetSeries,
@@ -206,6 +216,17 @@ def test_parse_power_term_budget():
         parse_expression("(x1+x2+x3+1)^60", s)
     assert err.value.offset == 13
     assert math.comb(60 + 3, 3) == 39711 > exactpoly.MAX_TERMS
+    # ... and each multiplication of its square-and-multiply schedule by
+    # its term pairs: ^139 has 9870 terms, but squares a 2145-term power,
+    # and ^120 multiplies the 1653-term ^56 by that power; the largest step
+    # of (x1+x2+x3+1)^30 is 680 x 969 = 658920 pairs
+    assert math.comb(139 + 2, 2) == 9870 <= exactpoly.MAX_TERMS
+    for text, pairs in (("(x1+x2+1)^139", 2145 * 2145), ("(x1+x2+1)^120", 1653 * 2145)):
+        with pytest.raises(ParseError, match=f"{pairs} term pairs") as err:
+            parse_expression(text, s)
+        assert err.value.offset == 10
+    assert math.comb(64 + 2, 2) == 2145 and math.comb(56 + 2, 2) == 1653
+    assert 680 * 969 == 658920 <= exactpoly.MAX_PRODUCT_PAIRS
     # a product is bounded by its term pairs, checked before multiplying
     s4 = Space(4)
     assert len(parse_expression("(x1+x2+x3+1)^30*x4", s4).terms) == 5456
@@ -377,57 +398,8 @@ def test_series_inverse_property(seed, order):
 # -- kernels against the plain reference loops -------------------------------
 #
 # The product and sum kernels must fill each term dictionary in exactly the
-# order of the plain loops below (eval_float sums in that order), so these
-# tests compare list(terms.items()), not only the dictionaries.
-
-
-def reference_product(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The plain Fraction double loop."""
-    out: dict = {}
-    for ea, ca in f.terms.items():
-        for eb, cb in g.terms.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            acc = out.get(key, 0) + ca * cb
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return Polynomial(f.space, out)
-
-
-def reference_power(f: Polynomial, k: int) -> Polynomial:
-    """Square-and-multiply, as in Polynomial.__pow__, on the reference loop."""
-    result, base = Polynomial.constant(f.space, 1), f
-    while k:
-        if k & 1:
-            result = reference_product(result, base)
-        base = reference_product(base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
-def reference_add(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:
-    """A fresh copy of f with the terms of sign*g added one by one."""
-    out = dict(f.terms)
-    for exps, coeff in g.terms.items():
-        acc = out.get(exps, 0) + sign * coeff
-        if acc:
-            out[exps] = acc
-        else:
-            out.pop(exps, None)
-    return Polynomial(f.space, out)
-
-
-def reference_sum(space: Space, signed_terms) -> Polynomial:
-    """acc = acc + term (or - term), copying the accumulator at every step."""
-    acc = Polynomial.zero(space)
-    for sign, term in signed_terms:
-        acc = reference_add(acc, term, sign)
-    return acc
-
-
-def same_order(got: Polynomial, want: Polynomial) -> bool:
-    return list(got.terms.items()) == list(want.terms.items())
+# order of the plain loops in conftest (eval_float sums in that order), so
+# these tests compare list(terms.items()), not only the dictionaries.
 
 
 _RATIONAL = (1, 2, 3, 7)
@@ -471,6 +443,7 @@ def test_in_place_sums_match_reference(seed, space):
     for sign, term in signed:
         exactpoly._add_terms(acc, term.terms, sign)
     assert list(acc.items()) == list(want.terms.items())
+    assert same_order(exactpoly._signed_sum(space, signed), want)
     got = Polynomial.zero(space)
     for sign, term in signed:
         got = got + term if sign > 0 else got - term
@@ -530,13 +503,7 @@ def test_substitute_matches_reference(seed, size):
 
 
 def _poisson_matches_reference(h: Polynomial, g: Polynomial) -> bool:
-    space = h.space
-    signed = []
-    for k in range(1, space.n + 1):
-        xk, pk = space.x(k), space.p(k)
-        signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
-        signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
-    return same_order(poisson_bracket(h, g), reference_sum(space, signed))
+    return same_order(poisson_bracket(h, g), reference_poisson(h, g))
 
 
 def _lie_and_divergence_match_reference(X: VectorField, Y: VectorField) -> bool:
