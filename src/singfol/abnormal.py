@@ -12,17 +12,18 @@ Conventions used throughout:
   eps(I,j) phi(H, I minus j) hvec^j, one per index set I of cardinality r+1,
   and their base projections Z_I use the reduced Pfaffians.
 
-The divergence certificate checks three exact identities: the Euclidean
-phase-space divergence of Y_I vanishes, the eps-weighted triple-bracket
-expansion of that divergence vanishes, and on the base div(Z_I) is an
-explicit combination of the components of Z_I with coefficients
-proportional to d(A_j)/dx_n.  The proportionality constant is solved from
-one linear equation over Q, never assumed.  The expansion is a sum over the
-triples T of I of Pfaffians times the cyclic Jacobi sums
-J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]}, which vanish by the
-Poisson Jacobi identity whenever H[k,l] = {h^k, h^l}.  Its residual
-therefore certifies the bracket code and the Goh entries, for every frame
-alike; the frame-specific claims are div(Y_I) = 0 and the base residual.
+The divergence certificate checks three exact identities: the Goh matrix
+satisfies the Jacobi identity, the Euclidean phase-space divergence of Y_I
+vanishes, and on the base div(Z_I) is an explicit combination of the
+components of Z_I with coefficients proportional to d(A_j)/dx_n.  The
+proportionality constant is solved from one linear equation over Q, never
+assumed.  The Jacobi identity is that every cyclic Jacobi sum
+J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} over a triple T of
+{1..m} vanishes, as it does by the Poisson Jacobi identity whenever
+H[k,l] = {h^k, h^l}.  The triple-bracket expansion of div(Y_I) is a sum of
+Pfaffians times the J(T), so this one check per frame covers it for every
+generator, and certifies the bracket code and the Goh entries; the
+frame-specific claims are div(Y_I) = 0 and the base residual.
 
 Kernel-membership checks on the annihilator bundle use exact evaluation at
 random rational points rather than quotient-ring arithmetic; a polynomial
@@ -37,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -124,12 +126,10 @@ class GohMatrix:
     their Hamiltonian vector fields; ``reduced`` is the x-only matrix Ht with
     H = p_n * Ht, present exactly when the frame is in corank-1 normal form.
     The entry H[k,l] is the pair bracket {h^k, h^l}; ``_jacobi`` memoizes the
-    cyclic Jacobi sums J(T), at most one per triple of {1..m}, shared by all
-    certificates.  Every J(T) is zero when H is the bracket matrix of the
-    hamiltonians, so a nonzero one shows that H or the bracket code is wrong.
-    ``_identity`` memoizes that check over all triples at once
-    (:meth:`jacobi_identity_holds`), so certificates on a bracket matrix do
-    not look up J(T) per generator.
+    cyclic Jacobi sums J(T), at most one per triple of {1..m}.  Every J(T)
+    is zero when H is the bracket matrix of the hamiltonians, so a nonzero
+    one shows that H or the bracket code is wrong.  :attr:`jacobi_failure`
+    runs that check over all triples once, shared by all certificates.
     """
 
     frame: Frame
@@ -138,7 +138,6 @@ class GohMatrix:
     ham_fields: tuple[VectorField, ...]
     reduced: SkewMatrix | None = None
     _jacobi: dict = field(default_factory=dict, compare=False, repr=False)
-    _identity: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -156,12 +155,16 @@ class GohMatrix:
                 for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1))))
         return value
 
+    @cached_property
+    def jacobi_failure(self) -> tuple[int, int, int] | None:
+        """The first triple T of {1..m}, in lexicographic order, with
+        J(T) != 0, or None; computed once."""
+        return next((T for T in combinations(range(1, self.m + 1), 3) if self.jacobi_sum(T)),
+                    None)
+
     def jacobi_identity_holds(self) -> bool:
-        """Whether J(T) = 0 for every triple T of {1..m}, memoized."""
-        if not self._identity:
-            self._identity.append(all(
-                self.jacobi_sum(T).is_zero() for T in combinations(range(1, self.m + 1), 3)))
-        return self._identity[0]
+        """Whether J(T) = 0 for every triple T of {1..m}."""
+        return self.jacobi_failure is None
 
 
 def goh_matrix(F: Frame) -> GohMatrix:
@@ -351,14 +354,13 @@ class DivergenceCertificate:
     """Exact residual data certifying controlled divergence of a generator.
 
     The certificate is valid iff every stored residual polynomial is zero:
-    ``phase_divergence`` (the Euclidean divergence of Y_I over phase space),
-    ``jacobi_expansion`` (the eps-weighted sum of triple Poisson brackets
-    that the divergence expands into) and, when a base projection exists,
-    ``base_residual`` = div(Z_I) - sum c_j Z_I(x_j) with
-    c_j = base_constant * d(A_j)/dx_n.
-    The Jacobi residual certifies the bracket code and H[k,l] = {h^k, h^l}
-    (see the module docstring); the frame-specific claims are the phase
-    divergence and the base residual.
+    ``phase_divergence`` (the Euclidean divergence of Y_I over phase space)
+    and, when a base projection exists, ``base_residual`` =
+    div(Z_I) - sum c_j Z_I(x_j) with c_j = base_constant * d(A_j)/dx_n.
+    ``jacobi_expansion`` is the zero polynomial: the triple-bracket
+    expansion of the divergence vanishes because the Goh matrix satisfies
+    the Jacobi identity, which :func:`divergence_certificate` checks once per
+    frame before any generator (see the module docstring).
     """
 
     subject: tuple[int, ...]
@@ -370,37 +372,10 @@ class DivergenceCertificate:
     bracket_order: str = "{h^j,{h^k,h^l}}"
 
     def ok(self) -> bool:
-        residuals = [self.phase_divergence, self.jacobi_expansion]
+        residuals = [self.phase_divergence]
         if self.base_residual is not None:
             residuals.append(self.base_residual)
         return all(r.is_zero() for r in residuals)
-
-
-def _jacobi_expansion(g: AbnormalGenerator, goh: GohMatrix) -> Polynomial:
-    """Sum over ordered distinct triples (j,k,l) in I of
-    eps(I,j) eps(I-j,k) eps(I-jk,l) phi(H, I-jkl) {h^j, {h^k, h^l}}.
-
-    The six orderings of one triple T = {a<b<c} share phi(H, I-T) and add up
-    to 2 eps(I,T) phi(H, I-T) J(T), with J(T) the cyclic Jacobi sum and
-    eps(I,T) the sign of moving T, in order, to the front of I: for T at
-    positions p0 < p1 < p2 of I that is (-1)^(p0 + p1-1 + p2-2).  So the sum
-    runs over unordered triples, and a triple with J(T) = 0 costs no product.
-    Every term has a factor J(T), so when the Jacobi identity holds for all
-    triples of the frame the sum is empty without visiting them.
-    """
-    I = g.I
-    if len(I) < 3 or goh.jacobi_identity_holds():
-        return Polynomial.zero(goh.H.space)
-
-    def items():
-        for pos in combinations(range(len(I)), 3):
-            J = goh.jacobi_sum(tuple(I[p] for p in pos))
-            if J.is_zero():
-                continue
-            phi = _pf_cached(goh.H, tuple(i for p, i in enumerate(I) if p not in pos))
-            if not phi.is_zero():
-                yield (-1 if (sum(pos) - 3) % 2 else 1), phi * J * 2
-    return _signed_sum(goh.H.space, items())
 
 
 def divergence_certificate(g: AbnormalGenerator, F: Frame,
@@ -408,12 +383,22 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
     """Build and validate the divergence certificate of a generator.
 
     Raises :class:`CertificateError` (carrying the residual) as soon as any
-    of the exact identities fails.
+    of the exact identities fails; the Goh matrix's Jacobi identity is
+    checked first, and its failure names the frame's first triple T with
+    J(T) != 0, whose J(T) is the residual.
     """
     if goh is None:
         goh = goh_matrix(F)
+
+    def failure(message: str, residual: Polynomial) -> CertificateError:
+        return CertificateError(f"{message}: residual {residual}",
+                                {"I": list(g.I), "residual": str(residual)}, residual)
+
+    if not goh.jacobi_identity_holds():
+        T = goh.jacobi_failure
+        raise failure(f"Jacobi identity fails for Y_{g.I}: the cyclic Jacobi sum of the "
+                      f"triple T={T} is nonzero", goh.jacobi_sum(T))
     phase_div = divergence(g.Y)
-    jacobi = _jacobi_expansion(g, goh)
     base_constant = None
     base_coeffs = None
     base_residual = None
@@ -432,18 +417,10 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
             base_constant = div_z.coefficient(exps) / coeff
             base_residual = div_z - combo * base_constant
         base_coeffs = tuple(dA[j - 1] * base_constant for j in g.I)
-    cert = DivergenceCertificate(g.I, phase_div, jacobi, base_constant, base_coeffs, base_residual)
-
-    def failure(message: str, residual: Polynomial) -> CertificateError:
-        return CertificateError(f"{message}: residual {residual}",
-                                {"I": list(g.I), "residual": str(residual)}, residual)
-
+    cert = DivergenceCertificate(g.I, phase_div, Polynomial.zero(goh.H.space), base_constant,
+                                 base_coeffs, base_residual)
     if not phase_div.is_zero():
         raise failure(f"phase divergence of Y_{g.I} is nonzero", phase_div)
-    if not jacobi.is_zero():
-        T = next(T for T in combinations(g.I, 3) if not goh.jacobi_sum(T).is_zero())
-        raise failure(f"Jacobi expansion for Y_{g.I} is nonzero: the cyclic Jacobi "
-                      f"sum of the triple T={T} is nonzero", jacobi)
     if base_residual is not None and not base_residual.is_zero():
         raise failure(f"base divergence of Z_{g.I} is not a frame combination", base_residual)
     return cert
@@ -591,6 +568,7 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
     nonzero = [q for q in minors if not q.is_zero()]
     if not nonzero:
         return None
+    xf = [float(v) for v in x]
     for k in range(n):
         lead = next((q for q in nonzero if q.degree_in(k) > 0), None)
         if lead is None:
@@ -598,12 +576,14 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
         deg = lead.degree_in(k)
         # freeze the other coordinates, collect univariate coefficients
         coeffs = [0.0] * (deg + 1)
-        for exps, c in lead.terms.items():
-            value = float(c)
-            for pos, e in enumerate(exps):
-                if pos != k and e:
-                    value *= float(x[pos]) ** e
-            coeffs[deg - exps[k]] += value
+        for value, factors in lead._float_terms():
+            ek = 0
+            for pos, e in factors:
+                if pos == k:
+                    ek = e
+                else:
+                    value *= xf[pos] ** e
+            coeffs[deg - ek] += value
         if all(abs(c) < 1e-300 for c in coeffs[:-1]):
             continue
         roots = np.roots(coeffs)

@@ -409,7 +409,7 @@ def cmd_bracket_check(F: Frame, args):
         raise InputError("--depth must be >= 1")
     try:
         x = [Fraction(v).limit_denominator(10 ** 6) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--at expects comma-separated numbers: {exc}") from exc
     if len(x) != F.n:
         raise InputError(f"--at needs {F.n} coordinates")
@@ -453,7 +453,7 @@ class _Parser(argparse.ArgumentParser):
         # let values like "-0.5,0.5" or "-1e-1,1e-1" (box bounds, start
         # points, tolerances) pass as arguments instead of being mistaken
         # for option strings
-        number = r"\d+(\.\d+)?([eE][+-]?\d+)?"
+        number = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
         self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
 
     def error(self, message):

@@ -16,10 +16,10 @@ frame combination), so it is recorded rather than measured.
 
 Evaluation.  Each call compiles its polynomials once into their float form
 (``Polynomial._float_terms``: float coefficients and nonzero exponents,
-terms in insertion order).  One point runs the scalar loop of
+terms in the printing order).  One point runs the scalar loop of
 ``eval_float``.  Many points at once (a volume cloud, or every stored state
 of a trajectory) run :func:`_eval_rows`: the same products and sums as
-numpy elementwise operations, term by term in insertion order, with each
+numpy elementwise operations, term by term in the same order, with each
 power taken per element by Python's float ``**`` (libm ``pow``), because
 numpy's ``**`` rounds differently in a few percent of values.  Every array
 therefore equals the per-point evaluation bit for bit, and printed floats
@@ -160,7 +160,7 @@ def _rows_rhs(forms):
 def _eval_rows(form, X: np.ndarray, powers: dict) -> np.ndarray:
     """A compiled float form on every row of X, bit for bit ``eval_float``.
 
-    Products and sums are numpy elementwise, term by term in insertion
+    Products and sums are numpy elementwise, term by term in the form's
     order, exactly as the scalar loop.  Each power ``x_pos ** e``, e >= 2,
     is taken element by element with Python's float ``**`` (libm ``pow``):
     numpy's ``**`` rounds differently in a few percent of values for e >= 3

@@ -22,16 +22,13 @@ constructor enforces them; ``Polynomial._trusted`` wraps a dictionary that
 already meets them without a check.  Only this module adds one dictionary
 into another in place (:func:`_add_terms`).  Other modules sum through
 :func:`_signed_sum`, which adds ``(sign, polynomial)`` items into one
-dictionary in the order they come, and :func:`_sum_products`, its filter for
-sums of products; outside this module ``_trusted`` wraps only the disjoint
-reshape of ``vectorfield.hamiltonian_lift``.  The insertion order of each
-dictionary is part of the contract, although equality ignores it:
-``eval_float`` (and the compiled float form ``dynamics`` evaluates on arrays
-of points) sums terms in that order, and ``scan-div`` prints the resulting
-``ratio_sup`` with ``repr``, so a different order can change the last digits
-of CLI output.  Every kernel below fills its dictionary in the order the
-plain term-by-term loops would, and a sum keeps the order in which its
-caller visits the items.
+dictionary, and :func:`_sum_products`, its filter for sums of products;
+outside this module ``_trusted`` wraps only the disjoint reshape of
+``vectorfield.hamiltonian_lift``.
+
+Every output is a function of the polynomial's value alone: the float layer
+sums terms in the printing order (:meth:`Polynomial._float_terms`), so
+insertion order is never output.
 
 Exact point values run on ints.  A polynomial valued at a rational point
 keeps its integer form in the slot ``_exact``: integer numerators over one
@@ -47,10 +44,8 @@ Callers test for zero before they build a product: :func:`_sum_products`
 skips a pair with a zero operand, and the brackets, Pfaffian expansions and
 :meth:`Polynomial.substitute` skip a zero factor lazily, before they
 differentiate or multiply, so a sum is given only the products formed.  An
-empty product adds nothing to a sum, so skipping it leaves every dictionary,
-and its insertion order, as it was.  Adding ``(-1, t)`` is adding
-``(1, -t)``: negation commutes exactly with the product, so a sign may sit
-in the item or in a factor.
+empty product adds nothing to a sum.  Adding ``(-1, t)`` is adding
+``(1, -t)``, so a sign may sit in the item or in a factor.
 
 The module also provides truncated power series in the base variables
 (:class:`JetSeries`) and a recursive-descent parser for the expression
@@ -177,12 +172,8 @@ def _as_fraction(value) -> Fraction:
 
 
 def _add_terms(acc: dict, terms: Mapping[tuple, Fraction], sign: int = 1) -> None:
-    """Add ``terms`` into ``acc`` in place (subtract when ``sign`` < 0).
-
-    Keys already in ``acc`` keep their position, new keys are appended, and
-    a key whose coefficient cancels is removed, exactly as a fresh
-    ``acc + terms`` would leave them.
-    """
+    """Add ``terms`` into ``acc`` in place (subtract when ``sign`` < 0); a
+    key whose coefficient cancels is removed."""
     for exps, coeff in terms.items():
         old = acc.get(exps)
         if old is None:
@@ -207,11 +198,8 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
     """Product of two term dictionaries, skipping every pair whose total
     degree exceeds ``order`` (when given).
 
-    Pairs are visited row by row (terms of ``a`` outside, of ``b`` inside),
-    so keys are inserted, cancelled and re-inserted as by the plain double
-    loop.  Coefficients run on ints scaled by the common denominators; the
-    scale is a nonzero constant, so every zero test agrees with a Fraction
-    loop.
+    Coefficients run on ints scaled by the common denominators; the scale is
+    a nonzero constant, so every zero test agrees with a Fraction loop.
     """
     if not a or not b:
         return {}
@@ -246,7 +234,7 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
 
 def _signed_sum(space: Space, items) -> "Polynomial":
     """The sum of ``sign * poly`` over ``(sign, poly)`` items, each added
-    into one dictionary in order by :func:`_add_terms`."""
+    into one dictionary by :func:`_add_terms`."""
     acc: dict = {}
     for sign, poly in items:
         _add_terms(acc, poly.terms, sign)
@@ -254,7 +242,7 @@ def _signed_sum(space: Space, items) -> "Polynomial":
 
 
 def _sum_products(space: Space, pairs) -> "Polynomial":
-    """The sum of ``a * b`` over ``pairs``, in order.  A pair with a falsy
+    """The sum of ``a * b`` over ``pairs``.  A pair with a falsy
     operand (an empty Polynomial, ``Fraction(0)``) is skipped: its product
     is empty and would add nothing."""
     return _signed_sum(space, ((1, a * b) for a, b in pairs if a and b))
@@ -520,9 +508,9 @@ class Polynomial:
 
     def _exact_form(self, store: bool = True) -> tuple[tuple, int, int]:
         """The integer form ``(items, d, top)`` that exact point values read:
-        one ``(((pos, e), ...), c, deg)`` per term in insertion order, with
-        the nonzero exponents, the integer numerator c over the common
-        denominator d and the total degree; ``top`` is the top total degree.
+        one ``(((pos, e), ...), c, deg)`` per term, with the nonzero
+        exponents, the integer numerator c over the common denominator d and
+        the total degree; ``top`` is the top total degree.
         Cached in the ``_exact`` slot on first use, unless ``store`` is false.
         """
         try:
@@ -541,8 +529,8 @@ class Polynomial:
         over :meth:`_float_terms`.
 
         Each term is its float coefficient times ``point[pos] ** e`` for its
-        nonzero exponents, left to right, and the terms are summed in
-        insertion order.  ``**`` is Python's float power (libm ``pow``); it
+        nonzero exponents, left to right, and the terms are summed in the
+        printing order.  ``**`` is Python's float power (libm ``pow``); it
         raises ``OverflowError`` when a power overflows, as ``float`` does
         for a coefficient beyond the double range.
         """
@@ -550,7 +538,9 @@ class Polynomial:
 
     def _float_terms(self) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
         """The compiled float form: ``(float(coeff), ((pos, e), ...))`` per
-        term in insertion order, with the nonzero exponents only.
+        term in the printing order (:meth:`sorted_terms`), with the nonzero
+        exponents only.  Float addition is not associative, so this one
+        order makes every float a function of the polynomial's value.
 
         Compile once and evaluate many times: ``eval_float`` on one point,
         ``dynamics`` also on arrays of points, with the same arithmetic in
@@ -558,7 +548,7 @@ class Polynomial:
         caller holds it (the exact integer form is the one that is cached).
         """
         return [(float(coeff), tuple((pos, e) for pos, e in enumerate(exps) if e))
-                for exps, coeff in self.terms.items()]
+                for exps, coeff in self.sorted_terms()]
 
     # -- substitution and reshaping ------------------------------------------
 

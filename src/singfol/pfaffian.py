@@ -162,8 +162,8 @@ def _merge_disjoint(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, 
 
 def _wedge(u: dict, v: dict, space: Space) -> dict:
     """u ^ v for forms stored as {ascending basis tuple: coefficient}: the
-    signed products on each basis are summed in order, and a basis whose
-    sum is zero is dropped."""
+    signed products on each basis are summed, and a basis whose sum is zero
+    is dropped."""
     products: dict = {}
     for bu, cu in u.items():
         for bv, cv in v.items():
@@ -238,7 +238,7 @@ def _proportionality(target: Polynomial, raw: Polynomial) -> Fraction:
 
 def _raw_recursion_sum(A: SkewMatrix, I: tuple[int, ...], i0: int,
                        sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
-    """Sum of eps(I,i0) eps(I-i0,j) a_i0j sub(I-i0j) over j in I-i0, in order."""
+    """Sum of eps(I,i0) eps(I-i0,j) a_i0j sub(I-i0j) over j in I-i0."""
     rest = tuple(k for k in I if k != i0)
 
     def items():

@@ -258,8 +258,8 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def hamiltonian_lift(X: VectorField) -> Polynomial:
     """The momentum function p . X(x) of a base field (fiber-linear).
 
-    Component k contributes its terms with the exponent of p_k raised to 1,
-    in component order; terms of different components never share a key.
+    Component k contributes its terms with the exponent of p_k raised to 1;
+    terms of different components never share a key.
     """
     if X.kind != "base":
         raise ValueError("lift applies to base fields")
@@ -285,10 +285,8 @@ def hamiltonian_vector_field(h: Polynomial) -> VectorField:
 def _hamiltonian_derivative(Xh: VectorField, g: Polynomial) -> Polynomial:
     """{h, g} = X_h(g) for X_h = (dh/dp, -dh/dx) the Hamiltonian field of h.
 
-    For each k the dg/dx_k term is added before the dg/dp_k term, as in the
-    coordinate formula of :func:`poisson_bracket`; a partial of g is taken
-    only behind a nonzero component of X_h, and a product only when both
-    factors are nonzero.
+    A partial of g is taken only behind a nonzero component of X_h, and a
+    product only when both factors are nonzero.
     """
     n, comps = Xh.space.n, Xh.components
 
@@ -304,8 +302,7 @@ def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
     """{h, g} = sum_k dh/dp_k dg/dx_k - dh/dx_k dg/dp_k.
 
     The p-block of the Hamiltonian field holds -dh/dx_k, so its products
-    are added; negation commutes exactly with the product, so every key,
-    value and insertion order equals that of subtracting dh/dx_k dg/dp_k.
+    are added, which equals subtracting dh/dx_k dg/dp_k.
     """
     if not h.space.fiber or g.space != h.space:
         raise ValueError("Poisson bracket needs two phase-space functions")

@@ -152,13 +152,21 @@ def scale_fiber(f: Polynomial, lam: Fraction) -> Polynomial:
     return Polynomial(f.space, out)
 
 
+# one corank-1 frame (n=4) in two spellings: the same polynomials, their
+# terms written, and so inserted, in other orders
+TWO_SPELLINGS = (["x2 + 1/3*x1^3 - 2/7*x3", "x4 - 3/5*x1*x2 + 1/9",
+                  "x1^2 + 5/11*x2*x3 - 1/3*x4^2"],
+                 ["0 - 2/7*x3 + 1/3*x1^3 + x2", "1/9 - 3/5*x1*x2 + x4",
+                  "0 - 1/3*x4^2 + 5/11*x2*x3 + x1^2"])
+
+
 def tampered_goh(F):
     """The Goh matrix of a corank-1 frame with E[k,l] added to every upper
     entry (k, l), where E[k,l] is the product of the x_i, i <= m, i not k, l.
 
     Its H is no longer the bracket matrix of its hamiltonians.  The bracket
-    part of the expansion still cancels by the Jacobi identity, and each
-    triple {a, b, c} leaves {h^a, E[b,c]} + {h^b, E[c,a]} + {h^c, E[a,b]},
+    part of each cyclic Jacobi sum still cancels by the Jacobi identity, and
+    each triple {a, b, c} leaves {h^a, E[b,c]} + {h^b, E[c,a]} + {h^c, E[a,b]},
     which is the product of the x_i outside the triple, up to sign: the p_a
     term of h^a = p_a + A_a p_n differentiates x_a out of E[b,c], whatever
     the coefficients A_a are.
@@ -206,9 +214,8 @@ def reference_offenders(F: Frame, x, p) -> list[tuple[int, Fraction]]:
 
 # -- plain reference loops ---------------------------------------------------
 #
-# The exact kernels must fill each term dictionary in exactly the order of
-# these loops (eval_float sums in that order), so tests compare
-# list(terms.items()) against them, not only the dictionaries.
+# Value oracles for the exact kernels: each kernel must give a polynomial
+# equal to the one these term-by-term loops give.
 
 
 def reference_product(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -254,10 +261,6 @@ def reference_sum(space: Space, signed_terms) -> Polynomial:
     for sign, term in signed_terms:
         acc = reference_add(acc, term, sign)
     return acc
-
-
-def same_order(got: Polynomial, want: Polynomial) -> bool:
-    return list(got.terms.items()) == list(want.terms.items())
 
 
 def reference_poisson(h: Polynomial, g: Polynomial) -> Polynomial:

@@ -16,7 +16,6 @@ from conftest import (
     reference_poisson,
     reference_product,
     reference_sum,
-    same_order,
     scale_fiber,
     tampered_goh,
 )
@@ -29,7 +28,6 @@ from singfol.abnormal import (
     SamplerConfig,
     SamplingError,
     _annihilator_offenders,
-    _jacobi_expansion,
     abnormal_generators,
     divergence_certificate,
     goh_matrix,
@@ -485,22 +483,29 @@ def _reference_jacobi(I, goh):
     return acc
 
 
-def test_jacobi_expansion_nonzero_off_the_bracket_matrix():
-    # a certificate passes on a zero expansion, so check that the expansion
-    # is not zero by construction: on a Goh matrix that is not the bracket
-    # matrix it must be nonzero and agree with the plain triple loop
+def test_certificate_fails_off_the_bracket_matrix():
+    # the Jacobi part of a certificate is one check per frame, so check that
+    # it does not pass by construction: on a Goh matrix that is not the
+    # bracket matrix, where the triple-bracket expansion of every generator
+    # is nonzero, every certificate fails on the frame's first triple, and
+    # carries its cyclic sum by the definition as the residual
     frames = [(demo_frame("dim4"), (2,)), (demo_frame("dim5"), (2,)),
               (demo_frame("dim6-cubic"), (2, 4)),
               (random_corank1_frame(random.Random(81), 7), (2, 4))]
     for F, ranks in frames:
         goh = goh_matrix(F)
         tampered = tampered_goh(F)
+        residual = _cyclic_sum(tampered, (1, 2, 3), reference_poisson)
+        assert not residual.is_zero()
         for r in ranks:
             for g in abnormal_generators(F, r, goh):
-                expansion = _jacobi_expansion(g, tampered)
-                assert not expansion.is_zero(), (F.name, g.I)
-                assert expansion == _reference_jacobi(g.I, tampered), (F.name, g.I)
-                assert _jacobi_expansion(g, goh).is_zero()
+                assert not _reference_jacobi(g.I, tampered).is_zero(), (F.name, g.I)
+                with pytest.raises(CertificateError) as err:
+                    divergence_certificate(g, F, tampered)
+                assert "T=(1, 2, 3)" in str(err.value), (F.name, g.I)
+                assert err.value.residual == residual
+                assert err.value.detail == {"I": list(g.I), "residual": str(residual)}
+                assert divergence_certificate(g, F, goh).jacobi_expansion.is_zero()
 
 
 def test_cyclic_jacobi_sums_vanish_on_the_bracket_matrix():
@@ -540,12 +545,12 @@ def _jacobi_test_frames():
     return frames + [random_corank1_frame(random.Random(seed), n) for seed, n in ((81, 7), (82, 8))]
 
 
-def test_jacobi_sums_keep_the_coordinate_bracket_order():
-    # jacobi_sum differentiates along the cached Hamiltonian fields; its
-    # keys, values and insertion order must be those of the cyclic sum of
-    # coordinate-formula brackets, on bracket and on tampered matrices
-    # a shift that depends on p reaches the p-block products, which the
-    # x-only shifts of the tampered matrices leave out
+def test_jacobi_sums_match_the_coordinate_brackets():
+    # jacobi_sum differentiates along the cached Hamiltonian fields; it
+    # must equal the cyclic sum of coordinate-formula brackets, on bracket
+    # and on tampered matrices; a shift that depends on p reaches the
+    # p-block products, which the x-only shifts of the tampered matrices
+    # leave out
     nonzero = 0
     cases = [(F, "x1") for F in _jacobi_test_frames()]
     cases += [(random_general_frame(random.Random(seed), 4, 3), "x2*p1 + x1*p3")
@@ -557,8 +562,8 @@ def test_jacobi_sums_keep_the_coordinate_bracket_order():
         for goh in gohs:
             for T in combinations(range(1, F.m + 1), 3):
                 got = goh.jacobi_sum(T)
-                assert same_order(got, _cyclic_sum(goh, T, reference_poisson)), (F.name, T)
-                assert same_order(got, _cyclic_sum(goh, T, poisson_bracket)), (F.name, T)
+                assert got == _cyclic_sum(goh, T, reference_poisson), (F.name, T)
+                assert got == _cyclic_sum(goh, T, poisson_bracket), (F.name, T)
                 nonzero += bool(got)
     assert nonzero > 50
 
@@ -612,25 +617,12 @@ def _reference_derivative(A, I, D, memo):
     return _scaled(reference_sum(A.space, signed), _derivative_prefactor(len(I)))
 
 
-def _reference_expansion(I, goh, memo):
-    """The Jacobi expansion over unordered triples of I, in combination order."""
-    signed = []
-    for pos in combinations(range(len(I)), 3):
-        J = _cyclic_sum(goh, tuple(I[p] for p in pos), reference_poisson)
-        phi = _reference_pfaffian(goh.H, tuple(i for p, i in enumerate(I) if p not in pos), memo)
-        signed.append(((-1) ** (sum(pos) - 3), _scaled(reference_product(phi, J), 2)))
-    return reference_sum(goh.H.space, signed)
-
-
-def test_pfaffian_sums_keep_the_reference_order():
-    # the Pfaffian recursion, the determinant oracle, the derivative formula
-    # and the Jacobi expansion are signed sums of products; their keys,
-    # values and insertion order must be those of the plain loops.  A sum
-    # visited in another order has the same value but, on these entries,
-    # another insertion order
-    frames = [(demo_frame("dim5"), (2,)), (demo_frame("dim6-cubic"), (2, 4)),
-              (random_corank1_frame(random.Random(81), 7), (2, 4))]
-    for F, ranks in frames:
+def test_pfaffian_sums_match_the_reference_loops():
+    # the Pfaffian recursion, the determinant oracle and the derivative
+    # formula are signed sums of products; each must equal the plain loops,
+    # on bracket and on tampered matrices
+    for F in (demo_frame("dim5"), demo_frame("dim6-cubic"),
+              random_corank1_frame(random.Random(81), 7)):
         goh, tampered = goh_matrix(F), tampered_goh(F)
         fours = index_sets(F.m, 4)
         for A in (goh.H, tampered.H):
@@ -638,16 +630,12 @@ def test_pfaffian_sums_keep_the_reference_order():
             for I in chain.from_iterable(index_sets(F.m, k) for k in range(4, F.m + 1, 2)):
                 pfaffian_by_recursion(A, I)
             for I, value in A._pfaffians.items():
-                assert same_order(value, _reference_pfaffian(A, I, memo)), (F.name, I)
+                assert value == _reference_pfaffian(A, I, memo), (F.name, I)
             for I, J in zip(fours, fours[1:] + fours[:1]):
-                assert same_order(minor_determinant(A, I), _reference_determinant(A, I, I))
-                assert same_order(minor_determinant(A, I, J), _reference_determinant(A, I, J))
+                assert minor_determinant(A, I) == _reference_determinant(A, I, I)
+                assert minor_determinant(A, I, J) == _reference_determinant(A, I, J)
                 D = goh.ham_fields[I[0] - 1]
-                assert same_order(pfaffian_derivative(A, I, D), _reference_derivative(A, I, D, memo))
-        # J(T) is nonzero on the tampered matrix, so the expansion is too
-        for g in (g for r in ranks for g in abnormal_generators(F, r, goh)):
-            got = _jacobi_expansion(g, tampered)
-            assert got and same_order(got, _reference_expansion(g.I, tampered, memo)), (F.name, g.I)
+                assert pfaffian_derivative(A, I, D) == _reference_derivative(A, I, D, memo)
 
 
 def test_jacobi_identity_check_per_frame():
@@ -661,27 +649,24 @@ def test_jacobi_identity_check_per_frame():
 
 
 def test_jacobi_failure_names_the_first_nonzero_triple():
-    # every J(T) of the tampered matrix is nonzero: the first triple of I fails
-    F = demo_frame("dim5")
-    tampered = tampered_goh(F)
-    for g in abnormal_generators(F, 2, goh_matrix(F)):
-        with pytest.raises(CertificateError) as err:
-            divergence_certificate(g, F, tampered)
-        assert f"T={g.I[:3]}" in str(err.value)
-        assert err.value.residual == _reference_jacobi(g.I, tampered)
     # only the triples through {5, 6} break when H[5,6] alone is wrong, so
-    # the first failing triple of I = (1, 2, 4, 5, 6) is (1, 5, 6)
+    # the frame's first failing triple is (1, 5, 6)
     F = random_corank1_frame(random.Random(81), 7)
     shifted = _goh_with_shifted_entry(F, 5, 6)
-    failing = []
+    assert shifted.jacobi_failure == (1, 5, 6)
+    residual = _cyclic_sum(shifted, (1, 5, 6), reference_poisson)
+    expanded = []
     for g in abnormal_generators(F, 4, goh_matrix(F)):
-        if _jacobi_expansion(g, shifted).is_zero():
-            continue
         with pytest.raises(CertificateError) as err:
             divergence_certificate(g, F, shifted)
-        assert f"T={(g.I[0], 5, 6)}" in str(err.value), g.I
-        failing.append(g.I)
-    assert failing == [(1, 2, 4, 5, 6), (1, 3, 4, 5, 6)]
+        assert "T=(1, 5, 6)" in str(err.value), g.I
+        assert err.value.residual == residual
+        if not _reference_jacobi(g.I, shifted).is_zero():
+            expanded.append(g.I)
+    # the per-frame check is the stronger one: every rank-4 generator fails
+    # it, while the triple-bracket expansion of its divergence is nonzero
+    # for these two only
+    assert expanded == [(1, 2, 4, 5, 6), (1, 3, 4, 5, 6)]
 
 
 # -- singular set ------------------------------------------------------------------

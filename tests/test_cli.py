@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singfol
-from conftest import tampered_goh
+from conftest import TWO_SPELLINGS, tampered_goh
 from singfol import abnormal
 from singfol.cli import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, InputError, build_frame, main
 from singfol.demos import DEMOS, demo_names
@@ -251,6 +251,8 @@ def test_schema_validation_errors(capsys, tmp_path):
     # (0, 0.01) holds one value of the 1/64 sample grid, 0, so every sample
     # would be x = 0
     (["stratify", "--seed", "1", "--box", "0,0.01"], "box [0, 1/100] holds fewer than two"),
+    # a zero denominator in a rational coordinate
+    (["bracket-check", "--at", "1/0,0,0,0"], "--at"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -309,6 +311,26 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path):
     code, out, err = run(capsys, "stratify", "--seed", "1", "--tolerance", "-1e-8", "--frame", frame)
     assert code == EXIT_INPUT
     assert out == "" and err == "error: --tolerance must be a finite number >= 0\n"
+    # a mantissa without digits after or before its point, as float reads it
+    strat = ["stratify", "--seed", "1", "--samples", "8", "--frame", frame]
+    integ = ["integrate", "--T", "0.02", "--h", "0.01", "--frame", frame]
+    for argv, flag, value in ((strat, "--box", "-.5,.5"), (strat, "--box", "-1.,1."),
+                              (integ, "--from", "-.1,0.1,0.1,0.1")):
+        want = run(capsys, *argv, f"{flag}={value}")
+        assert want[0] == EXIT_OK
+        assert run(capsys, *argv, flag, value) == want
+
+
+def test_integrate_prints_the_same_bytes_for_two_spellings_of_one_frame(capsys, tmp_path):
+    paths = []
+    for k, normal_form in enumerate(TWO_SPELLINGS):
+        path = tmp_path / f"spelling{k}.json"
+        path.write_text(json.dumps({"dimension": 4, "rank": 3, "normal_form": normal_form}),
+                        encoding="utf-8")
+        paths.append(str(path))
+    argv = ["integrate", "--from", "0.1,0.05,-0.1,0.02", "--T", "0.5", "--h", "0.01"]
+    first, second = (run(capsys, *argv, "--frame", path) for path in paths)
+    assert first[0] == EXIT_OK and first == second
 
 
 def test_scan_div_zero_samples_is_valid(capsys, tmp_path):
@@ -375,19 +397,19 @@ def test_early_closed_pipe_exits_1_without_traceback():
 def test_failed_certificate_exits_2(capsys, tmp_path, monkeypatch):
     # certify the real generators against a Goh matrix that is no longer the
     # bracket matrix of its hamiltonians: the Jacobi identity of the triple
-    # (1, 2, 3) breaks
+    # (1, 2, 3) breaks, and its cyclic sum is the residual
     certificate = abnormal.divergence_certificate
     monkeypatch.setattr(abnormal, "divergence_certificate",
                         lambda g, F, goh=None: certificate(g, F, tampered_goh(F)))
     frame = frame_file(tmp_path, "dim5")
     code, out, err = run(capsys, "certify", "--frame", frame)
     assert code == EXIT_CERTIFICATE
-    assert out == "" and err.startswith("certificate failure: Jacobi expansion for Y_(1, 2, 3)")
+    assert out == "" and err.startswith("certificate failure: Jacobi identity fails for Y_(1, 2, 3)")
     code, out, _ = run(capsys, "certify", "--frame", frame, "--json")
     assert code == EXIT_CERTIFICATE
     report = json.loads(out)
     assert report["command"] == "certify" and "T=(1, 2, 3)" in report["error"]
-    assert report["detail"] == {"I": [1, 2, 3], "residual": "2*x4"}
+    assert report["detail"] == {"I": [1, 2, 3], "residual": "x4"}
 
 
 def test_every_reported_error_is_a_singfol_error():
@@ -448,7 +470,8 @@ INTS = ["0", "-1", "1", "2", "7"]
 RANKS = ["2", "0", "-1", "1", "7"]
 FLOATS = ["0.01", "nan", "inf", "1e400", "-1e400", "0", "-0.5"]
 BOXES = ["-1,1", "0,0.5", "1e200,1e201", "-1e400,1", "nan,1", "1,-1", "1"]
-POINTS = ["0.1,0.2,0.3,0.1", "0,0,0", "0,0,0,0,0", "0,0,0,0,0,0", "nan,0,0,0", "1e400,0,0,0", "x"]
+POINTS = ["0.1,0.2,0.3,0.1", "0,0,0", "0,0,0,0,0", "0,0,0,0,0,0", "nan,0,0,0", "1e400,0,0,0", "x",
+          "1/0,0,0,0"]
 FIELDS = ["1,2,3", "1", "2,1", "a", "0,9"]
 # flag -> value pool, per subcommand; each pool starts with a valid value
 FLAGS = {

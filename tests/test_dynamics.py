@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_corank1_frame
-from singfol.abnormal import abnormal_generators, divergence_certificate, goh_matrix
+from conftest import TWO_SPELLINGS, random_corank1_frame, random_polynomial
+from singfol.abnormal import (_project_onto_locus, abnormal_generators, divergence_certificate,
+                              goh_matrix, singular_set_equations)
 from singfol import dynamics
 from singfol.demos import demo_frame
 from singfol.dynamics import (
@@ -23,7 +24,7 @@ from singfol.dynamics import (
 )
 from singfol.exactpoly import Polynomial, Space, parse_expression
 from singfol.pfaffian import skew_rank
-from singfol.vectorfield import VectorField, divergence
+from singfol.vectorfield import Frame, VectorField, divergence
 
 
 def base_field(space, *exprs):
@@ -235,8 +236,10 @@ def test_volume_dim4_exp_bound():
 
 
 def _reference_eval(poly, point):
+    """The term loop in the printing order, the one order the float layer
+    sums in."""
     total = 0.0
-    for exps, coeff in poly.terms.items():
+    for exps, coeff in poly.sorted_terms():
         term = float(coeff)
         for e, v in zip(exps, point):
             if e:
@@ -393,6 +396,69 @@ def test_eval_float_matches_term_loop_on_random_polynomials():
         P = Polynomial(s, terms)
         point = [rng.uniform(-2, 2) for _ in range(3)]
         assert P.eval_float(point).hex() == _reference_eval(P, point).hex()
+
+
+# -- output depends only on polynomial values ---------------------------------
+#
+# Two spellings of one frame give == polynomials whose terms were inserted in
+# other orders; every float the numeric layer computes from them must agree
+# bit for bit.
+
+
+def _reversed(poly):
+    return Polynomial(poly.space, dict(reversed(poly.terms.items())))
+
+
+def _inserted_otherwise(a, b):
+    """a == b, with the terms of at least one pair inserted in another order."""
+    return a == b and any(list(p.terms) != list(q.terms) for p, q in zip(a, b))
+
+
+def test_float_outputs_depend_only_on_polynomial_values():
+    rng = random.Random(11)
+    space = Space(3)
+    for _ in range(100):
+        P = random_polynomial(rng, space, 6, 4, (1, 2, 3, 7))
+        Q = _reversed(P)
+        assert P._float_terms() == Q._float_terms()
+        point = [rng.uniform(-2, 2) for _ in range(3)]
+        assert P.eval_float(point).hex() == Q.eval_float(point).hex()
+
+    frames = [Frame.corank1(4, [parse_expression(t, Space(4)) for t in spelling])
+              for spelling in TWO_SPELLINGS]
+    assert _inserted_otherwise(frames[0].normal_form, frames[1].normal_form)
+    gohs = [goh_matrix(F) for F in frames]
+    gens = [abnormal_generators(F, 2, goh)[0] for F, goh in zip(frames, gohs)]
+    Z1, Z2 = (g.Z for g in gens)
+    assert _inserted_otherwise(Z1.components, Z2.components)
+    for c1, c2 in zip(Z1.components + (divergence(Z1),), Z2.components + (divergence(Z2),)):
+        assert c1._float_terms() == c2._float_terms()
+    x0, T, h = [0.1, 0.05, -0.1, 0.02], 0.5, 0.01
+    assert _same(integrate_field(Z1, x0, T, h).states, integrate_field(Z2, x0, T, h).states)
+    t1, t2 = (abnormal_trajectory(F, g, x0, T, h, 1e-10, goh)
+              for F, g, goh in zip(frames, gens, gohs))
+    for name in ("states", "costates", "goh_residuals", "annihilation_residuals"):
+        assert _same(getattr(t1, name), getattr(t2, name)), name
+    cloud = sample_cloud((-0.5, 0.5), 8, 4, seed=3)
+    v1, v2 = (volume_distortion(Z, cloud, 0.2, h) for Z in (Z1, Z2))
+    for name in ("weights", "lengths", "min_weights"):
+        assert _same(getattr(v1, name), getattr(v2, name)), name
+    s1, s2 = (divergence_ratio_scan(Z, (-1, 1), 200, seed=5, cutoff=1e-3) for Z in (Z1, Z2))
+    assert s1 == s2 and s1.ratio_sup.hex() == s2.ratio_sup.hex()
+
+    # the locus search freezes its lead minor to float coefficients; this
+    # one has rational roots, so the projection reaches the locus
+    minors = singular_set_equations(demo_frame("dim6-cubic"), 4)
+    other = [_reversed(q) for q in minors]
+    assert _inserted_otherwise(minors, other)
+    rng = random.Random(1)
+    reached = 0
+    for _ in range(20):
+        x = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(6))
+        point = _project_onto_locus(minors, x, 1e-8)
+        assert point == _project_onto_locus(other, x, 1e-8), x
+        reached += point is not None
+    assert reached
 
 
 def test_cloud_blow_up_reports_first_point_in_cloud_order():

