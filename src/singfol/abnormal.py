@@ -447,6 +447,9 @@ def singular_set_equations(F: Frame, r: int, goh: GohMatrix | None = None) -> li
 SAMPLE_DENOMINATOR = 64
 # stratify searches at most this many loci below the open stratum
 MAX_LEVELS = 4
+# the locus search trial-divides by integers up to this bound, and tries at
+# most this many rational roots per coordinate
+ROOT_SEARCH_LIMIT = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -456,10 +459,10 @@ class SamplerConfig:
     ``box`` bounds every base coordinate; samples are exact rationals on the
     grid with denominator ``SAMPLE_DENOMINATOR``, so every rank decision
     downstream stays in exact arithmetic.  A box that holds fewer than two
-    grid values raises :class:`SamplingError`.  ``tolerance`` bounds the float
-    steps of the locus search: the imaginary part of an ``np.roots`` root that
-    is still taken as real, and the largest |minor| of the float screen that
-    fills ``Stratification.unconfirmed``.
+    grid values raises :class:`SamplingError`.  The locus search is exact;
+    ``tolerance`` bounds only the float screen that fills
+    ``Stratification.unconfirmed``: the largest |minor| of a seed reported
+    there.
     """
 
     seed: int
@@ -542,59 +545,86 @@ def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
     raise SamplingError("could not draw a valid annihilator point (degenerate box?)")
 
 
-def _rationalize_near(value: float, max_den: int = 10 ** 6) -> list[Fraction]:
-    """Candidate exact values near a float, smallest denominators first."""
-    out = []
-    for den in (1, 2, 4, 8, 16, 64, 1024, 10 ** 4, max_den):
-        cand = Fraction(value).limit_denominator(den)
-        if cand not in out:
-            out.append(cand)
-    return out
+def _divisors(N: int) -> list[int] | None:
+    """The positive divisors of N != 0, ascending; None when trial division
+    up to ROOT_SEARCH_LIMIT leaves a cofactor it cannot prove prime, or
+    finds more than ROOT_SEARCH_LIMIT divisors."""
+    N, divisors, d = abs(N), [1], 2
+    while d * d <= N:
+        if d > ROOT_SEARCH_LIMIT or len(divisors) > ROOT_SEARCH_LIMIT:
+            return None
+        layer = divisors
+        while N % d == 0:
+            N //= d
+            layer = [a * d for a in layer]
+            divisors = divisors + layer
+        d += 1
+    return sorted(divisors + [a * N for a in divisors] if N > 1 else divisors)
 
 
-def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
-                        tolerance: float) -> tuple[Fraction, ...] | None:
+def _rational_roots(coeffs: Sequence[Fraction]):
+    """The distinct rational roots of sum over i of coeffs[i] t^i, by the
+    rational root theorem on its coefficients scaled to coprime ints.
+
+    Order: 0 when t divides the polynomial; then each p/q in lowest terms,
+    p dividing the lowest nonzero coefficient and q > 0 the top one, by
+    increasing q, then increasing p > 0, p/q before -p/q, each tested by
+    integer evaluation.  A constant has no roots, and a linear polynomial,
+    once t is divided out, gives its root directly, so it never goes
+    missing.  Otherwise an end coefficient that :func:`_divisors` cannot
+    factor, or more than ROOT_SEARCH_LIMIT candidates, ends the search: the
+    nonzero roots go missing.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    while ints and not ints[-1]:
+        ints.pop()
+    if len(ints) < 2:
+        return
+    low = next(i for i, a in enumerate(ints) if a)
+    if low:
+        yield Fraction(0)
+    content = math.gcd(*ints)
+    ints = [a // content for a in ints[low:]]
+    deg = len(ints) - 1
+    if deg == 1:
+        yield Fraction(-ints[0], ints[1])
+    if deg < 2:
+        return
+    P, Q = _divisors(ints[0]), _divisors(ints[-1])
+    if P is None or Q is None or 2 * len(P) * len(Q) > ROOT_SEARCH_LIMIT:
+        return
+    for q in Q:
+        for p in P:
+            for s in ((p, -p) if math.gcd(p, q) == 1 else ()):
+                if not sum(a * s ** i * q ** (deg - i) for i, a in enumerate(ints)):
+                    yield Fraction(s, q)
+
+
+def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...]
+                        ) -> tuple[Fraction, ...] | None:
     """Try to move one coordinate of x onto the common zero set of minors.
 
-    For each coordinate, the first minor depending on it is frozen to a
-    univariate polynomial whose float roots are rationalized and verified
-    against ALL minors exactly.  Returns an exact locus point or None.
+    For each coordinate k in turn, the first minor depending on x_k is
+    frozen to a polynomial in x_k, the other coordinates at their exact
+    values.  Its roots, in the order of :func:`_rational_roots`, are checked
+    against ALL minors exactly, and the first at which all vanish gives the
+    returned point.  None when no coordinate reaches the locus.
     """
-    # numpy is imported here, its only use in the module, so that the
-    # symbolic commands start without it
-    import numpy as np
-
-    n = len(x)
     nonzero = [q for q in minors if not q.is_zero()]
-    if not nonzero:
-        return None
-    xf = [float(v) for v in x]
-    for k in range(n):
+    for k in range(len(x)):
         lead = next((q for q in nonzero if q.degree_in(k) > 0), None)
         if lead is None:
             continue
-        deg = lead.degree_in(k)
-        # freeze the other coordinates, collect univariate coefficients
-        coeffs = [0.0] * (deg + 1)
-        for value, factors in lead._float_terms():
-            ek = 0
-            for pos, e in factors:
-                if pos == k:
-                    ek = e
-                else:
-                    value *= xf[pos] ** e
-            coeffs[deg - ek] += value
-        if all(abs(c) < 1e-300 for c in coeffs[:-1]):
-            continue
-        roots = np.roots(coeffs)
-        for root in roots:
-            if abs(root.imag) > tolerance:
-                continue
-            for cand in _rationalize_near(root.real):
-                point = x[:k] + (cand,) + x[k + 1:]
-                pair = _exact_pairs(point)
-                if not any(pair(q)[0] for q in nonzero):
-                    return point
+        coeffs = [Fraction(0)] * (lead.degree_in(k) + 1)
+        for exps, c in lead.terms.items():
+            coeffs[exps[k]] += c * math.prod(x[pos] ** e for pos, e in enumerate(exps)
+                                             if e and pos != k)
+        for root in _rational_roots(coeffs):
+            point = x[:k] + (root,) + x[k + 1:]
+            pair = _exact_pairs(point)
+            if not any(pair(q)[0] for q in nonzero):
+                return point
     return None
 
 
@@ -604,10 +634,11 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
 
     Level one comes from exact random sampling; deeper levels are searched
     on the symbolic vanishing loci (corank-1 reduced minors when available)
-    by projecting samples onto the locus one coordinate at a time, keeping
-    only witnesses where every minor vanishes exactly.  When no seed reaches
-    the locus, those of the first four seeds at which every nonzero minor is
-    below ``tolerance`` in absolute value, in floats, are reported in
+    by moving samples onto the locus one coordinate at a time, at exact
+    rational roots of a frozen minor, keeping only witnesses where every
+    minor vanishes exactly.  ``config.tolerance`` has one role: when no seed
+    reaches the locus, those of the first four seeds at which every nonzero
+    minor is below it in absolute value, in floats, are reported in
     ``unconfirmed`` and excluded from the dims.  A :class:`SamplingError`
     reports samples that all miss the open stratum of a bracket-generating
     frame.
@@ -626,6 +657,8 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
 
     reduced = goh.reduced
     unconfirmed: list[tuple[float, ...]] = []
+    # the minors of each rank the walk builds, reused by the strata
+    equations: dict[int, list[Polynomial]] = {}
 
     if reduced is not None:
         # walk down the loci: minors of the current rank cut the next level
@@ -636,12 +669,12 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
             rank_here = F.m - current_dim
             if rank_here <= 0:
                 break
-            minors = singular_set_equations(F, rank_here, goh)
+            minors = equations[rank_here] = singular_set_equations(F, rank_here, goh)
             if all(q.is_zero() for q in minors):
                 break
             found = []
             for x in seeds:
-                point = _project_onto_locus(minors, x, config.tolerance)
+                point = _project_onto_locus(minors, x)
                 if point is None:
                     continue
                 pt_p = _corank1_covector(F, point)
@@ -672,7 +705,7 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
         parity_ok = (d % 2 == F.m % 2) and d <= F.m - 2
         locus: tuple[Polynomial, ...] = ()
         if reduced is not None and rank_here > 0:
-            locus = tuple(singular_set_equations(F, rank_here, goh))
+            locus = tuple(equations.get(rank_here) or singular_set_equations(F, rank_here, goh))
         witnesses = tuple(observed[d][:4])
         strata.append(Stratum(d, rank_here, level == 0, counts.get(d, len(observed[d])),
                               witnesses, locus, parity_ok))

@@ -494,7 +494,9 @@ def make_parser() -> argparse.ArgumentParser:
     strat.add_argument("--samples", type=int, default=256)
     strat.add_argument("--seed", type=int, required=True)
     strat.add_argument("--box", default="-1,1")
-    strat.add_argument("--tolerance", type=float, default=1e-8)
+    strat.add_argument("--tolerance", type=float, default=1e-8,
+                       help="largest |minor|, in floats, of a seed reported as an unconfirmed "
+                            "locus candidate when no seed reaches the locus exactly")
     _add_frame_arg(strat)
 
     nf = subs.add_parser("normalform", help="jet-level frame normal form")

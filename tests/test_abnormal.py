@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -28,6 +29,9 @@ from singfol.abnormal import (
     SamplerConfig,
     SamplingError,
     _annihilator_offenders,
+    _divisors,
+    _project_onto_locus,
+    _rational_roots,
     abnormal_generators,
     divergence_certificate,
     goh_matrix,
@@ -37,7 +41,7 @@ from singfol.abnormal import (
     singular_set_equations,
     stratify,
 )
-from singfol import exactpoly
+from singfol import abnormal, exactpoly
 from singfol.demos import DEMOS, demo_frame
 from singfol.exactpoly import Polynomial, Space, parse_expression
 from singfol.pfaffian import (
@@ -758,3 +762,96 @@ def test_stratify_deterministic():
     assert a.dims == b.dims
     assert [w.x for st in a.strata for w in st.witnesses] == \
         [w.x for st in b.strata for w in st.witnesses]
+
+
+def test_stratify_builds_the_minors_of_each_rank_once(monkeypatch):
+    # the walk down the loci and the strata share the minors of a rank
+    real = abnormal.singular_set_equations
+    ranks = []
+
+    def counted(F, r, goh=None):
+        ranks.append(r)
+        return real(F, r, goh)
+
+    monkeypatch.setattr(abnormal, "singular_set_equations", counted)
+    S = stratify(demo_frame("dim6-cubic"), SamplerConfig(seed=7, count=64))
+    assert S.dims == (1, 3)
+    assert sorted(ranks) == [2, 4]
+
+
+def test_stratify_reaches_a_locus_root_with_a_large_denominator():
+    # the Goh matrix vanishes on x1 = 1/1000003, a root whose denominator
+    # is past 10^6
+    space = Space(3)
+    F = Frame.corank1(3, [parse_expression(t, space) for t in ("0", "(1000003*x1 - 1)^2")])
+    S = stratify(F, SamplerConfig(seed=7, count=16))
+    assert S.dims == (0, 2)
+    assert S.strata[1].witnesses
+    assert all(w.x[0] == Fraction(1, 1000003) for w in S.strata[1].witnesses)
+
+
+def _minors(*texts):
+    return [parse_expression(t, Space(2)) for t in texts]
+
+
+def test_locus_search_moves_onto_exact_rational_roots():
+    x = (Fraction(0), Fraction(1, 2))
+    # x1 reaches 1/1000003 before x2 is tried
+    assert _project_onto_locus(_minors("(1000003*x1 - 1)*(x2 + 1)"), x) == \
+        (Fraction(1, 1000003), Fraction(1, 2))
+    # no rational root: no coordinate moves
+    assert _project_onto_locus(_minors("x1^2 - 2"), x) is None
+    # every returned point makes every minor vanish exactly
+    rng = random.Random(2)
+    reached = 0
+    for _ in range(60):
+        factors = [f"({rng.randint(-3, 3)}*x1 + {rng.randint(-3, 3)}*x2 + {rng.randint(-4, 4)}/"
+                   f"{rng.randint(1, 5)})" for _ in range(3)]
+        minors = _minors(f"{factors[0]}*{factors[1]}", f"{factors[0]}*{factors[2]}")
+        start = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(2))
+        point = _project_onto_locus(minors, start)
+        if point is not None:
+            reached += 1
+            assert sum(a != b for a, b in zip(point, start)) <= 1
+            assert all(q.eval_exact(point) == 0 for q in minors), (minors, start)
+    assert reached > 30
+
+
+def test_locus_search_tries_roots_in_the_documented_order():
+    # 0 first when t divides, then by denominator, by numerator, p/q before -p/q
+    def roots(text):
+        q = parse_expression(text, Space(1))
+        return list(_rational_roots([q.coefficient((i,)) for i in range(q.degree_in(0) + 1)]))
+
+    half, third, two_sevenths = Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)
+    assert roots("(x1 - 1/3)^2*(x1 + 2/7)") == [third, -two_sevenths]
+    assert roots("x1^2*(x1 + 2/7)*(x1 - 1/3)*(4*x1^2 - 1)") == \
+        [0, half, -half, third, -two_sevenths]
+    assert roots("x1^2 - 2") == roots("5") == roots("0") == []
+    assert roots("3*x1^2") == [0]
+    # the same order decides which root the projection moves to: x1 = 1/3,
+    # unless another minor rules it out
+    minor = "(x1 - 1/3)^2*(x1 + 2/7)*(x2 + 1)"
+    x = (Fraction(0), Fraction(1, 2))
+    assert _project_onto_locus(_minors(minor), x) == (third, Fraction(1, 2))
+    assert _project_onto_locus(_minors(minor, "7*x1 + 2"), x) == (-two_sevenths, Fraction(1, 2))
+    # a minor x2 + 1 rules out every root in x1, so x2 moves instead
+    assert _project_onto_locus(_minors(minor, "x2 + 1"), (Fraction(1), Fraction(1, 2))) == \
+        (Fraction(1), Fraction(-1))
+
+
+def test_locus_search_work_is_bounded():
+    assert _divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert _divisors(-1000003) == [1, 1000003]  # prime, certified below the bound
+    assert _divisors(10007 * 10009) is None  # both prime factors past the bound
+    # both end coefficients have 13860 divisors, more candidates than the
+    # bound allows, so the search stops at once, as if no root existed
+    a = 2 ** 10 * 3 ** 6 * 5 ** 4 * 7 ** 3 * 11 ** 2 * 13 ** 2
+    assert a == 3272455105920000
+    cubic = [parse_expression(f"{a} + x1^2 + {a}*x1^3", Space(1))]
+    start = time.perf_counter()
+    assert _project_onto_locus(cubic, (Fraction(0),)) is None
+    assert time.perf_counter() - start < 1
+    # the root of a linear polynomial is read off, whatever its coefficients
+    for p, q in ((1, a), (10007 * 10009, a), (-a, 10007 * 10009)):
+        assert list(_rational_roots([Fraction(-p), Fraction(q)])) == [Fraction(p, q)]

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import singfol
@@ -356,21 +356,23 @@ def test_integrate_below_generic_goh_rank_is_an_input_error(capsys, tmp_path):
 
 def test_symbolic_commands_start_without_numpy():
     # numpy is loaded only by the numeric commands (integrate, scan-div)
-    # and by the locus projection of stratify
     script = (
-        "import io, sys\n"
+        "import io, json, sys\n"
         "from singfol import cli\n"
         "sys.stdin = io.StringIO(sys.argv[1])\n"
-        "code = cli.main(['certify'])\n"
+        "code = cli.main(json.loads(sys.argv[2]))\n"
         "print(code, 'numpy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(singfol.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    doc = json.dumps(DEMOS["dim4"].to_spec())
-    done = subprocess.run([sys.executable, "-c", script, doc], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
+    # stratify on dim6-cubic moves samples onto its deeper locus
+    for name, argv in (("dim4", ["certify"]),
+                       ("dim6-cubic", ["stratify", "--seed", "7", "--samples", "16"])):
+        doc = json.dumps(DEMOS[name].to_spec())
+        done = subprocess.run([sys.executable, "-c", script, doc, json.dumps(argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False", argv
 
 
 def test_early_closed_pipe_exits_1_without_traceback():
@@ -549,8 +551,22 @@ def _argvs(draw) -> list[str]:
     return argv
 
 
+def _with_flag_examples(test):
+    """Explicit examples that pair a demo frame with every POINTS and BOXES
+    value: the derandomized draws need not make each such pair."""
+    doc = json.dumps(DEMOS["dim4"].to_spec())
+    argvs = ([["bracket-check", "--at", v] for v in POINTS]
+             + [["integrate", "--from", v, "--T", "0.05", "--h", "0.01"] for v in POINTS]
+             + [[command, "--seed", "1", "--samples", "7", "--box", v]
+                for command in ("stratify", "scan-div") for v in BOXES])
+    for argv in argvs:
+        test = example(argv=argv, doc=doc)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=5000, derandomize=True, database=None)
 @given(argv=_argvs(), doc=_frame_documents())
+@_with_flag_examples
 def test_fuzzed_command_lines_exit_0_1_or_2(argv, doc):
     stdin = io.StringIO(doc)
     stdin.isatty = lambda: False

@@ -446,7 +446,7 @@ def test_float_outputs_depend_only_on_polynomial_values():
     s1, s2 = (divergence_ratio_scan(Z, (-1, 1), 200, seed=5, cutoff=1e-3) for Z in (Z1, Z2))
     assert s1 == s2 and s1.ratio_sup.hex() == s2.ratio_sup.hex()
 
-    # the locus search freezes its lead minor to float coefficients; this
+    # the locus search freezes its lead minor to exact coefficients; this
     # one has rational roots, so the projection reaches the locus
     minors = singular_set_equations(demo_frame("dim6-cubic"), 4)
     other = [_reversed(q) for q in minors]
@@ -455,8 +455,8 @@ def test_float_outputs_depend_only_on_polynomial_values():
     reached = 0
     for _ in range(20):
         x = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(6))
-        point = _project_onto_locus(minors, x, 1e-8)
-        assert point == _project_onto_locus(other, x, 1e-8), x
+        point = _project_onto_locus(minors, x)
+        assert point == _project_onto_locus(other, x), x
         reached += point is not None
     assert reached
 
