@@ -35,7 +35,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _signed_sum
+from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _exact_pairs, _signed_sum
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -428,12 +428,25 @@ def kernel_generators(A: SkewMatrix, r: int) -> list[KernelGenerator]:
     return out
 
 
+def _integer_values(A: SkewMatrix, point: Sequence) -> list[list[int]]:
+    """A at a rational point as an integer matrix: the exact values of the
+    stored entries times one positive scale, the lcm of their denominators."""
+    pair = _exact_pairs(point)
+    nums = _linalg.integer_row(pair(entry) for entry in A.upper.values())
+    rows = [[0] * A.size for _ in range(A.size)]
+    for (i, j), v in zip(A.upper, nums):
+        rows[i - 1][j - 1] = v
+        rows[j - 1][i - 1] = -v
+    return rows
+
+
 def skew_rank(A: SkewMatrix, at: Sequence | None = None) -> int:
     """Largest even r with a nonvanishing Pfaffian minor of size r.
 
     With a rational point ``at`` this is the exact rank of the evaluated
-    matrix, by forward elimination over Q (the rank of a skew matrix is
-    even, and equals the largest size of a nonvanishing Pfaffian minor).
+    matrix, by fraction-free forward elimination of its values over one
+    common denominator (the rank of a skew matrix is even, and equals the
+    largest size of a nonvanishing Pfaffian minor).
 
     Without ``at`` it is the generic rank over the fraction field: the
     largest size with a Pfaffian minor that is a nonzero polynomial.  A
@@ -446,11 +459,11 @@ def skew_rank(A: SkewMatrix, at: Sequence | None = None) -> int:
     minors checked are expanded, and they stay in the matrix's memo.
     """
     if at is not None:
-        return _linalg.rank(A.evaluate(at))
+        return _linalg.rank(_integer_values(A, at))
     r = 2 if A.upper else 0
     if r + 2 <= A.size:
-        point = [Fraction(k % 5 + 1) for k in range(A.space.nvars)]
-        r = max(r, _linalg.rank(A.evaluate(point)))
+        point = [k % 5 + 1 for k in range(A.space.nvars)]
+        r = max(r, _linalg.rank(_integer_values(A, point)))
     while r + 2 <= A.size:
         if all(_pf_cached(A, I).is_zero() for I in index_sets(A.size, r + 2)):
             return r

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _signed_sum, _sum_products
+from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _exact_pairs, _signed_sum, _sum_products
 
 __all__ = [
     "VectorField",
@@ -213,8 +213,8 @@ class Frame:
 
     def annihilator_basis(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
         """Exact basis of covectors p with p . X^i(x) = 0 for all i."""
-        value = _exact_evaluator(x)
-        return _linalg.nullspace([[value(c) for c in X.components] for X in self.fields])
+        pair = _exact_pairs(x)
+        return _linalg.nullspace([_linalg.integer_row(map(pair, X.components)) for X in self.fields])
 
     def bracket_generation_depth(self, x: Sequence[Fraction], max_depth: int = 4) -> int | None:
         """Smallest bracket depth at which the iterated brackets span R^n at x.
@@ -222,11 +222,11 @@ class Frame:
         Returns None when the span is still deficient at ``max_depth``.  This
         is a bounded diagnostic only; it never certifies nonholonomicity.
         """
-        value = _exact_evaluator(x)
+        pair = _exact_pairs(x)
         layer = list(self.fields)
         vectors = []
         for depth in range(1, max_depth + 1):
-            vectors.extend([value(c) for c in V.components] for V in layer)
+            vectors.extend(_linalg.integer_row(map(pair, V.components)) for V in layer)
             if _linalg.rank(vectors) == self.n:
                 return depth
             if depth == max_depth:

@@ -273,3 +273,69 @@ def reference_poisson(h: Polynomial, g: Polynomial) -> Polynomial:
         signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
         signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
     return reference_sum(space, signed)
+
+
+def reference_row_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns by Gauss-Jordan
+    elimination over Fraction (the loop ``_linalg.row_echelon`` ran before it
+    eliminated on integer rows)."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def reference_rank(matrix) -> int:
+    """Pivots of forward elimination over Fraction (the loop
+    ``_linalg.rank`` ran before its Bareiss elimination on ints)."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        head = m[r]
+        for row in m[r + 1:]:
+            if row[c]:
+                f = row[c] / head[c]
+                for k in range(c + 1, len(head)):
+                    row[k] -= f * head[k]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def reference_nullspace(matrix) -> list[list[Fraction]]:
+    """One kernel vector per free column of :func:`reference_row_echelon`."""
+    if not matrix:
+        return []
+    cols = len(matrix[0])
+    echelon, pivots = reference_row_echelon(matrix)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -echelon[r][fc]
+        basis.append(vec)
+    return basis
