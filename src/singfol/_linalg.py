@@ -6,11 +6,11 @@ ints by the lcm of its denominators (:func:`integer_row`); a row scale is a
 nonzero constant, so it keeps the rank, the pivot columns and the reduced
 echelon form.  :func:`rank` counts the pivots of one-step fraction-free
 (Bareiss, Math. Comp. 22, 1968) forward elimination, whose every division is
-exact.  :func:`row_echelon` and :func:`nullspace` run Gauss-Jordan
-elimination on integer rows kept primitive by their gcd, and build a
-Fraction only at the end, one division by a pivot for each entry they
-return.  Sizes in this package stay small (a Goh matrix has one row
-per frame field) and the arithmetic is exact, so no pivoting strategy beyond
+exact.  :func:`row_echelon`, :func:`nullspace` and :func:`kernel_combination`
+run Gauss-Jordan elimination on integer rows kept primitive by their gcd,
+and build a Fraction only at the end, one division by a pivot for each entry
+they return.  Sizes in this package stay small (a Goh matrix has one row per
+frame field) and the arithmetic is exact, so no pivoting strategy beyond
 "first nonzero" is needed.
 """
 
@@ -102,15 +102,31 @@ def nullspace(matrix) -> list[list[Fraction]]:
     """Basis of the right kernel (one vector per free column): the free
     column's entries of the reduced echelon form, negated, at the pivots."""
     m, pivots = _reduce(matrix)
-    cols = len(m[0]) if m else 0
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
-        basis.append(vec)
-    return basis
+    return [_kernel_vector(m, pivots, {fc: 1}) for fc in _free_columns(m, pivots)]
+
+
+def kernel_combination(matrix, draw) -> list[Fraction] | None:
+    """The sum over the free columns f of c_f times f's :func:`nullspace`
+    vector, c_f = ``draw()`` called once per free column, left to right;
+    None, with no call, when there is no free column.  The reduced echelon
+    form is unique, so this equals the Fraction sum of the basis vectors."""
+    m, pivots = _reduce(matrix)
+    free = _free_columns(m, pivots)
+    return _kernel_vector(m, pivots, {fc: draw() for fc in free}) if free else None
+
+
+def _free_columns(m, pivots) -> list[int]:
+    return [c for c in range(len(m[0]) if m else 0) if c not in pivots]
+
+
+def _kernel_vector(m, pivots, coeffs: dict[int, int]) -> list[Fraction]:
+    """The kernel vector read off the integer Gauss-Jordan rows: c_f at each
+    free column f of ``coeffs`` (0 at the others), and at each pivot column
+    pc, -(sum over f of c_f row[f]) / row[pc], one Fraction each."""
+    vec = [Fraction(coeffs.get(c, 0)) for c in range(len(m[0]))]
+    for row, pc in zip(m, pivots):
+        vec[pc] = Fraction(-sum(c * row[fc] for fc, c in coeffs.items()), row[pc])
+    return vec
 
 
 def invert(matrix) -> list[list[Fraction]]:

@@ -42,8 +42,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
+from singfol import _linalg
 from singfol.exactpoly import (Polynomial, SingfolError, Space, _exact_evaluator, _exact_pairs,
-                               _signed_sum, _sum_products)
+                               _as_fraction, _signed_sum, _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
     _pf_cached,
@@ -195,18 +196,15 @@ def goh_matrix(F: Frame) -> GohMatrix:
     return GohMatrix(F, H, hams, hvfs, reduced)
 
 
-def _annihilator_offenders(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction]):
-    """The pairs (i, p . X^i(x)) with a nonzero pairing.
+def _annihilator_offenders(F: Frame, x: Sequence[Fraction], P: Sequence[int], E: int):
+    """The pairs (i, p . X^i(x)) with a nonzero pairing, for p = P / E.
 
-    p is scaled to ints by the lcm E of its denominators, and each pairing
-    is summed over ints by cross-multiplying the components' unreduced
-    values, skipping zero p_k and zero components; only an offender becomes
-    a Fraction.
+    Each pairing is summed over ints by cross-multiplying the components'
+    unreduced values, skipping zero P_k and zero components; only an
+    offender becomes a Fraction.
     """
     pair = _exact_pairs(x)
-    ratios = [Fraction(v).as_integer_ratio() for v in p]
-    E = math.lcm(*(q for _, q in ratios))
-    scaled = [(k, a * (E // q)) for k, (a, q) in enumerate(ratios) if a]
+    scaled = [(k, a) for k, a in enumerate(P) if a]
     offenders = []
     for i, X in enumerate(F.fields, start=1):
         num, den = 0, 1
@@ -230,15 +228,25 @@ def kernel_dim_at(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction],
 
     The point must satisfy p . X^i(x) = 0 for every frame field and p != 0;
     otherwise an :class:`AnnihilatorError` reports the offending momenta.
+    Coordinates must be ints or Fractions; a float raises TypeError.
+
+    p is written once as ints P over the lcm E of its denominators, read by
+    the annihilator check and the rank.  The rank is taken at (x, P/g),
+    g = gcd(P), which relies on H being fiber-linear (:func:`goh_matrix`
+    asserts it): H(x, lam p) = lam H(x, p) has the same rank, and kernel
+    dimension, for every lam != 0, here lam = E/g.
     """
-    if all(Fraction(v) == 0 for v in p):
+    ratios = [_as_fraction(v).as_integer_ratio() for v in p]
+    E = math.lcm(*(q for _, q in ratios))
+    P = [a * (E // q) for a, q in ratios]
+    if not (g := math.gcd(*P)):
         raise AnnihilatorError([])
-    offenders = _annihilator_offenders(F, x, p)
+    offenders = _annihilator_offenders(F, x, P, E)
     if offenders:
         raise AnnihilatorError(offenders)
     if goh is None:
         goh = goh_matrix(F)
-    return F.m - skew_rank(goh.H, at=list(x) + list(p))
+    return F.m - skew_rank(goh.H, at=list(x) + [a // g for a in P])
 
 
 def _combination(space: Space, kind: str, coeffs: Sequence[Polynomial],
@@ -534,14 +542,9 @@ def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
         x = tuple(Fraction(rng.randint(lo, hi), SAMPLE_DENOMINATOR) for _ in range(F.n))
         if F.normal_form is not None:
             return x, _corank1_covector(F, x)
-        basis = F.annihilator_basis(x)
-        if not basis:
-            continue
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
-        p = tuple(sum((c * vec[k] for c, vec in zip(coeffs, basis)), Fraction(0))
-                  for k in range(F.n))
-        if any(v != 0 for v in p):
-            return x, p
+        p = _linalg.kernel_combination(F._annihilator_rows(x), lambda: rng.randint(-9, 9))
+        if p is not None and any(p):
+            return x, tuple(p)
     raise SamplingError("could not draw a valid annihilator point (degenerate box?)")
 
 

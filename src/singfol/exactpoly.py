@@ -22,7 +22,7 @@ constructor enforces them; ``Polynomial._trusted`` wraps a dictionary that
 already meets them without a check.  Only this module adds one dictionary
 into another in place (:func:`_add_terms`).  Other modules sum through
 :func:`_signed_sum`, which adds ``(sign, polynomial)`` items into one
-dictionary, and :func:`_sum_products`, its filter for sums of products;
+dictionary, and :func:`_sum_products`, which adds products ``a * b``;
 outside this module ``_trusted`` wraps only the disjoint reshape of
 ``vectorfield.hamiltonian_lift``.
 
@@ -242,10 +242,15 @@ def _signed_sum(space: Space, items) -> "Polynomial":
 
 
 def _sum_products(space: Space, pairs) -> "Polynomial":
-    """The sum of ``a * b`` over ``pairs``.  A pair with a falsy
-    operand (an empty Polynomial, ``Fraction(0)``) is skipped: its product
-    is empty and would add nothing."""
-    return _signed_sum(space, ((1, a * b) for a, b in pairs if a and b))
+    """The sum of ``a * b`` over ``pairs``, each product added into one
+    dictionary by :func:`_add_terms`.  A pair with a falsy operand (an
+    empty Polynomial, ``Fraction(0)``) is skipped: its product is empty and
+    would add nothing."""
+    acc: dict = {}
+    for a, b in pairs:
+        if a and b:
+            _add_terms(acc, (a * b).terms)
+    return Polynomial._trusted(space, acc)
 
 
 def _exact_pairs(point: Sequence):
@@ -258,7 +263,7 @@ def _exact_pairs(point: Sequence):
     ``form`` defaults to the polynomial's cached form.  A point of another
     length raises ``ValueError``.
     """
-    ratios = [_as_fraction(v).as_integer_ratio() for v in point]
+    ratios = [(v, 1) if type(v) is int else _as_fraction(v).as_integer_ratio() for v in point]
     D = lcm(*(q for _, q in ratios))
     nums = [a * (D // q) for a, q in ratios]
     powers: dict[tuple[int, int], int] = {}

@@ -213,8 +213,12 @@ class Frame:
 
     def annihilator_basis(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
         """Exact basis of covectors p with p . X^i(x) = 0 for all i."""
+        return _linalg.nullspace(self._annihilator_rows(x))
+
+    def _annihilator_rows(self, x: Sequence[Fraction]) -> list[list[int]]:
+        """The fields at x as integer rows, whose right kernel is the annihilator."""
         pair = _exact_pairs(x)
-        return _linalg.nullspace([_linalg.integer_row(map(pair, X.components)) for X in self.fields])
+        return [_linalg.integer_row(map(pair, X.components)) for X in self.fields]
 
     def bracket_generation_depth(self, x: Sequence[Fraction], max_depth: int = 4) -> int | None:
         """Smallest bracket depth at which the iterated brackets span R^n at x.
@@ -238,21 +242,23 @@ class Frame:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Exact Lie bracket [X, Y] = DY . X - DX . Y, componentwise.
 
-    A partial is taken only against a nonzero component, and a product is
-    formed only when both factors are nonzero.
+    Component k sums X_j dY_k/dx_j over the support (nonzero components)
+    of X, and subtracts Y_j dX_k/dx_j over that of Y; a partial is taken
+    only of a nonzero component, and a product only with a nonzero partial.
     """
     if X.kind != Y.kind or X.space != Y.space:
         raise ValueError("kind mismatch")
-    n = len(X.components)
+    sx = [(j, c) for j, c in enumerate(X.components) if c]
+    sy = [(j, c) for j, c in enumerate(Y.components) if c]
 
-    def items(k: int):
-        for j in range(n):
-            Xj, Yj = X.components[j], Y.components[j]
-            if Xj and (dY := Y.components[k].partial(j)):
-                yield 1, Xj * dY
-            if Yj and (dX := X.components[k].partial(j)):
-                yield -1, Yj * dX
-    return VectorField([_signed_sum(X.space, items(k)) for k in range(n)], X.kind)
+    def items(Xk: Polynomial, Yk: Polynomial):
+        for sign, support, f in ((1, sx, Yk), (-1, sy, Xk)):
+            if f:
+                for j, c in support:
+                    if df := f.partial(j):
+                        yield sign, c * df
+    return VectorField([_signed_sum(X.space, items(Xk, Yk))
+                        for Xk, Yk in zip(X.components, Y.components)], X.kind)
 
 
 def hamiltonian_lift(X: VectorField) -> Polynomial:

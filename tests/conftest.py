@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 
 from singfol import _linalg
-from singfol.abnormal import GohMatrix, goh_matrix
+from singfol.abnormal import (SAMPLE_DENOMINATOR, GohMatrix, SamplingError, _corank1_covector,
+                              _grid_numerators, goh_matrix)
 from singfol.exactpoly import Polynomial, Space
 from singfol.pfaffian import SkewMatrix, index_sets, pfaffian_by_recursion
 from singfol.vectorfield import Frame, VectorField
@@ -273,6 +274,44 @@ def reference_poisson(h: Polynomial, g: Polynomial) -> Polynomial:
         signed.append((1, reference_product(h.partial(pk), g.partial(xk))))
         signed.append((-1, reference_product(h.partial(xk), g.partial(pk))))
     return reference_sum(space, signed)
+
+
+def reference_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y] by the dense loop over all n^2 pairs (j, k) on the reference
+    loops (the loop ``lie_bracket`` ran before it read the supports):
+    component k is the sum over j of X_j dY_k/dx_j - Y_j dX_k/dx_j."""
+    if X.kind != Y.kind or X.space != Y.space:
+        raise ValueError("kind mismatch")
+    n = len(X.components)
+    comps = []
+    for k in range(n):
+        signed = []
+        for j in range(n):
+            signed.append((1, reference_product(X.components[j], Y.components[k].partial(j))))
+            signed.append((-1, reference_product(Y.components[j], X.components[k].partial(j))))
+        comps.append(reference_sum(X.space, signed))
+    return VectorField(comps, X.kind)
+
+
+def reference_annihilator_point(F: Frame, rng: random.Random, config):
+    """One exact point (x, p) as ``sample_annihilator_point`` drew it before
+    it read p off the integer echelon rows: on a general frame, p sums the
+    vectors of ``Frame.annihilator_basis(x)`` in Fractions, with one
+    coefficient ``randint(-9, 9)`` drawn per basis vector."""
+    lo, hi = _grid_numerators(config.box)
+    for _ in range(64):
+        x = tuple(Fraction(rng.randint(lo, hi), SAMPLE_DENOMINATOR) for _ in range(F.n))
+        if F.normal_form is not None:
+            return x, _corank1_covector(F, x)
+        basis = F.annihilator_basis(x)
+        if not basis:
+            continue
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+        p = tuple(sum((c * vec[k] for c, vec in zip(coeffs, basis)), Fraction(0))
+                  for k in range(F.n))
+        if any(v != 0 for v in p):
+            return x, p
+    raise SamplingError("could not draw a valid annihilator point (degenerate box?)")
 
 
 def reference_row_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:

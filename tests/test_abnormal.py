@@ -205,6 +205,28 @@ def test_kernel_dim_rejects_bad_points():
         kernel_dim_at(F, [Fraction(0)] * 4, [0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("F", [demo_frame("dim4-engel"), random_general_frame(random.Random(8), 5, 3)],
+                         ids=["corank1", "fields"])
+def test_kernel_dim_refuses_inexact_and_zero_covectors(F):
+    # p is read as exact ratios before any check: a float raises TypeError
+    # wherever it sits, even where its value annihilates
+    x, p = sample_annihilator_point(F, random.Random(1), SamplerConfig(seed=1))
+    for k in range(F.n):
+        q = list(p)
+        q[k] = float(q[k])
+        with pytest.raises(TypeError):
+            kernel_dim_at(F, x, q)
+    with pytest.raises(AnnihilatorError) as err:
+        kernel_dim_at(F, x, [0] * F.n)
+    assert err.value.offenders == []
+
+
+def _offenders(F, x, p):
+    """_annihilator_offenders on p written as ints over the lcm of its denominators."""
+    E = math.lcm(*(Fraction(v).denominator for v in p))
+    return _annihilator_offenders(F, x, [int(Fraction(v) * E) for v in p], E)
+
+
 @pytest.mark.parametrize("F", [demo_frame("dim6-cubic"), random_general_frame(random.Random(8), 5, 3)],
                          ids=["corank1", "fields"])
 def test_annihilator_pairings_match_fraction_loop(F):
@@ -217,12 +239,12 @@ def test_annihilator_pairings_match_fraction_loop(F):
     checked = 0
     for _ in range(24):
         x, p = sample_annihilator_point(F, rng, config)
-        assert _annihilator_offenders(F, x, p) == reference_offenders(F, x, p) == []
+        assert _offenders(F, x, p) == reference_offenders(F, x, p) == []
         for q in ([v + Fraction(rng.randint(-3, 3), rng.choice(dens)) for v in p],
                   [Fraction(rng.randint(-2, 2), rng.choice(dens)) for _ in p],
                   [0] * (F.n - 1) + [rng.randint(1, 3)]):
             want = reference_offenders(F, x, q)
-            got = _annihilator_offenders(F, x, q)
+            got = _offenders(F, x, q)
             assert got == want and all(type(v) is Fraction for _, v in got)
             if not any(q):
                 continue

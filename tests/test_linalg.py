@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     random_corank1_frame,
+    random_general_frame,
+    reference_annihilator_point,
     reference_nullspace,
     reference_rank,
     reference_row_echelon,
 )
 from singfol import _linalg, cli
-from singfol.abnormal import SamplerConfig, goh_matrix, sample_annihilator_point
+from singfol.abnormal import SamplerConfig, goh_matrix, kernel_dim_at, sample_annihilator_point
 from singfol.demos import DEMOS, demo_frame
 from singfol.exactpoly import _exact_evaluator
 from singfol.pfaffian import skew_rank
@@ -83,6 +85,38 @@ def test_inverse_matches_the_fraction_loop(seed):
     assert _linalg.invert(M) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_kernel_combination_is_the_basis_sum(seed):
+    # one draw per free column, left to right, and the Fraction sum of the
+    # basis vectors with those coefficients, equal in type as well as value
+    M = _matrix(seed)
+    rng = random.Random(seed)
+    coeffs = []
+
+    def draw():
+        coeffs.append(rng.randint(-9, 9))
+        return coeffs[-1]
+
+    got = _linalg.kernel_combination(M, draw)
+    basis = reference_nullspace(M)
+    if not basis:
+        assert got is None and coeffs == []
+        return
+    assert len(coeffs) == len(basis)
+    want = [sum((c * vec[k] for c, vec in zip(coeffs, basis)), Fraction(0))
+            for k in range(len(basis[0]))]
+    assert repr(got) == repr(want)
+
+
+def test_kernel_combination_without_a_kernel_draws_nothing():
+    def draw():
+        raise AssertionError("drew a coefficient for no free column")
+
+    assert _linalg.kernel_combination([[1, 2], [3, 4]], draw) is None
+    assert _linalg.kernel_combination([[2, 0, 1], [0, 0, 3], [1, 1, 1]], draw) is None
+
+
 def test_elimination_of_empty_and_zero_matrices():
     assert _linalg.rank([]) == 0
     assert _linalg.row_echelon([]) == ([], [])
@@ -126,6 +160,39 @@ def test_skew_rank_at_a_point_matches_the_fraction_rank(monkeypatch):
             points = _mixed_points(rng, 6, A.space.nvars) + (sampled if A is goh.H else [])
             for point in points:
                 assert skew_rank(A, at=point) == reference_rank(A.evaluate(point)), (F.name, point)
+
+
+def test_kernel_dim_at_is_the_fraction_rank_at_every_multiple(monkeypatch):
+    # the rank is read at the primitive integer multiple of p; it must be
+    # the rank of H at (x, p) itself, and the same at every nonzero multiple
+    # of p, negative or with a large denominator
+    rng = random.Random(21)
+    for F in _frames(monkeypatch) + [random_general_frame(random.Random(3), 5, 3)]:
+        goh = goh_matrix(F)
+        for _ in range(6):
+            x, p = sample_annihilator_point(F, rng, SamplerConfig(seed=0))
+            d = kernel_dim_at(F, x, p, goh)
+            assert d == F.m - reference_rank(goh.H.evaluate(list(x) + list(p))), (F.name, x, p)
+            lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+            assert kernel_dim_at(F, x, [lam * v for v in p], goh) == d, (F.name, x, p, lam)
+
+
+def test_sampled_covector_matches_the_basis_sum(monkeypatch):
+    # p is read off the integer echelon rows; the reduced echelon form is
+    # unique, so the sample is the one the basis sum gives, printed alike,
+    # and the rng makes the same draws
+    frames = [F for F in _frames(monkeypatch) if F.normal_form is None]
+    frames += [random_general_frame(random.Random(seed), n, m)
+               for seed, n, m in ((1, 4, 2), (2, 5, 3), (3, 6, 2), (4, 6, 5))]
+    for F in frames:
+        for seed in (0, 1, 2):
+            for box in ((-1, 1), (0, Fraction(1, 2)), (-3, 2)):
+                config = SamplerConfig(seed=seed, box=box)
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    got = sample_annihilator_point(F, rng, config)
+                    assert repr(got) == repr(reference_annihilator_point(F, ref, config)), (F.name, box)
+                    assert rng.getstate() == ref.getstate()
 
 
 def test_annihilator_basis_matches_the_fraction_nullspace(monkeypatch):

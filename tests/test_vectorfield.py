@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_polynomial, random_corank1_frame, scale_fiber
+from conftest import random_polynomial, random_corank1_frame, reference_lie_bracket, scale_fiber
 from singfol.exactpoly import Polynomial, Space, _sum_products, parse_expression
 from singfol.vectorfield import (
     Frame,
@@ -47,6 +49,23 @@ def test_bracket_kind_mismatch():
     H = hamiltonian_vector_field(hamiltonian_lift(X))
     with pytest.raises(ValueError):
         lie_bracket(X, H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["base", "phase"]))
+def test_bracket_matches_the_dense_loop(seed, kind):
+    # the bracket reads only the supports of X and Y; fields with zero
+    # components, some constant, must give the dense n^2 loop's value
+    rng = random.Random(seed)
+    base = Space(rng.randint(1, 4))
+    space = base.phase if kind == "phase" else base
+
+    def field():
+        return VectorField([random_polynomial(rng, space, 3, 2) if rng.random() < 0.5
+                            else Polynomial.zero(space) for _ in range(space.nvars)], kind)
+
+    X, Y = field(), field()
+    assert lie_bracket(X, Y) == reference_lie_bracket(X, Y)
 
 
 def test_corank1_bracket_formula():
