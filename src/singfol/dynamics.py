@@ -16,17 +16,22 @@ frame combination), so it is recorded rather than measured.
 
 Evaluation.  Each call compiles its polynomials once into their float form
 (``Polynomial._float_terms``: float coefficients and nonzero exponents,
-terms in the printing order).  One point runs the scalar loop of
-``eval_float``.  Many points at once (a volume cloud, or every stored state
-of a trajectory) run :func:`_eval_rows`: the same products and sums as
-numpy elementwise operations, term by term in the same order, with each
-power taken per element by Python's float ``**`` (libm ``pow``), because
-numpy's ``**`` rounds differently in a few percent of values.  Every array
-therefore equals the per-point evaluation bit for bit, and printed floats
-do not depend on how many points were evaluated together.
-``volume_distortion`` runs one RK4 over the whole cloud;
-``integrate_field`` keeps a scalar RK4, since batching one point costs more
-than it saves; both share one RK4 loop.
+terms in the printing order), which ``eval_float`` runs as a scalar loop.
+``integrate_field`` compiles the float forms of its field once more, into
+one straight-line Python function from a list of floats to a list of
+floats (:func:`_compiled_rhs`), and runs RK4 on lists of Python floats with
+numpy's order of operations, so its states equal an RK4 on (n,) arrays
+over ``eval_float`` bit for bit; numpy calls on arrays of a few floats
+cost more than they save.  Many points at once (a volume cloud, or every
+stored state of a trajectory) run :func:`_eval_rows`: the same products
+and sums as numpy elementwise operations, term by term in the same order,
+with each power taken per element by Python's float ``**`` (libm ``pow``),
+because numpy's ``**`` rounds differently in a few percent of values.
+Every array therefore equals the per-point evaluation bit for bit, and
+printed floats do not depend on how many points were evaluated together.
+``volume_distortion`` runs one batched RK4 over the whole cloud
+(:func:`_rk4`): there each numpy operation covers every point, which beats
+a compiled RK4 per point.
 
 All vector norms in this module are sup norms; the scan's ratio estimate
 |div Z| / |Z|_inf is then bounded by the sum of the certificate
@@ -142,6 +147,41 @@ def _point_rhs(forms):
     return f
 
 
+def _compiled_rhs(forms):
+    """RHS on one point as a list of floats, compiled into straight-line code.
+
+    Component k is one statement per term, ``s_k += c[i] * x[pos] ** e
+    * ...``, from ``s_k = 0.0``: the factors left to right and the terms in
+    the form's order, so every value is bit for bit ``_eval_float_form``.  A
+    factor with e = 1 is read as ``x[pos]``: ``pow(x, 1)`` is exactly x, as
+    in :func:`_eval_rows`.  The coefficients come in as the tuple ``c``, so
+    the source holds only ints; one statement per term keeps its syntax tree
+    shallow however many terms a component has.  A power that overflows
+    makes the whole RHS inf.
+    """
+    coeffs = []
+    body = []
+    for k, form in enumerate(forms):
+        body.append(f"        s{k} = 0.0")
+        for coeff, factors in form:
+            powers = "".join(f" * x[{pos}]" if e == 1 else f" * x[{pos}] ** {e}"
+                             for pos, e in factors)
+            body.append(f"        s{k} += c[{len(coeffs)}]{powers}")
+            coeffs.append(coeff)
+    n = len(forms)
+    source = "\n".join([
+        "def f(x):",
+        "    try:",
+        *body,
+        "    except OverflowError:",
+        f"        return [inf] * {n}",
+        "    return [" + ", ".join(f"s{k}" for k in range(n)) + "]",
+    ])
+    scope = {"c": tuple(coeffs), "inf": math.inf}
+    exec(compile(source, "<singfol.dynamics rhs>", "exec"), scope)
+    return scope["f"]
+
+
 def _rows_rhs(forms):
     """RHS on every row of an (N, n) cloud; rows where a power overflows go
     through the one-point RHS, so only they turn inf."""
@@ -196,11 +236,11 @@ def _steps(V: VectorField, T: float, h: float) -> int:
 def _rk4(f, x: np.ndarray, h: float, steps: int) -> np.ndarray:
     """States 0..steps of classical fixed-step RK4 for x' = f(x).
 
-    ``x`` is one point (n,) or a cloud (N, n) whose rows f maps
-    independently; the result is (steps + 1,) + x.shape.  A non-finite
-    state raises BlowUpError with the last valid time of the first row, in
-    cloud order, that blows up, as integrating the rows one by one would:
-    after a blow-up only the rows before it are integrated further.
+    ``x`` is a cloud (N, n) whose rows f maps independently; the result is
+    (steps + 1, N, n).  A non-finite state raises BlowUpError with the last
+    valid time of the first row, in cloud order, that blows up, as
+    integrating the rows one by one would: after a blow-up only the rows
+    before it are integrated further.
     """
     states = np.empty((steps + 1,) + x.shape)
     states[0] = x
@@ -214,7 +254,7 @@ def _rk4(f, x: np.ndarray, h: float, steps: int) -> np.ndarray:
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             finite = np.isfinite(x)
             if not finite.all():
-                first = 0 if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
+                first = int(np.argmin(finite.all(axis=1)))
                 if first == 0:
                     raise BlowUpError(i * h)
                 blown, x = i * h, x[:first]
@@ -226,13 +266,31 @@ def _rk4(f, x: np.ndarray, h: float, steps: int) -> np.ndarray:
 
 
 def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> Trajectory:
-    """Classical RK4 with a fixed step; raises BlowUpError on non-finite states."""
+    """Classical RK4 with a fixed step; raises BlowUpError on non-finite states.
+
+    The state is a list of Python floats and the RHS is compiled once
+    (:func:`_compiled_rhs`).  Each operation is the one numpy would do on
+    the (n,) arrays, in the same order: ``x + (0.5 * h) * k`` for a stage,
+    ``x + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)`` for a step.
+    """
     steps = _steps(V, T, h)
-    x = np.array([float(v) for v in x0], dtype=float)
-    if x.shape != (V.n,):
+    x = [float(v) for v in x0]
+    if len(x) != V.n:
         raise ValueError(f"start point of length {len(x)}, expected {V.n}")
-    states = _rk4(_point_rhs(_field_forms(V)), x, h, steps)
-    return Trajectory(np.arange(steps + 1) * h, states, h)
+    f = _compiled_rhs(_field_forms(V))
+    hh, h6 = 0.5 * h, h / 6.0
+    states = [x]
+    for i in range(steps):
+        k1 = f(x)
+        k2 = f([a + hh * b for a, b in zip(x, k1)])
+        k3 = f([a + hh * b for a, b in zip(x, k2)])
+        k4 = f([a + h * b for a, b in zip(x, k3)])
+        x = [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s)
+             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, x)):
+            raise BlowUpError(i * h)
+        states.append(x)
+    return Trajectory(np.arange(steps + 1) * h, np.array(states, dtype=float), h)
 
 
 def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],

@@ -455,6 +455,10 @@ class Polynomial:
             c = _as_fraction(other)
             if c == 0:
                 return Polynomial(self.space)
+            if c == 1:
+                # immutable, so the product may be self; every calibrated
+                # Pfaffian prefactor is 1
+                return self
             return Polynomial._trusted(self.space, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented

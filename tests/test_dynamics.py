@@ -12,6 +12,7 @@ from singfol import dynamics
 from singfol.demos import demo_frame
 from singfol.dynamics import (
     BlowUpError,
+    _compiled_rhs,
     _eval_rows,
     _field_forms,
     _point_rhs,
@@ -22,7 +23,7 @@ from singfol.dynamics import (
     sample_cloud,
     volume_distortion,
 )
-from singfol.exactpoly import Polynomial, Space, parse_expression
+from singfol.exactpoly import Polynomial, Space, _eval_float_form, parse_expression
 from singfol.pfaffian import skew_rank
 from singfol.vectorfield import Frame, VectorField, divergence
 
@@ -396,6 +397,89 @@ def test_eval_float_matches_term_loop_on_random_polynomials():
         P = Polynomial(s, terms)
         point = [rng.uniform(-2, 2) for _ in range(3)]
         assert P.eval_float(point).hex() == _reference_eval(P, point).hex()
+
+
+def _hex_values(forms, point):
+    return [_eval_float_form(form, point).hex() for form in forms]
+
+
+def test_compiled_rhs_matches_eval_float_form():
+    # negative bases, e = 1 factors, a constant-only and a zero component,
+    # and a coefficient that rounds to -0.0
+    rng = random.Random(7)
+    s = Space(3)
+    tiny = Polynomial(s, {(0, 0, 0): Fraction(-1, 10 ** 400), (1, 0, 0): Fraction(1, 3)})
+    assert [c.hex() for c, _ in tiny._float_terms()] == [(1 / 3).hex(), "-0x0.0p+0"]
+    for _ in range(200):
+        comps = [random_polynomial(rng, s, 8, 7, (1, 2, 3, 7)) for _ in range(rng.randint(1, 4))]
+        comps += [Polynomial.constant(s, Fraction(rng.randint(-9, 9), 7)), Polynomial.zero(s), tiny]
+        rng.shuffle(comps)
+        forms = [c._float_terms() for c in comps]
+        f = _compiled_rhs(forms)
+        for _ in range(4):
+            point = [rng.uniform(-2, 2) for _ in range(3)]
+            assert [v.hex() for v in f(point)] == _hex_values(forms, point)
+    assert _compiled_rhs([[]])([0.5, 0.5, 0.5])[0].hex() == "0x0.0p+0"
+    # a power that overflows makes the whole RHS inf
+    f = _compiled_rhs(_field_forms(base_field(Space(2), "x1^400", "1 - x2^3")))
+    assert f([10.0, 0.3]) == [math.inf, math.inf]
+
+
+def test_compiled_rhs_of_ten_thousand_terms():
+    # one statement per term: the syntax tree stays shallow, so a long
+    # component compiles without RecursionError
+    rng = random.Random(2)
+    s = Space(4)
+    terms = {(a, b, c, d): Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+             for a in range(10) for b in range(10) for c in range(10) for d in range(10)}
+    forms = [Polynomial(s, terms)._float_terms()]
+    assert len(forms[0]) == 10 ** 4
+    f = _compiled_rhs(forms)
+    for _ in range(3):
+        point = [rng.uniform(-1.2, 1.2) for _ in range(4)]
+        assert [v.hex() for v in f(point)] == _hex_values(forms, point)
+
+
+def test_integrate_field_matches_the_reference_on_random_fields():
+    # a few large steps from zero coordinates: a state no larger than h * k
+    # keeps a last-bit change of a stage or of the step's sum, which a
+    # longer run from larger states absorbs
+    rng = random.Random(13)
+    s = Space(3)
+    for _ in range(100):
+        V = VectorField([random_polynomial(rng, s, 6, 4, (1, 3, 7)) for _ in range(3)], "base")
+        x0 = [0.0, rng.uniform(-0.5, 0.5), 0.0]
+        try:
+            expected = _reference_integrate(V, x0, 0.5, 0.1)
+        except BlowUpError as err:
+            with pytest.raises(BlowUpError) as got:
+                integrate_field(V, x0, 0.5, 0.1)
+            assert got.value.last_valid_time == err.last_valid_time
+            continue
+        assert _same(integrate_field(V, x0, 0.5, 0.1).states, expected)
+
+
+def test_integrate_field_edge_cases_match_the_reference():
+    # T < h/2 takes no step: the start state alone, shape (1, n)
+    s = Space(2)
+    Z = base_field(s, "x1*x2 - 1", "x2^2")
+    traj = integrate_field(Z, [0.3, -0.7], 0.004, 0.01)
+    assert _same(traj.states, _reference_integrate(Z, [0.3, -0.7], 0.004, 0.01))
+    assert traj.states.shape == (1, 2)
+    # halving is exact on normal floats, so only subnormal states tell the
+    # stage (0.5 * h) * k from 0.5 * (h * k)
+    lin = base_field(Space(1), "x1")
+    x0 = [3 * 2.0 ** -1074]
+    assert _same(integrate_field(lin, x0, 9.0, 0.9).states, _reference_integrate(lin, x0, 9.0, 0.9))
+    # a blow-up after step 0 reports the reference's last valid time
+    quad = base_field(Space(1), "x1^2")
+    for x0, h in ((1.0, 0.01), (2.0, 0.003), (1.5, 0.02)):
+        with pytest.raises(BlowUpError) as expected:
+            _reference_integrate(quad, [x0], 2.0, h)
+        with pytest.raises(BlowUpError) as got:
+            integrate_field(quad, [x0], 2.0, h)
+        assert got.value.last_valid_time > 0.0
+        assert got.value.last_valid_time == expected.value.last_valid_time
 
 
 # -- output depends only on polynomial values ---------------------------------
