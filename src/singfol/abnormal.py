@@ -43,12 +43,11 @@ from itertools import combinations
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import (Polynomial, SingfolError, Space, _exact_evaluator, _exact_pairs,
-                               _as_fraction, _signed_sum, _sum_products)
+from singfol.exactpoly import (Polynomial, SingfolError, Space, _add_terms, _as_fraction,
+                               _exact_evaluator, _exact_pairs, _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
-    _pf_cached,
-    epsilon_sign,
+    _cofactors,
     index_sets,
     kernel_generators,
     pfaffian_by_recursion,
@@ -57,7 +56,6 @@ from singfol.pfaffian import (
 from singfol.vectorfield import (
     Frame,
     VectorField,
-    _hamiltonian_derivative,
     divergence,
     hamiltonian_lift,
     hamiltonian_vector_field,
@@ -150,18 +148,46 @@ class GohMatrix:
         along the cached Hamiltonian field of its h^j."""
         value = self._jacobi.get(T)
         if value is None:
-            a, b, c = T
-            value = self._jacobi[T] = _signed_sum(self.H.space, (
-                (sign, _hamiltonian_derivative(self.ham_fields[j - 1], self.H.entry(k, l)))
-                for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1))))
+            value = self._jacobi[T] = self._cyclic_sum(T, {})
         return value
+
+    def _cyclic_sum(self, T: tuple[int, int, int], partials: dict) -> Polynomial:
+        """J(T), each product added straight into one dictionary.  The
+        partial of a stored entry H[k,l] in the variable ``pos`` is taken
+        only behind a nonzero component of the Hamiltonian field, and is
+        read from or stored in ``partials`` under (k, l, pos)."""
+        a, b, c = T
+        acc: dict = {}
+        for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
+            entry = self.H.upper.get((k, l))
+            if entry is None:
+                continue
+            for pos, comp in enumerate(self.ham_fields[j - 1].components):
+                if comp:
+                    dg = partials.get((k, l, pos))
+                    if dg is None:
+                        dg = partials[(k, l, pos)] = entry.partial(pos)
+                    if dg:
+                        _add_terms(acc, (comp * dg).terms, sign)
+        return Polynomial._trusted(self.H.space, acc)
 
     @cached_property
     def jacobi_failure(self) -> tuple[int, int, int] | None:
         """The first triple T of {1..m}, in lexicographic order, with
-        J(T) != 0, or None; computed once."""
-        return next((T for T in combinations(range(1, self.m + 1), 3) if self.jacobi_sum(T)),
-                    None)
+        J(T) != 0, or None; computed once.
+
+        The sums share one cache of partials, local to this check, so each
+        partial of a Goh entry is taken once although the entry lies in
+        m - 2 triples; the cache is dropped when the check ends.
+        """
+        partials: dict = {}
+        for T in combinations(range(1, self.m + 1), 3):
+            value = self._jacobi.get(T)
+            if value is None:
+                value = self._jacobi[T] = self._cyclic_sum(T, partials)
+            if value:
+                return T
+        return None
 
     def jacobi_identity_holds(self) -> bool:
         """Whether J(T) = 0 for every triple T of {1..m}."""
@@ -335,10 +361,7 @@ def _project(g: AbnormalGenerator, F: Frame, goh: GohMatrix,
              subs: dict[int, Polynomial], scale: Polynomial) -> AbnormalGenerator:
     """:func:`project_corank1` with the substitution and factor given."""
     assert goh.reduced is not None
-    red_coeffs = tuple(
-        epsilon_sign(g.I, i) * _pf_cached(goh.reduced, tuple(k for k in g.I if k != i))
-        for i in g.I
-    )
+    red_coeffs = _cofactors(goh.reduced, g.I)
     Z = _combination(F.space, "base", red_coeffs, [F.fields[i - 1] for i in g.I])
 
     # exact consistency of the projection with the phase generator; a zero

@@ -19,11 +19,14 @@ deterministic and round-trips through :func:`parse_expression`.
 Term-dictionary invariants.  Every stored dictionary has tuple keys of
 length ``space.nvars`` and nonzero ``Fraction`` values.  The public
 constructor enforces them; ``Polynomial._trusted`` wraps a dictionary that
-already meets them without a check.  Only this module adds one dictionary
-into another in place (:func:`_add_terms`).  Other modules sum through
+already meets them without a check.  One primitive adds one dictionary
+into another in place (:func:`_add_terms`).  Most sums go through
 :func:`_signed_sum`, which adds ``(sign, polynomial)`` items into one
-dictionary, and :func:`_sum_products`, which adds products ``a * b``;
-outside this module ``_trusted`` wraps only the disjoint reshape of
+dictionary, and :func:`_sum_products`, which adds products ``a * b``.
+Outside this module, only the two hottest sums, the Pfaffian recursion and
+derivative sums (``pfaffian``) and the cyclic Jacobi sums (``abnormal``),
+call ``_add_terms`` on a fresh dictionary of their own and wrap it with
+``_trusted``, and ``_trusted`` wraps otherwise only the disjoint reshape of
 ``vectorfield.hamiltonian_lift``.
 
 Every output is a function of the polynomial's value alone: the float layer

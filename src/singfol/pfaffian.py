@@ -9,7 +9,9 @@ routes:
   reads off the coefficient of e_{i1} ^ ... ^ e_{ir}.  This is the ground
   truth.
 * :func:`pfaffian_by_recursion` uses the cofactor-style expansion along a
-  pivot row.  Its scalar prefactor is not trusted from any source: it is
+  pivot row, by default the row of I with the fewest stored entries inside
+  I, over those stored entries only; a row with none makes the minor zero
+  at once.  Its scalar prefactor is not trusted from any source: it is
   calibrated once per minor size against the wedge definition on a block
   matrix (see :func:`calibration_report`) and then checked exactly on random
   corpora by the test suite.  The same goes for the prefactor of
@@ -35,7 +37,8 @@ from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _exact_pairs, _signed_sum
+from singfol.exactpoly import (Polynomial, Space, _add_terms, _exact_evaluator, _exact_pairs,
+                               _signed_sum)
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -76,14 +79,21 @@ def epsilon_sign(I: Sequence[int], j: int) -> int:
 
 
 class SkewMatrix:
-    """Antisymmetric matrix with Polynomial entries (upper triangle stored)."""
+    """Antisymmetric matrix with Polynomial entries (upper triangle stored).
 
-    __slots__ = ("space", "size", "upper", "_pfaffians")
+    ``_rows[i]`` maps each j with a stored entry a_ij to that stored upper
+    value and the sign that gives a_ij from it (+1 for i < j, -1 for i > j),
+    and ``_neighbours[i]`` is the set of those j; both are built once, so
+    the Pfaffian sums visit stored entries only.
+    """
+
+    __slots__ = ("space", "size", "upper", "_rows", "_neighbours", "_pfaffians")
 
     def __init__(self, space: Space, size: int, upper: dict[tuple[int, int], Polynomial]):
         if size < 1:
             raise ValueError("size must be >= 1")
         clean = {}
+        rows: list[dict[int, tuple[Polynomial, int]]] = [{} for _ in range(size + 1)]
         for (i, j), value in upper.items():
             if not (1 <= i < j <= size):
                 raise ValueError(f"upper entry index ({i},{j}) out of range")
@@ -91,9 +101,13 @@ class SkewMatrix:
                 raise ValueError("entry declared over a different space")
             if not value.is_zero():
                 clean[(i, j)] = value
+                rows[i][j] = (value, 1)
+                rows[j][i] = (value, -1)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "upper", clean)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_neighbours", [frozenset(row) for row in rows])
         object.__setattr__(self, "_pfaffians", {})
 
     def __setattr__(self, name, value):
@@ -123,7 +137,8 @@ class SkewMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkewMatrix):
             return NotImplemented
-        return self.size == other.size and self.upper == other.upper
+        return (self.space == other.space and self.size == other.size
+                and self.upper == other.upper)
 
     def __str__(self) -> str:
         body = ";  ".join(
@@ -236,20 +251,31 @@ def _proportionality(target: Polynomial, raw: Polynomial) -> Fraction:
     return c
 
 
+def _minor_without(I: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    """I without its elements at the positions p != q."""
+    lo, hi = (p, q) if p < q else (q, p)
+    return I[:lo] + I[lo + 1:hi] + I[hi + 1:]
+
+
+def _cofactor_sign(p0: int, p: int) -> int:
+    """eps(I, I[p0]) * eps(I - I[p0], I[p]) for positions p0 != p of I."""
+    return -1 if (p0 + p - (p > p0)) % 2 else 1
+
+
 def _raw_recursion_sum(A: SkewMatrix, I: tuple[int, ...], i0: int,
                        sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
-    """Sum of eps(I,i0) eps(I-i0,j) a_i0j sub(I-i0j) over j in I-i0."""
-    rest = tuple(k for k in I if k != i0)
-
-    def items():
-        for j in rest:
-            a = A.entry(i0, j)
-            if a.is_zero():
-                continue
-            phi = sub(tuple(k for k in rest if k != j))
-            if not phi.is_zero():
-                yield epsilon_sign(I, i0) * epsilon_sign(rest, j), a * phi
-    return _signed_sum(A.space, items())
+    """Sum of eps(I,i0) eps(I-i0,j) a_i0j sub(I-i0j) over the j in I with a
+    stored entry a_i0j."""
+    row, p0 = A._rows[i0], I.index(i0)
+    acc: dict = {}
+    for p, j in enumerate(I):
+        entry = row.get(j)
+        if entry is not None:
+            phi = sub(_minor_without(I, p0, p))
+            if phi:
+                a, sign = entry
+                _add_terms(acc, (a * phi).terms, sign * _cofactor_sign(p0, p))
+    return Polynomial._trusted(A.space, acc)
 
 
 def _recursion_prefactor(r: int) -> Fraction:
@@ -267,18 +293,22 @@ def _recursion_prefactor(r: int) -> Fraction:
 
 def _raw_derivative_sum(A: SkewMatrix, I: tuple[int, ...], d: Callable[[Polynomial], Polynomial],
                         sub: Callable[[tuple[int, ...]], Polynomial]) -> Polynomial:
-    """Sum of eps(I,i) eps(I-i,j) sub(I-ij) d(a_ij) over ordered pairs (i, j) of I."""
-    def items():
-        for i in I:
-            rest = tuple(k for k in I if k != i)
-            for j in rest:
-                da = d(A.entry(i, j))
-                if da.is_zero():
-                    continue
-                phi = sub(tuple(k for k in rest if k != j))
-                if not phi.is_zero():
-                    yield epsilon_sign(I, i) * epsilon_sign(rest, j), phi * da
-    return _signed_sum(A.space, items())
+    """Sum of eps(I,i) eps(I-i,j) sub(I-ij) d(a_ij) over the ordered pairs
+    (i, j) of I with a stored entry a_ij; ``d`` is linear, so it is applied
+    to the stored value and the entry's sign goes with the product."""
+    acc: dict = {}
+    for p0, i in enumerate(I):
+        row = A._rows[i]
+        for p, j in enumerate(I):
+            entry = row.get(j)
+            if entry is not None:
+                a, sign = entry
+                da = d(a)
+                if da:
+                    phi = sub(_minor_without(I, p0, p))
+                    if phi:
+                        _add_terms(acc, (phi * da).terms, sign * _cofactor_sign(p0, p))
+    return Polynomial._trusted(A.space, acc)
 
 
 def _derivative_prefactor(r: int) -> Fraction:
@@ -302,18 +332,28 @@ def calibration_report(max_size: int = 8) -> dict[str, dict[int, str]]:
 
 
 def _pf_cached(A: SkewMatrix, I: tuple[int, ...]) -> Polynomial:
+    """phi(A, I), memoized on A; the expansion runs along the row of I with
+    the fewest stored entries inside I, so an empty row is zero at once."""
     memo = A._pfaffians
-    if I in memo:
-        return memo[I]
+    value = memo.get(I)
+    if value is not None:
+        return value
     if len(I) == 0:
         value = Polynomial.constant(A.space, 1)
     elif len(I) % 2:
         value = Polynomial.zero(A.space)
     elif len(I) == 2:
-        value = A.entry(I[0], I[1])
+        value = A.upper.get(I) or Polynomial.zero(A.space)
     else:
-        raw = _raw_recursion_sum(A, I, I[0], lambda J: _pf_cached(A, J))
-        value = raw * _recursion_prefactor(len(I))
+        # the number of stored entries of each row of I inside I
+        within = frozenset(I)
+        counts = [len(A._neighbours[i] & within) for i in I]
+        fewest = min(counts)
+        if fewest:
+            raw = _raw_recursion_sum(A, I, I[counts.index(fewest)], lambda J: _pf_cached(A, J))
+            value = raw * _recursion_prefactor(len(I))
+        else:
+            value = Polynomial.zero(A.space)
     memo[I] = value
     return value
 
@@ -321,16 +361,19 @@ def _pf_cached(A: SkewMatrix, I: tuple[int, ...]) -> Polynomial:
 def pfaffian_by_recursion(A: SkewMatrix, I: Sequence[int], pivot: int | None = None) -> Polynomial:
     """Pfaffian of A_I by the calibrated pivot expansion.
 
-    ``pivot`` defaults to the smallest element of I; any element gives the
-    same value.  Sub-Pfaffians are memoized on the matrix: it is immutable,
-    so repeated calls share them and a concurrent fill stores an equal value.
+    ``pivot`` defaults to the row of I with the fewest stored entries inside
+    I (the first such row on a tie); any element gives the same value.
+    Sub-Pfaffians are memoized on the matrix: it is immutable, so repeated
+    calls share them and a concurrent fill stores an equal value.  An
+    explicit pivot expands along its row, and only the sub-Pfaffians are
+    read from or added to the memo.
     """
     I = _check_index_set(I, A.size)
     if len(I) % 2:
         raise ValueError("recursion applies to even-cardinality index sets")
     if len(I) == 0:
         return Polynomial.constant(A.space, 1)
-    if pivot is None or pivot == I[0]:
+    if pivot is None:
         return _pf_cached(A, I)
     if pivot not in I:
         raise ValueError(f"pivot {pivot} is not in {I}")
@@ -418,14 +461,13 @@ def kernel_generators(A: SkewMatrix, r: int) -> list[KernelGenerator]:
         raise ValueError("rank parameter must be even")
     if not 0 <= r < A.size:
         raise ValueError(f"need 0 <= r < {A.size}")
-    out = []
-    for I in index_sets(A.size, r + 1):
-        coeffs = tuple(
-            epsilon_sign(I, i) * _pf_cached(A, tuple(k for k in I if k != i))
-            for i in I
-        )
-        out.append(KernelGenerator(I, A.size, coeffs))
-    return out
+    return [KernelGenerator(I, A.size, _cofactors(A, I)) for I in index_sets(A.size, r + 1)]
+
+
+def _cofactors(A: SkewMatrix, I: tuple[int, ...]) -> tuple[Polynomial, ...]:
+    """eps(I,i) phi(A, I minus i) for i in I, from the matrix's memo."""
+    minors = (_pf_cached(A, I[:p] + I[p + 1:]) for p in range(len(I)))
+    return tuple(-phi if p % 2 else phi for p, phi in enumerate(minors))
 
 
 def _integer_values(A: SkewMatrix, point: Sequence) -> list[list[int]]:

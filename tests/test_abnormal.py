@@ -674,6 +674,42 @@ def test_jacobi_identity_check_per_frame():
             assert not _goh_with_shifted_entry(F, F.m - 1, F.m).jacobi_identity_holds(), F.name
 
 
+def test_jacobi_check_memoizes_the_cyclic_sums_and_keeps_no_partials(monkeypatch):
+    # the check shares one cache of partials across its triples, so it takes
+    # each partial of a Goh entry once; every J(T) it memoizes must still be
+    # the cyclic sum of coordinate brackets, and the cache must be gone once
+    # the check ends
+    kept = {"frame", "H", "hamiltonians", "ham_fields", "reduced", "_jacobi", "jacobi_failure"}
+    taken = []
+    plain_partial = Polynomial.partial
+
+    def counted_partial(f, pos):
+        taken.append((id(f), pos))
+        return plain_partial(f, pos)
+
+    failures = 0
+    for F in _jacobi_test_frames():
+        gohs = [goh_matrix(F)]
+        if F.m >= 3:
+            gohs += [tampered_goh(F), _goh_with_shifted_entry(F, F.m - 1, F.m)]
+        for goh in gohs:
+            taken.clear()
+            monkeypatch.setattr(Polynomial, "partial", counted_partial)
+            failure = goh.jacobi_failure
+            monkeypatch.setattr(Polynomial, "partial", plain_partial)
+            assert len(taken) == len(set(taken)), F.name
+            assert {f for f, _ in taken} <= {id(entry) for entry in goh.H.upper.values()}
+            triples = list(combinations(range(1, F.m + 1), 3))
+            checked = triples if failure is None else triples[:triples.index(failure) + 1]
+            assert list(goh._jacobi) == checked, F.name
+            for T, value in goh._jacobi.items():
+                assert value == _cyclic_sum(goh, T, reference_poisson), (F.name, T)
+                assert bool(value) == (T == failure), (F.name, T)
+            assert set(vars(goh)) == kept, F.name
+            failures += failure is not None
+    assert failures == 2 * sum(F.m >= 3 for F in _jacobi_test_frames())
+
+
 def test_jacobi_failure_names_the_first_nonzero_triple():
     # only the triples through {5, 6} break when H[5,6] alone is wrong, so
     # the frame's first failing triple is (1, 5, 6)

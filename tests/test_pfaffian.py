@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     matvec,
     random_low_rank_skew,
+    random_polynomial,
     random_rational_point,
     random_scalar_skew_of_rank,
     random_skew,
@@ -141,6 +142,75 @@ def test_recursion_rejects_odd_sets():
         pfaffian_by_recursion(block(4), (1, 2, 3))
     with pytest.raises(ValueError):
         pfaffian_by_recursion(block(4), (1, 2), pivot=3)
+
+
+def random_sparse_skew(rng, space, size):
+    """A skew matrix with about half its entries missing, one row with no
+    entry and one row with a single entry; an entry drawn with 0 terms is
+    the zero polynomial, which the constructor drops."""
+    empty, single = rng.sample(range(1, size + 1), 2)
+    partner = rng.choice([k for k in range(1, size + 1) if k not in (empty, single)])
+    upper = {}
+    for i in range(1, size + 1):
+        for j in range(i + 1, size + 1):
+            if empty in (i, j) or (single in (i, j) and partner not in (i, j)):
+                continue
+            if (i, j) == tuple(sorted((single, partner))) or rng.random() < 0.5:
+                terms = rng.randint(0, 3)
+                upper[(i, j)] = (random_polynomial(rng, space, terms) if terms
+                                 else Polynomial.zero(space))
+    return SkewMatrix(space, size, upper)
+
+
+def _sparse_cases():
+    sp = Space(2)
+    for seed in range(6):
+        rng = random.Random(700 + seed)
+        A = random_sparse_skew(rng, sp, 7 if seed % 2 else 8)
+        evens = [I for k in range(2, A.size + 1, 2) for I in index_sets(A.size, k)]
+        yield A, rng.sample(evens, 24)
+
+
+def test_sparse_recursion_matches_definition_on_every_pivot():
+    stored_counts = set()
+    for A, minors in _sparse_cases():
+        for I in minors:
+            expected = pfaffian_by_definition(A, I)
+            # a fresh matrix, so that its memo holds this minor's expansion only
+            fresh = SkewMatrix(A.space, A.size, A.upper)
+            value = pfaffian_by_recursion(fresh, I)
+            assert value == expected, I
+            assert value * value == minor_determinant(A, I), I
+            counts = [sum((i, j) in A.upper or (j, i) in A.upper for j in I) for i in I]
+            stored_counts.update(counts)
+            if min(counts) == 0:
+                # a row with no stored entry inside I: zero at once
+                assert value.is_zero() and list(fresh._pfaffians) == [I], I
+            elif len(I) > 2:
+                # the expansion runs along a sparsest row, one sub-minor per entry
+                top = [J for J in fresh._pfaffians if len(J) == len(I) - 2]
+                assert len(top) == min(counts), I
+            for pivot in I:
+                assert pfaffian_by_recursion(A, I, pivot) == expected, (I, pivot)
+    assert {0, 1} <= stored_counts and max(stored_counts) >= 3
+
+
+def test_sparse_derivative_matches_the_differentiated_definition():
+    for A, minors in _sparse_cases():
+        x1, x2 = (Polynomial.variable(A.space, k) for k in range(2))
+        fields = [VectorField.coordinate(A.space, 0), VectorField([x2, x1 * x1 - 1], "base")]
+        for I in minors:
+            definition = pfaffian_by_definition(A, I)
+            for D in fields:
+                assert pfaffian_derivative(A, I, D) == D.apply(definition), I
+
+
+def test_skew_matrix_equality_compares_the_space():
+    assert SkewMatrix(Space(2), 3, {}) != SkewMatrix(Space(5, True), 3, {})
+    assert SkewMatrix(Space(2), 3, {}) == SkewMatrix(Space(2), 3, {})
+    x = Polynomial.variable(Space(2), 0)
+    assert SkewMatrix(Space(2), 3, {(1, 2): x}) == SkewMatrix(Space(2), 3, {(1, 2): x, (1, 3): 0 * x})
+    assert SkewMatrix(Space(2), 3, {(1, 2): x}) != SkewMatrix(Space(2), 3, {(1, 3): x})
 
 
 # -- derivative ---------------------------------------------------------------------
