@@ -365,14 +365,15 @@ def _project(g: AbnormalGenerator, F: Frame, goh: GohMatrix,
     Z = _combination(F.space, "base", red_coeffs, [F.fields[i - 1] for i in g.I])
 
     # exact consistency of the projection with the phase generator; a zero
-    # component of Y needs no substitution, only a zero component of Z
+    # component of Y needs no substitution, and a zero component of Z no
+    # lift: there the restricted component must be the phase-space zero
+    zero = Polynomial.zero(F.space.phase)
     for k in range(F.n):
         restricted = g.Y.components[k]
         if restricted:
             restricted = restricted.substitute(subs)
-        expected = Z.components[k].lift_to_phase()
-        if expected:
-            expected = scale * expected
+        component = Z.components[k]
+        expected = scale * component.lift_to_phase() if component else zero
         if restricted != expected:
             raise NormalFormError(
                 f"x-block component {k + 1} of Y_{g.I} does not factor through p{F.n}^{g.rank // 2}"

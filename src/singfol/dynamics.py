@@ -17,21 +17,21 @@ frame combination), so it is recorded rather than measured.
 Evaluation.  Each call compiles its polynomials once into their float form
 (``Polynomial._float_terms``: float coefficients and nonzero exponents,
 terms in the printing order), which ``eval_float`` runs as a scalar loop.
-``integrate_field`` compiles the float forms of its field once more, into
-one straight-line Python function from a list of floats to a list of
-floats (:func:`_compiled_rhs`), and runs RK4 on lists of Python floats with
-numpy's order of operations, so its states equal an RK4 on (n,) arrays
-over ``eval_float`` bit for bit; numpy calls on arrays of a few floats
-cost more than they save.  Many points at once (a volume cloud, or every
-stored state of a trajectory) run :func:`_eval_rows`: the same products
-and sums as numpy elementwise operations, term by term in the same order,
-with each power taken per element by Python's float ``**`` (libm ``pow``),
-because numpy's ``**`` rounds differently in a few percent of values.
-Every array therefore equals the per-point evaluation bit for bit, and
-printed floats do not depend on how many points were evaluated together.
-``volume_distortion`` runs one batched RK4 over the whole cloud
-(:func:`_rk4`): there each numpy operation covers every point, which beats
-a compiled RK4 per point.
+Every trajectory runs one RK4 loop, which :func:`_compiled_flow` compiles
+once per call from the float forms of the field into straight-line Python:
+the state stays in local floats and each operation is the one numpy would
+do on (n,) arrays, in the same order, so the states equal an RK4 on arrays
+over ``eval_float`` bit for bit.  ``integrate_field`` runs the loop once,
+``volume_distortion`` once per cloud point, in cloud order; on a few floats
+per point a numpy call costs more than it saves, even batched over a cloud.
+The stored states (the lift, Goh matrix and fields of a trajectory, div Z
+and |Z|_inf of a cloud) are evaluated many at a time by :func:`_eval_rows`:
+the same products and sums as numpy elementwise operations, term by term in
+the same order, with each power taken per element by Python's float ``**``
+(libm ``pow``), because numpy's ``**`` rounds differently in a few percent
+of values.  Every array therefore equals the per-point evaluation bit for
+bit, and printed floats do not depend on how many points were evaluated
+together.
 
 All vector norms in this module are sup norms; the scan's ratio estimate
 |div Z| / |Z|_inf is then bounded by the sum of the certificate
@@ -134,67 +134,75 @@ def _field_forms(V: VectorField) -> list:
         return [[(math.inf, ())]] * len(V.components)
 
 
-def _point_rhs(forms):
-    """RHS on one point; a power that overflows makes it inf."""
+def _compiled_flow(forms):
+    """The RHS of a field and an RK4 loop over it, as straight-line code.
 
-    def f(x: np.ndarray) -> np.ndarray:
-        point = x.tolist()
-        try:
-            return np.array([_eval_float_form(form, point) for form in forms])
-        except OverflowError:
-            return np.full(len(forms), np.inf)
-
-    return f
-
-
-def _compiled_rhs(forms):
-    """RHS on one point as a list of floats, compiled into straight-line code.
-
-    Component k is one statement per term, ``s_k += c[i] * x[pos] ** e
+    ``forms`` are the float forms of the n components.  Returns ``(rhs,
+    run)``, both from one source compiled once.  ``rhs(x0, ..., x{n-1})``
+    is the RHS on one point, as a tuple of floats.
+    Component k is one statement per term, ``s_k += c[i] * x_pos ** e
     * ...``, from ``s_k = 0.0``: the factors left to right and the terms in
     the form's order, so every value is bit for bit ``_eval_float_form``.  A
-    factor with e = 1 is read as ``x[pos]``: ``pow(x, 1)`` is exactly x, as
+    factor with e = 1 is read as ``x_pos``: ``pow(x, 1)`` is exactly x, as
     in :func:`_eval_rows`.  The coefficients come in as the tuple ``c``, so
     the source holds only ints; one statement per term keeps its syntax tree
     shallow however many terms a component has.  A power that overflows
     makes the whole RHS inf.
+
+    ``run(x, steps, hh, h, h6)`` takes ``steps`` RK4 steps from the tuple x
+    with hh = 0.5 * h and h6 = h / 6.0, and returns the list of the steps + 1
+    states as tuples.  The state lives in the locals ``x0..x{n-1}`` and each
+    stage is one ``rhs`` call.  Each operation is the one numpy would do on
+    the (n,) arrays, in the same order: ``xk + hh * ak`` for a stage (``xk
+    + h * dk`` for the last), ``xk + h6 * (((ak + 2.0 * bk) + 2.0 * dk) +
+    ek)`` for a step.  A state with a non-finite coordinate, which is
+    exactly one where some ``xk - xk`` is not 0.0, raises BlowUpError with
+    the last valid time.
     """
+    n = len(forms)
     coeffs = []
     body = []
     for k, form in enumerate(forms):
         body.append(f"        s{k} = 0.0")
         for coeff, factors in form:
-            powers = "".join(f" * x[{pos}]" if e == 1 else f" * x[{pos}] ** {e}"
+            powers = "".join(f" * x{pos}" if e == 1 else f" * x{pos} ** {e}"
                              for pos, e in factors)
             body.append(f"        s{k} += c[{len(coeffs)}]{powers}")
             coeffs.append(coeff)
-    n = len(forms)
+
+    def names(fmt):
+        return ", ".join(fmt.format(k) for k in range(n))
+
+    def row(fmt):
+        return "(" + names(fmt) + ",)"
+
     source = "\n".join([
-        "def f(x):",
+        f"def rhs({names('x{0}')}):",
         "    try:",
         *body,
         "    except OverflowError:",
-        f"        return [inf] * {n}",
-        "    return [" + ", ".join(f"s{k}" for k in range(n)) + "]",
+        "        return infs",
+        f"    return {row('s{0}')}",
+        "",
+        "def run(x, steps, hh, h, h6):",
+        f"    {row('x{0}')} = x",
+        "    states = [x]",
+        "    append = states.append",
+        "    for i in range(steps):",
+        f"        {row('a{0}')} = rhs({names('x{0}')})",
+        f"        {row('b{0}')} = rhs({names('x{0} + hh * a{0}')})",
+        f"        {row('d{0}')} = rhs({names('x{0} + hh * b{0}')})",
+        f"        {row('e{0}')} = rhs({names('x{0} + h * d{0}')})",
+        *(f"        x{k} = x{k} + h6 * (((a{k} + 2.0 * b{k}) + 2.0 * d{k}) + e{k})"
+          for k in range(n)),
+        f"        if {' + '.join(f'(x{k} - x{k})' for k in range(n))} != 0.0:",
+        "            raise BlowUpError(i * h)",
+        f"        append({row('x{0}')})",
+        "    return states",
     ])
-    scope = {"c": tuple(coeffs), "inf": math.inf}
-    exec(compile(source, "<singfol.dynamics rhs>", "exec"), scope)
-    return scope["f"]
-
-
-def _rows_rhs(forms):
-    """RHS on every row of an (N, n) cloud; rows where a power overflows go
-    through the one-point RHS, so only they turn inf."""
-    one = _point_rhs(forms)
-
-    def f(X: np.ndarray) -> np.ndarray:
-        powers = {}
-        try:
-            return np.column_stack([_eval_rows(form, X, powers) for form in forms])
-        except OverflowError:
-            return np.array([one(x) for x in X])
-
-    return f
+    scope = {"c": tuple(coeffs), "infs": (math.inf,) * n, "BlowUpError": BlowUpError}
+    exec(compile(source, "<singfol.dynamics flow>", "exec"), scope)
+    return scope["rhs"], scope["run"]
 
 
 def _eval_rows(form, X: np.ndarray, powers: dict) -> np.ndarray:
@@ -233,63 +241,18 @@ def _steps(V: VectorField, T: float, h: float) -> int:
     return int(round(T / h))
 
 
-def _rk4(f, x: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """States 0..steps of classical fixed-step RK4 for x' = f(x).
-
-    ``x`` is a cloud (N, n) whose rows f maps independently; the result is
-    (steps + 1, N, n).  A non-finite state raises BlowUpError with the last
-    valid time of the first row, in cloud order, that blows up, as
-    integrating the rows one by one would: after a blow-up only the rows
-    before it are integrated further.
-    """
-    states = np.empty((steps + 1,) + x.shape)
-    states[0] = x
-    blown = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            finite = np.isfinite(x)
-            if not finite.all():
-                first = int(np.argmin(finite.all(axis=1)))
-                if first == 0:
-                    raise BlowUpError(i * h)
-                blown, x = i * h, x[:first]
-            if blown is None:
-                states[i + 1] = x
-    if blown is not None:
-        raise BlowUpError(blown)
-    return states
-
-
 def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> Trajectory:
     """Classical RK4 with a fixed step; raises BlowUpError on non-finite states.
 
-    The state is a list of Python floats and the RHS is compiled once
-    (:func:`_compiled_rhs`).  Each operation is the one numpy would do on
-    the (n,) arrays, in the same order: ``x + (0.5 * h) * k`` for a stage,
-    ``x + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)`` for a step.
+    One run of the loop compiled by :func:`_compiled_flow`: its states are
+    bit for bit those of an RK4 on (n,) arrays over ``eval_float``.
     """
     steps = _steps(V, T, h)
-    x = [float(v) for v in x0]
+    x = tuple(float(v) for v in x0)
     if len(x) != V.n:
         raise ValueError(f"start point of length {len(x)}, expected {V.n}")
-    f = _compiled_rhs(_field_forms(V))
-    hh, h6 = 0.5 * h, h / 6.0
-    states = [x]
-    for i in range(steps):
-        k1 = f(x)
-        k2 = f([a + hh * b for a, b in zip(x, k1)])
-        k3 = f([a + hh * b for a, b in zip(x, k2)])
-        k4 = f([a + h * b for a, b in zip(x, k3)])
-        x = [a + h6 * (((p + 2.0 * q) + 2.0 * r) + s)
-             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, x)):
-            raise BlowUpError(i * h)
-        states.append(x)
+    _, run = _compiled_flow(_field_forms(V))
+    states = run(x, steps, 0.5 * h, h, h / 6.0)
     return Trajectory(np.arange(steps + 1) * h, np.array(states, dtype=float), h)
 
 
@@ -332,7 +295,7 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
             for j in range(1, m + 1):
                 Ht[:, i - 1, j - 1] = rows(goh.reduced.entry(i, j))
         fields = [np.column_stack([rows(c) for c in X.components]) for X in F.fields]
-        goh_res = np.array([float(np.max(np.abs(Ht[k] @ u[k]))) if m else 0.0
+        goh_res = np.array([float(abs(Ht[k] @ u[k]).max()) if m else 0.0
                             for k in range(len(S))])
         anni_res = np.array([max(abs(float(np.dot(costates[k], X[k]))) for X in fields)
                              for k in range(len(S))])
@@ -416,8 +379,10 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
                       T: float, h: float) -> VolumeReport:
     """Monte-Carlo volume factors along the flow of Z.
 
-    The whole cloud is integrated with one batched RK4, then div Z and
-    |Z|_inf are evaluated over the stored states, in blocks of whole time
+    Each point is integrated by one run of the loop compiled by
+    :func:`_compiled_flow`, in cloud order, so the first point that blows up
+    raises with its own last valid time.  Then div Z and |Z|_inf are
+    evaluated over the stored states, in blocks of whole time
     steps of about ``VOLUME_BLOCK_ROWS`` states, and accumulated by the
     trapezoid rule, yielding the exact-flow volume weight exp(int div) up
     to O(h^2) quadrature error and the trajectory length used in the
@@ -427,7 +392,10 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     steps = _steps(Z, T, h)
     X = np.array([[float(v) for v in x0] for x0 in cloud], dtype=float).reshape(len(cloud), Z.n)
     forms = _field_forms(Z)
-    states = _rk4(_rows_rhs(forms), X, h, steps)
+    _, run = _compiled_flow(forms)
+    states = np.empty((steps + 1,) + X.shape)
+    for i, x in enumerate(X.tolist()):
+        states[:, i] = run(tuple(x), steps, 0.5 * h, h, h / 6.0)
     div = divergence(Z)._float_terms()
     div_vals = np.empty(states.shape[:2])
     speed = np.empty(states.shape[:2])

@@ -317,4 +317,5 @@ def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
 
 def divergence(V: VectorField) -> Polynomial:
     """Euclidean divergence in the declared coordinates."""
-    return _signed_sum(V.space, ((1, comp.partial(pos)) for pos, comp in enumerate(V.components)))
+    return _signed_sum(V.space, ((1, comp.partial(pos))
+                                 for pos, comp in enumerate(V.components) if comp))

@@ -12,11 +12,9 @@ from singfol import dynamics
 from singfol.demos import demo_frame
 from singfol.dynamics import (
     BlowUpError,
-    _compiled_rhs,
+    _compiled_flow,
     _eval_rows,
     _field_forms,
-    _point_rhs,
-    _rows_rhs,
     abnormal_trajectory,
     divergence_ratio_scan,
     integrate_field,
@@ -355,7 +353,8 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
     # absorb a last-bit difference that these cannot
     rows = np.concatenate([traj.states, np.array(cloud)])
     ref = _reference_rhs(g.Z)
-    assert _same(_rows_rhs(_field_forms(g.Z))(rows), np.array([ref(x) for x in rows]))
+    rhs, _ = _compiled_flow(_field_forms(g.Z))
+    assert _same(np.array([rhs(*x) for x in rows.tolist()]), np.array([ref(x) for x in rows]))
     div = divergence(g.Z)
     assert _same(_eval_rows(div._float_terms(), rows, {}),
                  np.array([_reference_eval(div, x.tolist()) for x in rows]))
@@ -415,14 +414,15 @@ def test_compiled_rhs_matches_eval_float_form():
         comps += [Polynomial.constant(s, Fraction(rng.randint(-9, 9), 7)), Polynomial.zero(s), tiny]
         rng.shuffle(comps)
         forms = [c._float_terms() for c in comps]
-        f = _compiled_rhs(forms)
+        f, _ = _compiled_flow(forms)
+        # one argument per component; the components read the first three
         for _ in range(4):
-            point = [rng.uniform(-2, 2) for _ in range(3)]
-            assert [v.hex() for v in f(point)] == _hex_values(forms, point)
-    assert _compiled_rhs([[]])([0.5, 0.5, 0.5])[0].hex() == "0x0.0p+0"
+            point = [rng.uniform(-2, 2) for _ in forms]
+            assert [v.hex() for v in f(*point)] == _hex_values(forms, point)
+    assert _compiled_flow([[]])[0](0.5)[0].hex() == "0x0.0p+0"
     # a power that overflows makes the whole RHS inf
-    f = _compiled_rhs(_field_forms(base_field(Space(2), "x1^400", "1 - x2^3")))
-    assert f([10.0, 0.3]) == [math.inf, math.inf]
+    f, _ = _compiled_flow(_field_forms(base_field(Space(2), "x1^400", "1 - x2^3")))
+    assert f(10.0, 0.3) == (math.inf, math.inf)
 
 
 def test_compiled_rhs_of_ten_thousand_terms():
@@ -432,12 +432,12 @@ def test_compiled_rhs_of_ten_thousand_terms():
     s = Space(4)
     terms = {(a, b, c, d): Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
              for a in range(10) for b in range(10) for c in range(10) for d in range(10)}
-    forms = [Polynomial(s, terms)._float_terms()]
+    forms = [Polynomial(s, terms)._float_terms(), [], [], []]
     assert len(forms[0]) == 10 ** 4
-    f = _compiled_rhs(forms)
+    f, _ = _compiled_flow(forms)
     for _ in range(3):
         point = [rng.uniform(-1.2, 1.2) for _ in range(4)]
-        assert [v.hex() for v in f(point)] == _hex_values(forms, point)
+        assert [v.hex() for v in f(*point)] == _hex_values(forms, point)
 
 
 def test_integrate_field_matches_the_reference_on_random_fields():
@@ -561,22 +561,146 @@ def test_cloud_blow_up_reports_first_point_in_cloud_order():
     assert 0.9 < got.value.last_valid_time < 1.1
 
 
+def _recorded_runs(monkeypatch):
+    """The state lists returned by every run of the compiled RK4 loop."""
+    runs = []
+    compiled = dynamics._compiled_flow
+
+    def flow(forms):
+        rhs, run = compiled(forms)
+
+        def recorded(*args):
+            runs.append(run(*args))
+            return runs[-1]
+
+        return rhs, recorded
+
+    monkeypatch.setattr(dynamics, "_compiled_flow", flow)
+    return runs
+
+
+def test_volume_cloud_matches_per_point_reference(monkeypatch):
+    # each cloud point's states, as volume_distortion stores them, are the
+    # reference RK4 of that point bit for bit; a blow-up raises the last
+    # valid time of the first point in cloud order that blows up
+    runs = _recorded_runs(monkeypatch)
+
+    def check(V, cloud, T, h):
+        runs.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                expected = _reference_volume(V, cloud, T, h)
+            except BlowUpError as err:
+                expected = err
+        if isinstance(expected, BlowUpError):
+            with pytest.raises(BlowUpError) as got:
+                volume_distortion(V, cloud, T, h)
+            assert got.value.last_valid_time == expected.last_valid_time
+        else:
+            report = volume_distortion(V, cloud, T, h)
+            for got, want in zip((report.weights, report.lengths, report.min_weights), expected):
+                assert _same(got, want)
+            assert len(runs) == len(cloud)
+        # the points before a blow-up, or every point
+        for states, x0 in zip(runs, cloud):
+            assert _same(np.array(states), _reference_integrate(V, x0, T, h))
+        return expected, len(runs)
+
+    # x' = x^2: the middle point's power overflows after step 0
+    quad = base_field(Space(1), "x1^2")
+    err, done = check(quad, [[0.5], [1.0], [0.25]], 1.5, 0.01)
+    assert isinstance(err, BlowUpError) and err.last_valid_time > 0.0 and done == 1
+    # the finiteness test is per coordinate: a product that overflows (no
+    # power raises) leaves the first coordinate finite, and two coordinates
+    # near the largest double are finite though their sum is not
+    prod = base_field(Space(3), "1", "x2*x3", "x2*x3")
+    err, done = check(prod, [[0.0, 0.5, 0.5], [0.0, 1.0, 1.0], [0.0, 0.25, 0.25]], 1.5, 0.01)
+    assert isinstance(err, BlowUpError) and err.last_valid_time > 0.0 and done == 1
+    _, done = check(base_field(Space(2), "1", "-1"), [[0.5, 0.5], [1.7e308, 1.7e308]], 0.5, 0.1)
+    assert done == 2
+    # subnormal starts tell the stage (0.5 * h) * k from 0.5 * (h * k)
+    lin = base_field(Space(1), "x1")
+    _, done = check(lin, [[3 * 2.0 ** -1074], [0.5], [5 * 2.0 ** -1074]], 9.0, 0.9)
+    assert done == 3
+    # T < h/2 takes no step
+    Z = base_field(Space(2), "x1*x2 - 1", "x2^2")
+    report = volume_distortion(Z, [[0.3, -0.7], [0.1, 0.2]], 0.004, 0.01)
+    assert report.weights.shape == (2, 1)
+    check(Z, [[0.3, -0.7], [0.1, 0.2]], 0.004, 0.01)
+
+    # random fields, a few large steps from mostly zero coordinates (see
+    # test_integrate_field_matches_the_reference_on_random_fields), with a
+    # subnormal start and a large middle point that may blow up
+    rng = random.Random(19)
+    outcomes = []
+    for n in (1, 3, 13):
+        s = Space(n)
+        for _ in range(8):
+            V = VectorField([random_polynomial(rng, s, 6, 4, (1, 3, 7)) for _ in range(n)], "base")
+            cloud = [[0.0] * n for _ in range(5)]
+            cloud[0][0] = rng.uniform(-0.5, 0.5)
+            cloud[1][-1] = 3 * 2.0 ** -1074
+            scale = rng.choice((0.5, 40))
+            cloud[2] = [rng.uniform(-scale, scale) for _ in range(n)]
+            cloud[3] = [rng.uniform(-0.5, 0.5) if k % 2 else 0.0 for k in range(n)]
+            result, done = check(V, cloud, 0.5, 0.1)
+            blown = isinstance(result, BlowUpError)
+            outcomes.append((n, done, blown and result.last_valid_time > 0.0))
+    # each n has a cloud that runs to the end, and one whose middle point
+    # blows up after step 0
+    for n in (1, 3, 13):
+        assert (n, 5, False) in outcomes
+        assert (n, 2, True) in outcomes
+
+
+def test_the_flow_is_compiled_once_per_call(monkeypatch):
+    # one compile per integrate_field, abnormal_trajectory or
+    # volume_distortion call, not one per stage, step or cloud point
+    sources = []
+
+    def counting(source, filename, mode):
+        sources.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(dynamics, "compile", counting, raising=False)
+    F = demo_frame("dim4")
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, skew_rank(goh.reduced), goh)[0]
+    integrate_field(g.Z, [0.1, 0.2, 0.3, 0.1], 0.1, 0.01)
+    assert len(sources) == 1
+    abnormal_trajectory(F, g, [0.1, 0.2, 0.3, 0.1], 0.1, 0.01, goh=goh)
+    assert len(sources) == 2
+    volume_distortion(g.Z, sample_cloud((-0.5, 0.5), 16, F.n, seed=1), 0.1, 0.01)
+    assert sources == ["<singfol.dynamics flow>"] * 3
+
+
 def test_power_overflow_turns_the_row_inf():
     # 10.0 ** 400 raises OverflowError: that state's whole RHS is inf, the
     # other rows keep their values
     Z = base_field(Space(2), "x1^400", "1 - x2^3")
     X = np.array([[0.5, -0.7], [10.0, 0.3], [-0.9, 0.2]])
     ref = _reference_rhs(Z)
-    got = _rows_rhs(_field_forms(Z))(X)
+    rhs, _ = _compiled_flow(_field_forms(Z))
+    got = np.array([rhs(*x) for x in X.tolist()])
     assert _same(got, np.array([ref(x) for x in X]))
-    assert np.all(np.isinf(got[1]))
-    assert _same(_point_rhs(_field_forms(Z))(X[1]), ref(X[1]))
+    assert np.all(np.isinf(got[1])) and np.all(np.isfinite(got[[0, 2]]))
     with pytest.raises(BlowUpError) as err:
         integrate_field(Z, [10.0, 0.3], 1.0, 0.1)
     assert err.value.last_valid_time == 0.0
+    # in the cloud that point alone blows up, at the reference's time
+    others = X[[0, 2]].tolist()
+    for x0 in others:
+        _reference_integrate(Z, x0, 0.5, 0.1)
+    with pytest.raises(BlowUpError) as expected, np.errstate(invalid="ignore"):
+        _reference_integrate(Z, X[1].tolist(), 0.5, 0.1)
     with pytest.raises(BlowUpError) as err:
         volume_distortion(Z, X.tolist(), 0.5, 0.1)
-    assert err.value.last_valid_time == 0.0
+    assert err.value.last_valid_time == expected.value.last_valid_time == 0.0
+    report = volume_distortion(Z, others, 0.5, 0.1)
+    weights, lengths, min_weights = _reference_volume(Z, others, 0.5, 0.1)
+    assert _same(report.weights, weights)
+    assert _same(report.lengths, lengths)
+    assert _same(report.min_weights, min_weights)
 
 
 def test_coefficient_overflow_blows_up_at_time_zero():
