@@ -36,6 +36,8 @@ EXIT_CERTIFICATE = 2
 
 # integrate rejects a --T/--h asking for more RK4 steps than this
 MAX_STEPS = 10 ** 7
+# stratify and scan-div reject a --samples above this
+MAX_SAMPLES = 10 ** 5
 # bracket-check rejects a --depth at which it would form more iterated
 # brackets than this (m^2 + ... + m^depth for m frame fields)
 MAX_BRACKETS = 10 ** 4
@@ -268,6 +270,8 @@ def cmd_singular_set(F: Frame, args):
 def cmd_stratify(F: Frame, args):
     if args.samples < 1:
         raise InputError("--samples must be >= 1")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be <= {MAX_SAMPLES}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise InputError("--tolerance must be a finite number >= 0")
     box = _parse_box(args.box)
@@ -385,6 +389,8 @@ def cmd_scan_div(F: Frame, args):
         raise InputError("--cutoff must be positive")
     if args.samples < 0:
         raise InputError("--samples must be >= 0")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be <= {MAX_SAMPLES}")
     goh = abnormal.goh_matrix(F)
     g = _pick_generator(F, args, goh, _generator_rank(F, args, goh))
     box = _parse_box(args.box)

@@ -24,13 +24,15 @@ do on (n,) arrays, in the same order, so the states equal an RK4 on arrays
 over ``eval_float`` bit for bit.  ``integrate_field`` runs the loop once,
 ``volume_distortion`` once per cloud point, in cloud order; on a few floats
 per point a numpy call costs more than it saves, even batched over a cloud.
-The stored states (the lift, Goh matrix and fields of a trajectory, div Z
-and |Z|_inf of a cloud) are evaluated many at a time by :func:`_eval_rows`:
-the same products and sums as numpy elementwise operations, term by term in
-the same order, with each power taken per element by Python's float ``**``
-(libm ``pow``), because numpy's ``**`` rounds differently in a few percent
-of values.  Every array therefore equals the per-point evaluation bit for
-bit, and printed floats do not depend on how many points were evaluated
+Stored states are evaluated by one evaluator, :func:`_eval_states`, which
+runs every form a caller needs over every state in one call: the lift, Goh
+matrix and fields of a trajectory, and div Z and the components of Z over a
+cloud.  It does the same products and sums as numpy elementwise operations,
+term by term in the same order, over blocks of at most ``EVAL_BLOCK_ROWS``
+states, with each power taken per element by Python's float ``**`` (libm
+``pow``), because numpy's ``**`` rounds differently in a few percent of
+values.  Every array therefore equals the per-point evaluation bit for bit,
+and printed floats do not depend on how many points were evaluated
 together.
 
 All vector norms in this module are sup norms; the scan's ratio estimate
@@ -65,10 +67,9 @@ __all__ = [
 ]
 
 
-# volume_distortion evaluates div Z and |Z|_inf on blocks of whole time
-# steps holding at most this many states (or one time step, if the cloud is
-# larger), so its power columns do not grow with the number of steps
-VOLUME_BLOCK_ROWS = 4096
+# _eval_states evaluates stored states in blocks of at most this many rows,
+# so its power columns do not grow with the number of states
+EVAL_BLOCK_ROWS = 4096
 
 
 class BlowUpError(SingfolError, RuntimeError):
@@ -144,7 +145,7 @@ def _compiled_flow(forms):
     * ...``, from ``s_k = 0.0``: the factors left to right and the terms in
     the form's order, so every value is bit for bit ``_eval_float_form``.  A
     factor with e = 1 is read as ``x_pos``: ``pow(x, 1)`` is exactly x, as
-    in :func:`_eval_rows`.  The coefficients come in as the tuple ``c``, so
+    in :func:`_eval_states`.  The coefficients come in as the tuple ``c``, so
     the source holds only ints; one statement per term keeps its syntax tree
     shallow however many terms a component has.  A power that overflows
     makes the whole RHS inf.
@@ -205,8 +206,9 @@ def _compiled_flow(forms):
     return scope["rhs"], scope["run"]
 
 
-def _eval_rows(form, X: np.ndarray, powers: dict) -> np.ndarray:
-    """A compiled float form on every row of X, bit for bit ``eval_float``.
+def _eval_states(forms, S: np.ndarray) -> np.ndarray:
+    """Compiled float forms on every row of S: ``out[r, j]`` is form j on
+    row r, bit for bit ``eval_float``.
 
     Products and sums are numpy elementwise, term by term in the form's
     order, exactly as the scalar loop.  Each power ``x_pos ** e``, e >= 2,
@@ -214,23 +216,30 @@ def _eval_rows(form, X: np.ndarray, powers: dict) -> np.ndarray:
     numpy's ``**`` rounds differently in a few percent of values for e >= 3
     and in about 0.1 % for e = 2.  For e = 1 the column itself is used:
     ``pow(x, 1)`` is exactly x, since libm's ``pow`` errs by less than one
-    unit in the last place and x is representable.
-    ``powers`` caches the columns of one X across forms.  An overflowing
-    power raises ``OverflowError``, as in ``eval_float``.
+    unit in the last place and x is representable.  S is evaluated in blocks
+    of at most ``EVAL_BLOCK_ROWS`` rows, each with its own cache of power
+    columns shared across the forms, so memory does not grow with len(S).
+    An overflowing power raises ``OverflowError``, as in ``eval_float``.
     """
-    total = np.zeros(len(X))
-    for coeff, factors in form:
-        term = np.full(len(X), coeff)
-        for pos, e in factors:
-            column = powers.get((pos, e))
-            if column is None:
-                column = X[:, pos]
-                if e != 1:
-                    column = np.array([v ** e for v in column.tolist()], dtype=float)
-                powers[pos, e] = column
-            term *= column
-        total += term
-    return total
+    out = np.empty((len(S), len(forms)))
+    for start in range(0, len(S), EVAL_BLOCK_ROWS):
+        X = S[start:start + EVAL_BLOCK_ROWS]
+        powers = {}
+        for j, form in enumerate(forms):
+            total = np.zeros(len(X))
+            for coeff, factors in form:
+                term = np.full(len(X), coeff)
+                for pos, e in factors:
+                    column = powers.get((pos, e))
+                    if column is None:
+                        column = X[:, pos]
+                        if e != 1:
+                            column = np.array([v ** e for v in column.tolist()], dtype=float)
+                        powers[pos, e] = column
+                    term *= column
+                total += term
+            out[start:start + len(X), j] = total
+    return out
 
 
 def _steps(V: VectorField, T: float, h: float) -> int:
@@ -268,9 +277,9 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
     Goh matrix already built for F.
 
     The lift, the frame coefficients u, the Goh matrix and the frame fields
-    are evaluated over all states at once; the products ``Ht @ u`` and
-    ``p . X^i`` stay per state, so they sum in the same order as on one
-    state.
+    are evaluated over all states by one :func:`_eval_states` call; the
+    products ``Ht @ u`` and ``p . X^i`` stay per state, so they sum in the
+    same order as on one state.
     """
     if F.normal_form is None or g.Z is None:
         raise ValueError("certified integration needs a corank-1 generator with projection")
@@ -280,21 +289,21 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
         goh = goh_matrix(F)
     assert goh.reduced is not None
     S = traj.states
-    powers = {}
-
-    def rows(poly):
-        return _eval_rows(poly._float_terms(), S, powers)
-
+    lift = len(F.normal_form)
+    pairs = list(zip(g.I, g.reduced_coefficients))
+    polys = (list(F.normal_form) + [c for _, c in pairs]
+             + [goh.reduced.entry(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+             + [c for X in F.fields for c in X.components])
     with np.errstate(over="ignore", invalid="ignore"):
-        costates = np.column_stack([-rows(A) for A in F.normal_form] + [np.ones(len(S))])
+        values = _eval_states([p._float_terms() for p in polys], S)
+        costates = np.hstack([-values[:, :lift], np.ones((len(S), 1))])
         u = np.zeros((len(S), m))
-        for i, c in zip(g.I, g.reduced_coefficients):
-            u[:, i - 1] = rows(c)
-        Ht = np.empty((len(S), m, m))
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                Ht[:, i - 1, j - 1] = rows(goh.reduced.entry(i, j))
-        fields = [np.column_stack([rows(c) for c in X.components]) for X in F.fields]
+        u[:, [i - 1 for i, _ in pairs]] = values[:, lift:lift + len(pairs)]
+        # views: each Ht[k] and X[k] is a contiguous block with the strides
+        # of one state's own array, so each BLAS product sums as on one state
+        col = lift + len(pairs)
+        Ht = values[:, col:col + m * m].reshape(len(S), m, m)
+        fields = [values[:, c:c + F.n] for c in range(col + m * m, len(polys), F.n)]
         goh_res = np.array([float(abs(Ht[k] @ u[k]).max()) if m else 0.0
                             for k in range(len(S))])
         anni_res = np.array([max(abs(float(np.dot(costates[k], X[k]))) for X in fields)
@@ -382,9 +391,8 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     Each point is integrated by one run of the loop compiled by
     :func:`_compiled_flow`, in cloud order, so the first point that blows up
     raises with its own last valid time.  Then div Z and |Z|_inf are
-    evaluated over the stored states, in blocks of whole time
-    steps of about ``VOLUME_BLOCK_ROWS`` states, and accumulated by the
-    trapezoid rule, yielding the exact-flow volume weight exp(int div) up
+    evaluated over the stored states by one :func:`_eval_states` call, and
+    accumulated by the trapezoid rule, yielding the exact-flow volume weight exp(int div) up
     to O(h^2) quadrature error and the trajectory length used in the
     exp(-K C) lower-bound comparison.  Every value is bit for bit the one
     of integrating and evaluating the points one at a time.
@@ -397,21 +405,14 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     for i, x in enumerate(X.tolist()):
         states[:, i] = run(tuple(x), steps, 0.5 * h, h, h / 6.0)
     div = divergence(Z)._float_terms()
-    div_vals = np.empty(states.shape[:2])
-    speed = np.empty(states.shape[:2])
-    block = max(1, VOLUME_BLOCK_ROWS // max(1, len(cloud)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(0, steps + 1, block):
-            chunk = states[t:t + block]
-            S = chunk.reshape(-1, Z.n)
-            powers = {}
-            div_vals[t:t + block] = _eval_rows(div, S, powers).reshape(chunk.shape[:2])
-            # Python's max over the components, as on one state: keep the
-            # first unless a later one is greater
-            speed[t:t + block] = reduce(lambda a, b: np.where(b > a, b, a),
-                                        [np.abs(_eval_rows(form, S, powers))
-                                         for form in forms]).reshape(chunk.shape[:2])
-        div_vals, speed = div_vals.T, speed.T
+        # values[k, i, t]: form k at cloud point i and grid time t
+        values = _eval_states([div] + forms, states.reshape(-1, Z.n)).reshape(
+            states.shape[:2] + (Z.n + 1,)).T
+        div_vals = values[0]
+        # Python's max over the components, as on one state: keep the
+        # first unless a later one is greater
+        speed = reduce(lambda a, b: np.where(b > a, b, a), np.abs(values[1:]))
         start = np.zeros((len(cloud), 1))
         integral = np.hstack([start, np.cumsum((div_vals[:, 1:] + div_vals[:, :-1]) * 0.5 * h, axis=1)])
         length = np.hstack([start, np.cumsum((speed[:, 1:] + speed[:, :-1]) * 0.5 * h, axis=1)])

@@ -20,14 +20,14 @@ Term-dictionary invariants.  Every stored dictionary has tuple keys of
 length ``space.nvars`` and nonzero ``Fraction`` values.  The public
 constructor enforces them; ``Polynomial._trusted`` wraps a dictionary that
 already meets them without a check.  One primitive adds one dictionary
-into another in place (:func:`_add_terms`).  Most sums go through
-:func:`_signed_sum`, which adds ``(sign, polynomial)`` items into one
-dictionary, and :func:`_sum_products`, which adds products ``a * b``.
-Outside this module, only the two hottest sums, the Pfaffian recursion and
-derivative sums (``pfaffian``) and the cyclic Jacobi sums (``abnormal``),
-call ``_add_terms`` on a fresh dictionary of their own and wrap it with
-``_trusted``, and ``_trusted`` wraps otherwise only the disjoint reshape of
-``vectorfield.hamiltonian_lift``.
+into another in place (:func:`_add_terms`), and one helper sums products
+``a * b`` into one dictionary through it (:func:`_sum_products`); a sign
+sits in a factor (``-a``).  The hottest sums, the Lie bracket
+(``vectorfield``), the Pfaffian recursion and derivative sums
+(``pfaffian``) and the cyclic Jacobi sums (``abnormal``), instead call
+``_add_terms`` with the sign on a fresh dictionary of their own and wrap it
+with ``_trusted``, so that no factor is negated; ``_trusted`` wraps
+otherwise only the disjoint reshape of ``vectorfield.hamiltonian_lift``.
 
 Every output is a function of the polynomial's value alone: the float layer
 sums terms in the printing order (:meth:`Polynomial._float_terms`), so
@@ -47,8 +47,9 @@ Callers test for zero before they build a product: :func:`_sum_products`
 skips a pair with a zero operand, and the brackets, Pfaffian expansions and
 :meth:`Polynomial.substitute` skip a zero factor lazily, before they
 differentiate or multiply, so a sum is given only the products formed.  An
-empty product adds nothing to a sum.  Adding ``(-1, t)`` is adding
-``(1, -t)``, so a sign may sit in the item or in a factor.
+empty product adds nothing to a sum.  Subtracting ``a * b`` is adding
+``(-a) * b`` term for term, so a sign may sit in ``_add_terms`` or in a
+factor.
 
 The module also provides truncated power series in the base variables
 (:class:`JetSeries`) and a recursive-descent parser for the expression
@@ -233,15 +234,6 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
     if scale == 1:
         return {e: Fraction(v) for e, v in out.items()}
     return {e: Fraction(v, scale) for e, v in out.items()}
-
-
-def _signed_sum(space: Space, items) -> "Polynomial":
-    """The sum of ``sign * poly`` over ``(sign, poly)`` items, each added
-    into one dictionary by :func:`_add_terms`."""
-    acc: dict = {}
-    for sign, poly in items:
-        _add_terms(acc, poly.terms, sign)
-    return Polynomial._trusted(space, acc)
 
 
 def _sum_products(space: Space, pairs) -> "Polynomial":

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from singfol import _linalg
 from singfol.exactpoly import (Polynomial, Space, _add_terms, _exact_evaluator, _exact_pairs,
-                               _signed_sum)
+                               _sum_products)
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -177,16 +177,16 @@ def _merge_disjoint(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, 
 
 def _wedge(u: dict, v: dict, space: Space) -> dict:
     """u ^ v for forms stored as {ascending basis tuple: coefficient}: the
-    signed products on each basis are summed, and a basis whose sum is zero
-    is dropped."""
+    products on each basis are summed, the sign of each in its first factor,
+    and a basis whose sum is zero is dropped."""
     products: dict = {}
     for bu, cu in u.items():
         for bv, cv in v.items():
             merged = _merge_disjoint(bu, bv)
             if merged is not None:
                 basis, sign = merged
-                products.setdefault(basis, []).append((sign, cu * cv))
-    sums = {basis: _signed_sum(space, items) for basis, items in products.items()}
+                products.setdefault(basis, []).append((cu if sign > 0 else -cu, cv))
+    sums = {basis: _sum_products(space, pairs) for basis, pairs in products.items()}
     return {basis: value for basis, value in sums.items() if value}
 
 
@@ -420,7 +420,7 @@ def minor_determinant(A: SkewMatrix, rows: Sequence[int], cols: Sequence[int] | 
             return Polynomial.constant(A.space, 1)
         if remaining in memo:
             return memo[remaining]
-        memo[remaining] = value = _signed_sum(A.space, cofactors(depth, remaining))
+        memo[remaining] = value = _sum_products(A.space, cofactors(depth, remaining))
         return value
 
     def cofactors(depth: int, remaining: tuple[int, ...]):
@@ -428,7 +428,7 @@ def minor_determinant(A: SkewMatrix, rows: Sequence[int], cols: Sequence[int] | 
             a = A.entry(rows[depth], j)
             if not a.is_zero():
                 sub = expand(depth + 1, remaining[:pos] + remaining[pos + 1:])
-                yield 1 if pos % 2 == 0 else -1, a * sub
+                yield a if pos % 2 == 0 else -a, sub
 
     return expand(0, cols)
 

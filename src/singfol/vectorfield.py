@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _exact_evaluator, _exact_pairs, _signed_sum, _sum_products
+from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator, _exact_pairs, _sum_products
 
 __all__ = [
     "VectorField",
@@ -243,22 +243,25 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Exact Lie bracket [X, Y] = DY . X - DX . Y, componentwise.
 
     Component k sums X_j dY_k/dx_j over the support (nonzero components)
-    of X, and subtracts Y_j dX_k/dx_j over that of Y; a partial is taken
-    only of a nonzero component, and a product only with a nonzero partial.
+    of X, and subtracts Y_j dX_k/dx_j over that of Y, each product added
+    straight into one dictionary; a partial is taken only of a nonzero
+    component, and a product only with a nonzero partial.
     """
     if X.kind != Y.kind or X.space != Y.space:
         raise ValueError("kind mismatch")
     sx = [(j, c) for j, c in enumerate(X.components) if c]
     sy = [(j, c) for j, c in enumerate(Y.components) if c]
 
-    def items(Xk: Polynomial, Yk: Polynomial):
+    def component(Xk: Polynomial, Yk: Polynomial) -> Polynomial:
+        acc: dict = {}
         for sign, support, f in ((1, sx, Yk), (-1, sy, Xk)):
             if f:
                 for j, c in support:
                     if df := f.partial(j):
-                        yield sign, c * df
-    return VectorField([_signed_sum(X.space, items(Xk, Yk))
-                        for Xk, Yk in zip(X.components, Y.components)], X.kind)
+                        _add_terms(acc, (c * df).terms, sign)
+        return Polynomial._trusted(X.space, acc)
+    return VectorField([component(Xk, Yk) for Xk, Yk in zip(X.components, Y.components)],
+                       X.kind)
 
 
 def hamiltonian_lift(X: VectorField) -> Polynomial:
@@ -288,34 +291,19 @@ def hamiltonian_vector_field(h: Polynomial) -> VectorField:
     return VectorField(xblock + pblock, "phase")
 
 
-def _hamiltonian_derivative(Xh: VectorField, g: Polynomial) -> Polynomial:
-    """{h, g} = X_h(g) for X_h = (dh/dp, -dh/dx) the Hamiltonian field of h.
-
-    A partial of g is taken only behind a nonzero component of X_h, and a
-    product only when both factors are nonzero.
-    """
-    n, comps = Xh.space.n, Xh.components
-
-    def items():
-        for k in range(n):
-            for pos in (k, n + k):
-                if comps[pos] and (dg := g.partial(pos)):
-                    yield 1, comps[pos] * dg
-    return _signed_sum(Xh.space, items())
-
-
 def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:
-    """{h, g} = sum_k dh/dp_k dg/dx_k - dh/dx_k dg/dp_k.
+    """{h, g} = sum_k dh/dp_k dg/dx_k - dh/dx_k dg/dp_k, the Hamiltonian
+    field of h applied to g.
 
-    The p-block of the Hamiltonian field holds -dh/dx_k, so its products
-    are added, which equals subtracting dh/dx_k dg/dp_k.
+    The p-block of that field holds -dh/dx_k, so its products are added,
+    which equals subtracting dh/dx_k dg/dp_k.
     """
     if not h.space.fiber or g.space != h.space:
         raise ValueError("Poisson bracket needs two phase-space functions")
-    return _hamiltonian_derivative(hamiltonian_vector_field(h), g)
+    return hamiltonian_vector_field(h).apply(g)
 
 
 def divergence(V: VectorField) -> Polynomial:
     """Euclidean divergence in the declared coordinates."""
-    return _signed_sum(V.space, ((1, comp.partial(pos))
-                                 for pos, comp in enumerate(V.components) if comp))
+    return _sum_products(V.space, ((1, comp.partial(pos))
+                                   for pos, comp in enumerate(V.components) if comp))

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import singfol
 from conftest import TWO_SPELLINGS, tampered_goh
 from singfol import abnormal
-from singfol.cli import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, InputError, build_frame, main
+from singfol.cli import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, MAX_SAMPLES, InputError, build_frame,
+                         main)
 from singfol.demos import DEMOS, demo_names
 from singfol.exactpoly import ParseError
 from singfol.pfaffian import skew_rank
@@ -253,6 +254,11 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["stratify", "--seed", "1", "--box", "0,0.01"], "box [0, 1/100] holds fewer than two"),
     # a zero denominator in a rational coordinate
     (["bracket-check", "--at", "1/0,0,0,0"], "--at"),
+    # the sample count is bounded, like the number of RK4 steps
+    (["stratify", "--seed", "1", "--samples", "100001"], "--samples"),
+    (["stratify", "--seed", "1", "--samples", "100000000"], "--samples"),
+    (["scan-div", "--seed", "1", "--samples", "100001"], "--samples"),
+    (["scan-div", "--seed", "1", "--samples", "1000000000"], "--samples"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -263,6 +269,13 @@ def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     assert code == EXIT_INPUT
     report = json.loads(out)
     assert report["command"] == argv[0] and flag in report["error"]
+
+
+def test_scan_div_takes_samples_up_to_the_bound(capsys, tmp_path):
+    code, out, err = run(capsys, "scan-div", "--seed", "1", "--samples", str(MAX_SAMPLES),
+                         "--frame", frame_file(tmp_path, "dim4"))
+    assert code == EXIT_OK and err == ""
+    assert f"samples={MAX_SAMPLES} " in out
 
 
 def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
@@ -482,14 +495,14 @@ FLAGS = {
     "generators": {"--rank": RANKS},
     "certify": {"--rank": RANKS},
     "singular-set": {"--rank": RANKS},
-    "stratify": {"--seed": INTS, "--samples": ["1", "7", "0", "-1"], "--box": BOXES,
-                 "--tolerance": FLOATS},
+    "stratify": {"--seed": INTS, "--samples": ["1", "7", "0", "-1", "100001", "100000000"],
+                 "--box": BOXES, "--tolerance": FLOATS},
     "normalform": {"--order": ["0", "1", "3", "-1"]},
     "integrate": {"--from": POINTS, "--T": ["0.05", "0", "-1", "nan", "1e400"],
                   "--h": ["0.01", "0", "-0.01", "nan", "1e400"], "--field": FIELDS,
                   "--rank": RANKS, "--tolerance": FLOATS},
-    "scan-div": {"--seed": INTS, "--samples": ["0", "7", "-1"], "--box": BOXES,
-                 "--cutoff": FLOATS, "--field": FIELDS, "--rank": RANKS},
+    "scan-div": {"--seed": INTS, "--samples": ["0", "7", "-1", "100001", "1000000000"],
+                 "--box": BOXES, "--cutoff": FLOATS, "--field": FIELDS, "--rank": RANKS},
     "bracket-check": {"--depth": ["1", "4", "0", "-1"], "--at": POINTS},
 }
 MALFORMED = [

@@ -13,7 +13,7 @@ from singfol.demos import demo_frame
 from singfol.dynamics import (
     BlowUpError,
     _compiled_flow,
-    _eval_rows,
+    _eval_states,
     _field_forms,
     abnormal_trajectory,
     divergence_ratio_scan,
@@ -356,8 +356,9 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
     rhs, _ = _compiled_flow(_field_forms(g.Z))
     assert _same(np.array([rhs(*x) for x in rows.tolist()]), np.array([ref(x) for x in rows]))
     div = divergence(g.Z)
-    assert _same(_eval_rows(div._float_terms(), rows, {}),
-                 np.array([_reference_eval(div, x.tolist()) for x in rows]))
+    polys = [div, *g.Z.components]
+    assert _same(_eval_states([p._float_terms() for p in polys], rows),
+                 np.array([[_reference_eval(p, x.tolist()) for p in polys] for x in rows]))
     scan = divergence_ratio_scan(g.Z, (-1, 1), 200, seed=5, cutoff=1e-3)
     rng = random.Random(5)
     best = 0.0
@@ -370,19 +371,51 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
 
 
 def test_volume_in_blocks_of_steps_is_bitwise_equal(monkeypatch):
-    # blocks of one step (a block smaller than the cloud still takes one),
-    # of three steps with a shorter last block, and one block for all
+    # stored states evaluated in blocks of one row, of 16 and 50 rows with a
+    # shorter last block, and in one block: the volume cloud and a
+    # trajectory's residuals are the same bits either way
     F = _flow_frame((29, 6))
     goh = goh_matrix(F)
     g = abnormal_generators(F, skew_rank(goh.reduced), goh)[0]
     cloud = sample_cloud((-0.6, 0.6), 16, F.n, seed=F.n)
     weights, lengths, min_weights = _reference_volume(g.Z, cloud, 0.1, 1e-3)
-    for rows in (1, 16, 50, dynamics.VOLUME_BLOCK_ROWS):
-        monkeypatch.setattr(dynamics, "VOLUME_BLOCK_ROWS", rows)
+    x0 = [-0.31, 0.27, -0.44, 0.18, -0.23, 0.39]
+    states = _reference_integrate(g.Z, x0, 0.2, 1e-3)
+    costates, goh_res, anni_res = _reference_residuals(F, g, goh, states)
+    for rows in (1, 16, 50, dynamics.EVAL_BLOCK_ROWS):
+        monkeypatch.setattr(dynamics, "EVAL_BLOCK_ROWS", rows)
         report = volume_distortion(g.Z, cloud, 0.1, 1e-3)
         assert _same(report.weights, weights), rows
         assert _same(report.lengths, lengths), rows
         assert _same(report.min_weights, min_weights), rows
+        traj = abnormal_trajectory(F, g, x0, 0.2, 1e-3, 1e-10, goh)
+        assert _same(traj.costates, costates), rows
+        assert _same(traj.goh_residuals, goh_res), rows
+        assert _same(traj.annihilation_residuals, anni_res), rows
+
+
+def test_eval_states_matches_reference_on_every_row(monkeypatch):
+    # random polynomials with powers up to 5, the zero polynomial and a
+    # constant, on rows with negative, zero and large coordinates, in blocks
+    # of 7 rows with a shorter last block
+    rng = random.Random(17)
+    s = Space(3)
+    polys = [random_polynomial(rng, s, 6, 5) for _ in range(6)]
+    polys += [Polynomial.zero(s), Polynomial.constant(s, Fraction(-7, 3))]
+    rows = np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(40)]
+                    + [[0.0, -0.0, 1e60], [-1e-70, 2.5, -1.0]])
+    want = np.array([[_reference_eval(p, x.tolist()) for p in polys] for x in rows])
+    monkeypatch.setattr(dynamics, "EVAL_BLOCK_ROWS", 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _eval_states([p._float_terms() for p in polys], rows)
+    assert _same(got, want)
+    assert _eval_states([p._float_terms() for p in polys], rows[:0]).shape == (0, len(polys))
+    # 1e150 ** 3 has no double: the power raises, as in eval_float
+    cube = parse_expression("x1^3 + 1", s)
+    with pytest.raises(OverflowError):
+        cube.eval_float([1e150, 0.0, 0.0])
+    with pytest.raises(OverflowError):
+        _eval_states([cube._float_terms()], np.array([[1.0, 0.0, 0.0], [1e150, 0.0, 0.0]]))
 
 
 def test_eval_float_matches_term_loop_on_random_polynomials():

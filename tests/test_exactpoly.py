@@ -440,7 +440,6 @@ def test_in_place_sums_match_reference(seed, space):
     for sign, term in signed:
         exactpoly._add_terms(acc, term.terms, sign)
     assert acc == want.terms
-    assert exactpoly._signed_sum(space, signed) == want
     got = Polynomial.zero(space)
     for sign, term in signed:
         got = got + term if sign > 0 else got - term
@@ -560,6 +559,47 @@ def test_brackets_match_reference_sums_on_zero_heavy_inputs(seed):
                              if rng.random() < 0.5 else Polynomial.zero(base) for _ in range(4)])
                 for _ in range(2))
         assert _lie_and_divergence_match_reference(X, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([Space(1, True), Space(2, True), Space(3, True)]))
+def test_poisson_bracket_matches_reference_with_zero_operands(seed, space):
+    # {h, g} is the Hamiltonian field of h applied to g; zero operands and
+    # constants (all of whose partials vanish) included
+    rng = random.Random(seed)
+
+    def operand():
+        kind = rng.random()
+        if kind < 0.2:
+            return Polynomial.zero(space)
+        if kind < 0.3:
+            return Polynomial.constant(space, Fraction(rng.randint(-3, 3), rng.choice(_RATIONAL)))
+        return random_polynomial(rng, space, rng.choice((1, 3, 8)), 3, _RATIONAL)
+
+    for _ in range(3):
+        h, g = operand(), operand()
+        assert _poisson_matches_reference(h, g)
+        assert _poisson_matches_reference(h, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["base", "phase"]))
+def test_divergence_matches_reference_sum_of_partials(seed, kind):
+    # zero components, constant ones, and components whose own partial
+    # vanishes although another does not
+    rng = random.Random(seed)
+    base = Space(rng.randint(1, 4))
+    space = base.phase if kind == "phase" else base
+
+    def component():
+        if rng.random() < 0.3:
+            return Polynomial.zero(space)
+        positions = rng.sample(range(space.nvars), rng.randint(0, space.nvars))
+        return _polynomial_in(rng, space, positions, 4)
+
+    V = VectorField([component() for _ in range(space.nvars)], kind)
+    want = reference_sum(space, [(1, c.partial(pos)) for pos, c in enumerate(V.components)])
+    assert divergence(V) == want
 
 
 def test_poisson_bracket_adds_then_subtracts():

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from conftest import (
     random_rational_point,
     random_scalar_skew_of_rank,
     random_skew,
+    reference_product,
+    reference_sum,
     scalar_to_skew,
     skew_from_rows,
     top_down_skew_rank,
@@ -262,6 +265,36 @@ def test_pfaffian_squared_is_determinant():
         I = tuple(range(1, size + 1))
         pf = pfaffian_by_definition(A, I)
         assert pf * pf == minor_determinant(A, I)
+
+
+def _leibniz_determinant(A: SkewMatrix, rows, cols) -> Polynomial:
+    """sum over permutations s of sign(s) prod_k A[rows[k], cols[s(k)]],
+    on the reference loops."""
+    total = []
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = Polynomial.constant(A.space, 1)
+        for k, s in enumerate(perm):
+            term = reference_product(term, A.entry(rows[k], cols[s]))
+        total.append((-1 if inversions % 2 else 1, term))
+    return reference_sum(A.space, total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_minor_determinant_matches_leibniz_sum(seed, size):
+    # symmetric and rectangular-index minors (rows != cols) of random skews
+    # with some zero entries, every size from the empty minor up
+    rng = random.Random(seed)
+    sp = Space(2)
+    upper = {(i, j): random_polynomial(rng, sp, 2) if rng.random() < 0.7 else Polynomial.zero(sp)
+             for i in range(1, size + 1) for j in range(i + 1, size + 1)}
+    A = SkewMatrix(sp, size, upper)
+    for _ in range(4):
+        k = rng.randint(0, size)
+        rows = tuple(sorted(rng.sample(range(1, size + 1), k)))
+        cols = rows if rng.random() < 0.3 else tuple(sorted(rng.sample(range(1, size + 1), k)))
+        assert minor_determinant(A, rows, cols) == _leibniz_determinant(A, rows, cols), (rows, cols)
 
 
 def test_odd_minor_factorization():
