@@ -44,14 +44,14 @@ from typing import Sequence
 
 from singfol import _linalg
 from singfol.exactpoly import (Polynomial, SingfolError, Space, _add_terms, _as_fraction,
-                               _exact_evaluator, _exact_pairs, _sum_products)
+                               _exact_pairs, _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
     _cofactors,
+    _integer_values,
     index_sets,
     kernel_generators,
     pfaffian_by_recursion,
-    skew_rank,
 )
 from singfol.vectorfield import (
     Frame,
@@ -222,57 +222,41 @@ def goh_matrix(F: Frame) -> GohMatrix:
     return GohMatrix(F, H, hams, hvfs, reduced)
 
 
-def _annihilator_offenders(F: Frame, x: Sequence[Fraction], P: Sequence[int], E: int):
-    """The pairs (i, p . X^i(x)) with a nonzero pairing, for p = P / E.
-
-    Each pairing is summed over ints by cross-multiplying the components'
-    unreduced values, skipping zero P_k and zero components; only an
-    offender becomes a Fraction.
-    """
-    pair = _exact_pairs(x)
-    scaled = [(k, a) for k, a in enumerate(P) if a]
-    offenders = []
-    for i, X in enumerate(F.fields, start=1):
-        num, den = 0, 1
-        for k, a in scaled:
-            c = X.components[k]
-            if c:
-                cn, cd = pair(c)
-                if cn:
-                    if cd == den:
-                        num += a * cn
-                    else:
-                        num, den = num * cd + a * cn * den, den * cd
-        if num:
-            offenders.append((i, Fraction(num, den * E)))
-    return offenders
-
-
 def kernel_dim_at(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction],
                   goh: GohMatrix | None = None) -> int:
     """Kernel dimension m - rank(H) at an exact point of the annihilator.
 
     The point must satisfy p . X^i(x) = 0 for every frame field and p != 0;
     otherwise an :class:`AnnihilatorError` reports the offending momenta.
-    Coordinates must be ints or Fractions; a float raises TypeError.
+    x and p must both have length n, or ``ValueError`` is raised before any
+    value is taken.  Coordinates must be ints or Fractions; a float raises
+    TypeError.
 
-    p is written once as ints P over the lcm E of its denominators, read by
-    the annihilator check and the rank.  The rank is taken at (x, P/g),
-    g = gcd(P), which relies on H being fiber-linear (:func:`goh_matrix`
-    asserts it): H(x, lam p) = lam H(x, p) has the same rank, and kernel
-    dimension, for every lam != 0, here lam = E/g.
+    p is written once as ints P over the lcm E of its denominators, and
+    every value is read by one evaluator at the phase point (x, P/g),
+    g = gcd(P).  The momenta h^i and the entries of H are fiber-linear
+    (:func:`goh_matrix` asserts it for H), so h^i(x, P/g) = (E/g) p . X^i(x)
+    gives each offender's value exactly, and H(x, lam p) = lam H(x, p) has
+    the same rank, and kernel dimension, for every lam != 0, here lam = E/g.
     """
+    if not len(x) == len(p) == F.n:
+        raise ValueError(f"x and p need {F.n} coordinates each, got {len(x)} and {len(p)}")
+    if goh is None:
+        goh = goh_matrix(F)
     ratios = [_as_fraction(v).as_integer_ratio() for v in p]
     E = math.lcm(*(q for _, q in ratios))
     P = [a * (E // q) for a, q in ratios]
     if not (g := math.gcd(*P)):
         raise AnnihilatorError([])
-    offenders = _annihilator_offenders(F, x, P, E)
+    pair = _exact_pairs(list(x) + [a // g for a in P])
+    offenders = []
+    for i, h in enumerate(goh.hamiltonians, start=1):
+        num, den = pair(h)
+        if num:
+            offenders.append((i, Fraction(num * g, den * E)))
     if offenders:
         raise AnnihilatorError(offenders)
-    if goh is None:
-        goh = goh_matrix(F)
-    return F.m - skew_rank(goh.H, at=list(x) + [a // g for a in P])
+    return F.m - _linalg.rank(_integer_values(goh.H, pair))
 
 
 def _combination(space: Space, kind: str, coeffs: Sequence[Polynomial],
@@ -554,8 +538,8 @@ def _grid_numerators(box) -> tuple[int, int]:
 
 def _corank1_covector(F: Frame, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """(-A_1(x), ..., -A_{n-1}(x), 1), the covector annihilating a corank-1 frame."""
-    value = _exact_evaluator(x)
-    return tuple(-value(A) for A in F.normal_form) + (Fraction(1),)
+    pair = _exact_pairs(x)
+    return tuple(-Fraction(*pair(A)) for A in F.normal_form) + (Fraction(1),)
 
 
 def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig

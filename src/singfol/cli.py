@@ -355,6 +355,8 @@ def cmd_integrate(F: Frame, args):
         raise InputError(f"--from expects comma-separated numbers: {exc}") from exc
     if len(x0) != F.n:
         raise InputError(f"--from needs {F.n} coordinates")
+    if not all(map(math.isfinite, x0)):
+        raise InputError("--from coordinates must be finite numbers")
     steps = args.T / args.h
     if not math.isfinite(steps) or round(steps) > MAX_STEPS:
         raise InputError(f"--T/--h asks for more than {MAX_STEPS} steps")

@@ -285,18 +285,6 @@ def _exact_pairs(point: Sequence):
     return pair
 
 
-def _exact_evaluator(point: Sequence):
-    """``value(poly) -> Fraction`` at one exact point: the ratio of
-    :func:`_exact_pairs`, normalized once into one Fraction."""
-    pair = _exact_pairs(point)
-
-    def value(poly: "Polynomial") -> Fraction:
-        num, den = pair(poly)
-        return Fraction(num, den)
-
-    return value
-
-
 def _eval_float_form(form, point: Sequence[float]) -> float:
     """Value of a compiled float form (``Polynomial._float_terms``) at a point."""
     total = 0.0

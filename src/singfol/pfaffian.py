@@ -37,8 +37,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import (Polynomial, Space, _add_terms, _exact_evaluator, _exact_pairs,
-                               _sum_products)
+from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_pairs, _sum_products
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -127,10 +126,10 @@ class SkewMatrix:
     def evaluate(self, point: Sequence) -> list[list[Fraction]]:
         """Full numeric matrix at a rational point: each stored upper entry
         is valued once, by one evaluator, and negated for the lower triangle."""
-        value = _exact_evaluator(point)
+        pair = _exact_pairs(point)
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
         for (i, j), entry in self.upper.items():
-            rows[i - 1][j - 1] = value(entry)
+            rows[i - 1][j - 1] = Fraction(*pair(entry))
             rows[j - 1][i - 1] = -rows[i - 1][j - 1]
         return rows
 
@@ -470,10 +469,10 @@ def _cofactors(A: SkewMatrix, I: tuple[int, ...]) -> tuple[Polynomial, ...]:
     return tuple(-phi if p % 2 else phi for p, phi in enumerate(minors))
 
 
-def _integer_values(A: SkewMatrix, point: Sequence) -> list[list[int]]:
-    """A at a rational point as an integer matrix: the exact values of the
-    stored entries times one positive scale, the lcm of their denominators."""
-    pair = _exact_pairs(point)
+def _integer_values(A: SkewMatrix, pair) -> list[list[int]]:
+    """A at the point of the evaluator ``pair`` (:func:`_exact_pairs`) as an
+    integer matrix: the exact values of the stored entries times one
+    positive scale, the lcm of their denominators."""
     nums = _linalg.integer_row(pair(entry) for entry in A.upper.values())
     rows = [[0] * A.size for _ in range(A.size)]
     for (i, j), v in zip(A.upper, nums):
@@ -501,11 +500,11 @@ def skew_rank(A: SkewMatrix, at: Sequence | None = None) -> int:
     minors checked are expanded, and they stay in the matrix's memo.
     """
     if at is not None:
-        return _linalg.rank(_integer_values(A, at))
+        return _linalg.rank(_integer_values(A, _exact_pairs(at)))
     r = 2 if A.upper else 0
     if r + 2 <= A.size:
         point = [k % 5 + 1 for k in range(A.space.nvars)]
-        r = max(r, _linalg.rank(_integer_values(A, point)))
+        r = max(r, _linalg.rank(_integer_values(A, _exact_pairs(point))))
     while r + 2 <= A.size:
         if all(_pf_cached(A, I).is_zero() for I in index_sets(A.size, r + 2)):
             return r

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_evaluator, _exact_pairs, _sum_products
+from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_pairs, _sum_products
 
 __all__ = [
     "VectorField",
@@ -123,8 +123,8 @@ class VectorField:
 
     def evaluate(self, point: Sequence) -> list[Fraction]:
         """Exact component values at a rational point, through one evaluator."""
-        value = _exact_evaluator(point)
-        return [value(c) for c in self.components]
+        pair = _exact_pairs(point)
+        return [Fraction(*pair(c)) for c in self.components]
 
     def constant_part(self) -> list[Fraction]:
         return [c.constant_term() for c in self.components]

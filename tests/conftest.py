@@ -202,8 +202,8 @@ def reference_eval_exact(f: Polynomial, point) -> Fraction:
 
 def reference_offenders(F: Frame, x, p) -> list[tuple[int, Fraction]]:
     """The pairs (i, p . X^i(x)) with a nonzero pairing, each a Fraction sum
-    over every component (the loop ``_annihilator_offenders`` ran before it
-    summed over ints)."""
+    over every component of X^i; ``kernel_dim_at`` reads them instead as
+    values of the momenta h^i at one phase point, over ints."""
     offenders = []
     for i, X in enumerate(F.fields, start=1):
         pairing = sum((Fraction(pk) * reference_eval_exact(c, x)

@@ -28,7 +28,6 @@ from singfol.abnormal import (
     NormalFormError,
     SamplerConfig,
     SamplingError,
-    _annihilator_offenders,
     _divisors,
     _project_onto_locus,
     _rational_roots,
@@ -41,7 +40,7 @@ from singfol.abnormal import (
     singular_set_equations,
     stratify,
 )
-from singfol import abnormal, exactpoly
+from singfol import abnormal, exactpoly, pfaffian, vectorfield
 from singfol.demos import DEMOS, demo_frame
 from singfol.exactpoly import Polynomial, Space, parse_expression
 from singfol.pfaffian import (
@@ -221,40 +220,74 @@ def test_kernel_dim_refuses_inexact_and_zero_covectors(F):
     assert err.value.offenders == []
 
 
-def _offenders(F, x, p):
-    """_annihilator_offenders on p written as ints over the lcm of its denominators."""
-    E = math.lcm(*(Fraction(v).denominator for v in p))
-    return _annihilator_offenders(F, x, [int(Fraction(v) * E) for v in p], E)
-
-
 @pytest.mark.parametrize("F", [demo_frame("dim6-cubic"), random_general_frame(random.Random(8), 5, 3)],
                          ids=["corank1", "fields"])
 def test_annihilator_pairings_match_fraction_loop(F):
-    # the pairings are summed over ints; the offenders, their values and the
-    # error of kernel_dim_at are those of the Fraction loop, on the bundle
-    # and off it, for covectors with zeros and mixed denominators
+    # the pairings are read at the phase point (x, P/g) and scaled back;
+    # the offenders of kernel_dim_at, their values and its error are those
+    # of the Fraction loop, on the bundle and off it, for covectors with
+    # zeros and mixed denominators
     rng = random.Random(5)
     config = SamplerConfig(seed=0)
     dens = (1, 2, 3, 7, 64)
+    goh = goh_matrix(F)
     checked = 0
     for _ in range(24):
         x, p = sample_annihilator_point(F, rng, config)
-        assert _offenders(F, x, p) == reference_offenders(F, x, p) == []
+        assert reference_offenders(F, x, p) == []
+        kernel_dim_at(F, x, p, goh)
         for q in ([v + Fraction(rng.randint(-3, 3), rng.choice(dens)) for v in p],
                   [Fraction(rng.randint(-2, 2), rng.choice(dens)) for _ in p],
                   [0] * (F.n - 1) + [rng.randint(1, 3)]):
             want = reference_offenders(F, x, q)
-            got = _offenders(F, x, q)
-            assert got == want and all(type(v) is Fraction for _, v in got)
-            if not any(q):
+            # a zero covector has no offenders, and is refused all the same
+            if not want and any(q):
+                kernel_dim_at(F, x, q, goh)
                 continue
-            if want:
-                checked += 1
-                with pytest.raises(AnnihilatorError) as err:
-                    kernel_dim_at(F, x, q)
-                assert err.value.offenders == want
-                assert str(err.value) == str(AnnihilatorError(want))
+            checked += bool(want)
+            with pytest.raises(AnnihilatorError) as err:
+                kernel_dim_at(F, x, q, goh)
+            got = err.value.offenders
+            assert got == want and all(type(v) is Fraction for _, v in got)
+            assert str(err.value) == str(AnnihilatorError(want))
     assert checked > 24
+
+
+@pytest.mark.parametrize("F", [demo_frame("dim4-engel"), random_general_frame(random.Random(8), 5, 3)],
+                         ids=["corank1", "fields"])
+def test_kernel_dim_refuses_points_of_the_wrong_length(F):
+    # x and p are read as one phase point, so a short p beside a long x
+    # would fill it; every mismatch is refused before any value is taken
+    x, p = sample_annihilator_point(F, random.Random(1), SamplerConfig(seed=1))
+    x, p = list(x), list(p)
+    for xs, ps in ((x + [Fraction(1)], p[:-1]), (x[:-1], p + [Fraction(0)]),
+                   (x, p + [Fraction(0)]), (x, p[:-1])):
+        with pytest.raises(ValueError) as err:
+            kernel_dim_at(F, xs, ps)
+        assert type(err.value) is ValueError
+        assert f"need {F.n} coordinates each, got {len(xs)} and {len(ps)}" in str(err.value)
+
+
+@pytest.mark.parametrize("F", [demo_frame("dim6-cubic"), random_general_frame(random.Random(8), 5, 3)],
+                         ids=["corank1", "fields"])
+def test_kernel_dim_at_values_one_phase_point(monkeypatch, F):
+    # the annihilator check and the rank read one evaluator at (x, P/g)
+    built = []
+    original = exactpoly._exact_pairs
+
+    def counted(point):
+        built.append(tuple(point))
+        return original(point)
+
+    for module in (exactpoly, abnormal, pfaffian, vectorfield):
+        monkeypatch.setattr(module, "_exact_pairs", counted)
+    goh = goh_matrix(F)
+    for seed in range(3):
+        x, p = sample_annihilator_point(F, random.Random(seed), SamplerConfig(seed=seed))
+        for args in ((F, x, p, goh), (F, x, p)):
+            built.clear()
+            kernel_dim_at(*args)
+            assert len(built) == 1 and built[0][:F.n] == x and len(built[0]) == 2 * F.n
 
 
 # -- generators --------------------------------------------------------------------

@@ -259,6 +259,10 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["stratify", "--seed", "1", "--samples", "100000000"], "--samples"),
     (["scan-div", "--seed", "1", "--samples", "100001"], "--samples"),
     (["scan-div", "--seed", "1", "--samples", "1000000000"], "--samples"),
+    # a start point that is not finite is refused before any step
+    (["integrate", "--from", "nan,0,0,0", "--T", "0", "--h", "0.1"], "--from"),
+    (["integrate", "--from", "0,inf,0,0", "--T", "0", "--h", "0.1"], "--from"),
+    (["integrate", "--from", "0,0,0,-1e400", "--T", "0.1", "--h", "0.05"], "--from"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")

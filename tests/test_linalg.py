@@ -21,7 +21,6 @@ from conftest import (
 from singfol import _linalg, cli
 from singfol.abnormal import SamplerConfig, goh_matrix, kernel_dim_at, sample_annihilator_point
 from singfol.demos import DEMOS, demo_frame
-from singfol.exactpoly import _exact_evaluator
 from singfol.pfaffian import skew_rank
 from singfol.vectorfield import lie_bracket
 
@@ -201,16 +200,14 @@ def test_annihilator_basis_matches_the_fraction_nullspace(monkeypatch):
     rng = random.Random(19)
     for F in _frames(monkeypatch):
         for x in _mixed_points(rng, 6, F.n):
-            value = _exact_evaluator(x)
-            rows = [[value(c) for c in X.components] for X in F.fields]
+            rows = [[c.eval_exact(x) for c in X.components] for X in F.fields]
             assert repr(F.annihilator_basis(x)) == repr(reference_nullspace(rows)), (F.name, x)
 
 
 def _reference_depth(F, x, max_depth):
-    value = _exact_evaluator(x)
     layer, vectors = list(F.fields), []
     for depth in range(1, max_depth + 1):
-        vectors.extend([value(c) for c in V.components] for V in layer)
+        vectors.extend([c.eval_exact(x) for c in V.components] for V in layer)
         if reference_rank(vectors) == F.n:
             return depth
         layer = [lie_bracket(X, V) for V in layer for X in F.fields]

@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial, random_skew
+from singfol.abnormal import SamplerConfig, stratify
+from singfol.cli import build_frame
+from singfol.demos import demo_frame
 from singfol.exactpoly import Polynomial, Space
 from singfol.pfaffian import minor_determinant, pfaffian_by_recursion
 from singfol.vectorfield import VectorField, divergence, lie_bracket, poisson_bracket
@@ -138,3 +141,41 @@ def test_minor_determinant_and_pfaffian_square(seed, size):
     if size % 2 == 0:
         pf = to_sympy(pfaffian_by_recursion(A, rows), syms)
         assert sympy.expand(pf ** 2 - skew_det) == 0
+
+
+@pytest.mark.parametrize("F", [
+    build_frame({"dimension": 4, "rank": 2,
+                 "fields": [["1", "0", "x2", "x3^2"], ["0", "1", "x1", "x1*x3"]]}),
+    demo_frame("dim6-cubic"),
+], ids=["fields", "dim6-cubic"])
+def test_stratify_witnesses(F):
+    # every witness (x, p) of every level, in sympy alone: p != 0 annihilates
+    # each field at x, and the level's dim is m minus the rank of the
+    # matrix p . [X^k, X^l](x), the brackets taken by sympy.diff
+    syms = symbols(F.space)
+    fields = [[to_sympy(c, syms) for c in X.components] for X in F.fields]
+
+    def bracket(X, Y):
+        return [sum(X[i] * sympy.diff(Y[j], syms[i]) - Y[i] * sympy.diff(X[j], syms[i])
+                    for i in range(F.n)) for j in range(F.n)]
+
+    brackets = {(k, l): bracket(fields[k], fields[l])
+                for k in range(F.m) for l in range(k + 1, F.m)}
+    witnesses = 0
+    for level in stratify(F, SamplerConfig(seed=3, count=16)).strata:
+        for w in level.witnesses:
+            at = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip(syms, w.x)}
+            p = [sympy.Rational(v.numerator, v.denominator) for v in w.p]
+
+            def pairing(V):
+                return sympy.expand(sum(pk * c.subs(at) for pk, c in zip(p, V)))
+
+            assert any(p)
+            assert all(pairing(X) == 0 for X in fields)
+            H = sympy.zeros(F.m, F.m)
+            for (k, l), V in brackets.items():
+                H[k, l] = pairing(V)
+                H[l, k] = -H[k, l]
+            assert w.kernel_dim == level.dim == F.m - H.rank()
+            witnesses += 1
+    assert witnesses
