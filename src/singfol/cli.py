@@ -8,10 +8,11 @@ from stdin, with polynomial payloads written in the expression grammar:
 
 ``singfol demo <name>`` emits such a document for the built-in fixtures, so
 demos pipe into the other subcommands.  Every report is deterministic:
-identical inputs, flags and seeds produce byte-identical output.  Exit
-codes: 0 success, 1 input error, 2 certificate failure.  Every reported error
-is a :class:`singfol.SingfolError` carrying its ``exit_code``, and a float
-overflow is an input error; any other exception is a bug.
+identical inputs, flags and seeds produce byte-identical output.  A handler
+returns ``(lines, payload)``, whose text lines print the payload's strings.
+Exit codes: 0 success, 1 input error, 2 certificate failure.  Every reported
+error is a :class:`singfol.SingfolError` carrying its ``exit_code``, and a
+float overflow is an input error; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ EXIT_CERTIFICATE = 2
 
 # integrate rejects a --T/--h asking for more RK4 steps than this
 MAX_STEPS = 10 ** 7
+# normalform rejects an --order d whose jets in n variables hold more than
+# this many monomials, C(d + n, n); the slowest jet timed below it (6 dense
+# fields, n = 7, d = 6) normalizes in 7 s on 2 vCPU; d = 3 passes to n = 20
+MAX_JET_MONOMIALS = 2000
 # stratify and scan-div reject a --samples above this
 MAX_SAMPLES = 10 ** 5
 # bracket-check rejects a --depth at which it would form more iterated
@@ -148,21 +153,13 @@ def _index_set_to_str(I) -> str:
     return "{" + ",".join(str(i) for i in I) + "}"
 
 
-def _generator_lines(g: abnormal.AbnormalGenerator) -> list[str]:
-    lines = [f"generator I={_index_set_to_str(g.I)}  p-degrees (x,p) = {g.p_degree}"]
-    lines.append(f"  Y = {g.Y}")
-    if g.Z is not None:
-        lines.append(f"  Z = {g.Z}")
-    return lines
+def _vector(strings: list[str]) -> str:
+    """A vector's printed form, ``str(VectorField)``, from its component strings."""
+    return "(" + ", ".join(strings) + ")"
 
 
-def _generator_json(g: abnormal.AbnormalGenerator) -> dict:
-    return {
-        "I": list(g.I),
-        "p_degree": list(g.p_degree),
-        "Y": [str(c) for c in g.Y.components],
-        "Z": [str(c) for c in g.Z.components] if g.Z is not None else None,
-    }
+def _matrix_strings(A, m: int) -> list[list[str]]:
+    return [[str(A.entry(i, j)) for j in range(1, m + 1)] for i in range(1, m + 1)]
 
 
 def _calibration(F: Frame) -> dict:
@@ -171,26 +168,20 @@ def _calibration(F: Frame) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (text_lines, results_payload, seed)
+# subcommand handlers: each returns (lines, payload), text lines and --json results
 # ---------------------------------------------------------------------------
 
 
 def cmd_goh(F: Frame, args):
     goh = abnormal.goh_matrix(F)
+    payload = {"H": _matrix_strings(goh.H, F.m)}
     lines = [f"Goh matrix of frame '{F.name or '?'}' (m={F.m}, n={F.n})"]
-    for i in range(1, F.m + 1):
-        row = ", ".join(str(goh.H.entry(i, j)) for j in range(1, F.m + 1))
-        lines.append(f"  H[{i}] = [{row}]")
-    payload = {"H": [[str(goh.H.entry(i, j)) for j in range(1, F.m + 1)]
-                     for i in range(1, F.m + 1)]}
+    lines += [f"  H[{i}] = [{', '.join(row)}]" for i, row in enumerate(payload["H"], 1)]
     if goh.reduced is not None:
+        payload["reduced"] = _matrix_strings(goh.reduced, F.m)
         lines.append(f"reduced form (H = p{F.n} * Ht):")
-        for i in range(1, F.m + 1):
-            row = ", ".join(str(goh.reduced.entry(i, j)) for j in range(1, F.m + 1))
-            lines.append(f"  Ht[{i}] = [{row}]")
-        payload["reduced"] = [[str(goh.reduced.entry(i, j)) for j in range(1, F.m + 1)]
-                              for i in range(1, F.m + 1)]
-    return lines, payload, None
+        lines += [f"  Ht[{i}] = [{', '.join(row)}]" for i, row in enumerate(payload["reduced"], 1)]
+    return lines, payload
 
 
 def cmd_pfaffian(F: Frame, args):
@@ -200,23 +191,27 @@ def cmd_pfaffian(F: Frame, args):
         raise InputError(f"--minors must be a positive even integer <= m={F.m}")
     matrix = goh.reduced if goh.reduced is not None else goh.H
     kind = "reduced" if goh.reduced is not None else "phase"
+    minors = {_index_set_to_str(I): str(pfaffian_by_recursion(matrix, I))
+              for I in index_sets(F.m, r)}
     lines = [f"Pfaffian minors of order {r} ({kind} Goh matrix)"]
-    payload = {"order": r, "kind": kind, "minors": {}}
-    for I in index_sets(F.m, r):
-        value = pfaffian_by_recursion(matrix, I)
-        lines.append(f"  phi{_index_set_to_str(I)} = {value}")
-        payload["minors"][_index_set_to_str(I)] = str(value)
-    return lines, payload, None
+    lines += [f"  phi{I} = {value}" for I, value in minors.items()]
+    return lines, {"order": r, "kind": kind, "minors": minors}
 
 
 def cmd_generators(F: Frame, args):
     goh = abnormal.goh_matrix(F)
     r = _generator_rank(F, args, goh)
     gens = abnormal.abnormal_generators(F, r, goh)
+    results = [{"I": list(g.I), "p_degree": list(g.p_degree),
+                "Y": [str(c) for c in g.Y.components],
+                "Z": None if g.Z is None else [str(c) for c in g.Z.components]} for g in gens]
     lines = [f"kernel generators at rank {r} ({len(gens)} index sets)"]
-    for g in gens:
-        lines.extend("  " + line for line in _generator_lines(g))
-    return lines, {"rank": r, "generators": [_generator_json(g) for g in gens]}, None
+    for g, entry in zip(gens, results):
+        lines.append(f"  generator I={_index_set_to_str(g.I)}  p-degrees (x,p) = {g.p_degree}")
+        lines.append(f"    Y = {_vector(entry['Y'])}")
+        if entry["Z"] is not None:
+            lines.append(f"    Z = {_vector(entry['Z'])}")
+    return lines, {"rank": r, "generators": results}
 
 
 def cmd_certify(F: Frame, args):
@@ -233,17 +228,17 @@ def cmd_certify(F: Frame, args):
             "jacobi_expansion": str(cert.jacobi_expansion),
             "bracket_order": cert.bracket_order,
         }
-        line = (f"  I={_index_set_to_str(g.I)}: div(Y) = {cert.phase_divergence}, "
-                f"jacobi sum = {cert.jacobi_expansion}")
+        line = (f"  I={_index_set_to_str(g.I)}: div(Y) = {entry['phase_divergence']}, "
+                f"jacobi sum = {entry['jacobi_expansion']}")
         if cert.base_constant is not None:
             entry["base_constant"] = str(cert.base_constant)
             entry["base_coefficients"] = [str(c) for c in cert.base_coefficients]
             entry["base_residual"] = str(cert.base_residual)
-            line += f", base constant = {cert.base_constant}"
+            line += f", base constant = {entry['base_constant']}"
         results.append(entry)
         lines.append(line)
     lines.append(f"all {len(gens)} certificates valid")
-    return lines, {"rank": r, "certificates": results}, None
+    return lines, {"rank": r, "certificates": results}
 
 
 def cmd_singular_set(F: Frame, args):
@@ -257,14 +252,12 @@ def cmd_singular_set(F: Frame, args):
         # too small to admit generators there
         r = _goh_rank(goh)
     if r == 0:
-        return ["rank 0: the singular-set equations are empty"], {"rank": 0, "equations": []}, None
+        return ["rank 0: the singular-set equations are empty"], {"rank": 0, "equations": []}
     eqs = abnormal.singular_set_equations(F, r, goh)
+    equations = [{"I": list(I), "phi": str(q)} for I, q in zip(index_sets(F.m, r), eqs)]
     lines = [f"singular-set equations at rank {r} (common zero set of:)"]
-    payload = []
-    for I, q in zip(index_sets(F.m, r), eqs):
-        lines.append(f"  phi{_index_set_to_str(I)} = {q}")
-        payload.append({"I": list(I), "phi": str(q)})
-    return lines, {"rank": r, "equations": payload}, None
+    lines += [f"  phi{_index_set_to_str(e['I'])} = {e['phi']}" for e in equations]
+    return lines, {"rank": r, "equations": equations}
 
 
 def cmd_stratify(F: Frame, args):
@@ -285,11 +278,6 @@ def cmd_stratify(F: Frame, args):
     payload = {"dims": list(S.dims), "levels": []}
     for st in S.strata:
         kind = "open stratum" if st.has_interior else "locus level"
-        lines.append(f"  dim {st.dim} (rank {st.rank}, {kind}): {st.sample_count} samples, "
-                     f"parity/bound {'ok' if st.parity_ok else 'violated'}")
-        for w in st.witnesses[:2]:
-            xs = ", ".join(str(v) for v in w.x)
-            lines.append(f"    witness x = ({xs})")
         entry = {
             "dim": st.dim, "rank": st.rank, "has_interior": st.has_interior,
             "samples": st.sample_count, "parity_ok": st.parity_ok,
@@ -297,11 +285,14 @@ def cmd_stratify(F: Frame, args):
                            "exact": w.exact} for w in st.witnesses],
             "vanishing_locus": [str(q) for q in st.vanishing_locus],
         }
+        lines.append(f"  dim {st.dim} (rank {st.rank}, {kind}): {st.sample_count} samples, "
+                     f"parity/bound {'ok' if st.parity_ok else 'violated'}")
+        lines += [f"    witness x = {_vector(w['x'])}" for w in entry["witnesses"][:2]]
         payload["levels"].append(entry)
     if S.unconfirmed:
         lines.append(f"  unconfirmed float candidates: {len(S.unconfirmed)}")
         payload["unconfirmed"] = [list(x) for x in S.unconfirmed]
-    return lines, payload, args.seed
+    return lines, payload
 
 
 def cmd_normalform(F: Frame, args):
@@ -309,18 +300,18 @@ def cmd_normalform(F: Frame, args):
 
     if args.order < 0:
         raise InputError("--order must be >= 0")
-    JF = JetFrame.from_frame(F, args.order)
-    N = normalize_frame(JF)
-    lines = [f"normal form at jet order {args.order} (stage {N.stage})"]
-    for k in range(1, F.m + 1):
-        lines.append(f"  X{k} = {N.field(k)}")
+    monomials = math.comb(args.order + F.n, F.n)
+    if monomials > MAX_JET_MONOMIALS:
+        raise InputError(f"--order {args.order} gives jets of up to {monomials} monomials in "
+                         f"{F.n} variables, more than {MAX_JET_MONOMIALS}")
+    N = normalize_frame(JetFrame.from_frame(F, args.order))
+    fields = [[str(c.body) for c in row] for row in N.components]
     chart = [[str(v) for v in row] for row in N.chart]
+    lines = [f"normal form at jet order {args.order} (stage {N.stage})"]
+    lines += [f"  X{k} = {_vector(row)}" for k, row in enumerate(fields, 1)]
     lines.append("chart matrix (original x = M . new x):")
-    for row in chart:
-        lines.append("  [" + ", ".join(row) + "]")
-    payload = {"order": args.order, "fields": [[str(c.body) for c in row] for row in N.components],
-               "chart": chart}
-    return lines, payload, None
+    lines += ["  [" + ", ".join(row) + "]" for row in chart]
+    return lines, {"order": args.order, "fields": fields, "chart": chart}
 
 
 def _pick_generator(F: Frame, args, goh, r: int):
@@ -379,7 +370,7 @@ def cmd_integrate(F: Frame, args):
         "max_annihilation_residual": float(traj.annihilation_residuals.max()),
         "certified": traj.certified,
     }
-    return csv.rstrip("\n").split("\n"), payload, None
+    return csv.rstrip("\n").split("\n"), payload
 
 
 def cmd_scan_div(F: Frame, args):
@@ -409,7 +400,7 @@ def cmd_scan_div(F: Frame, args):
         "argmax": list(scan.argmax) if scan.argmax else None,
         "div": str(divergence(g.Z)),
     }
-    return lines, payload, args.seed
+    return lines, payload
 
 
 def cmd_bracket_check(F: Frame, args):
@@ -433,7 +424,7 @@ def cmd_bracket_check(F: Frame, args):
         lines = [f"brackets up to depth {args.depth} do NOT span at the point (diagnostic only)"]
     else:
         lines = [f"brackets span the tangent space at depth {depth} (diagnostic only)"]
-    return lines, {"depth": depth, "max_depth": args.depth}, None
+    return lines, {"depth": depth, "max_depth": args.depth}
 
 
 def _parse_box(text: str) -> tuple[float, float]:
@@ -576,10 +567,10 @@ def _main(argv: list[str] | None) -> int:
     try:
         spec = _load_frame_spec(args.frame)
         frame = build_frame(spec)
-        lines, results, seed = _HANDLERS[args.command](frame, args)
+        lines, results = _HANDLERS[args.command](frame, args)
     except (SingfolError, OverflowError) as exc:
         if isinstance(exc, OverflowError):
-            # only an exact value turned into a float, or a float power, overflows
+            # an exact value turned into a float, a float power or a scanned value
             exc = InputError(f"a coefficient or a value is beyond the double range: {exc}")
         if as_json:
             detail = {} if exc.detail is None else {"detail": exc.detail}
@@ -595,7 +586,7 @@ def _main(argv: list[str] | None) -> int:
             "inputs": {k: v for k, v in spec.items() if k != "description"},
             "results": results,
             "calibration": _calibration(frame),
-            "seed": seed,
+            "seed": getattr(args, "seed", None),
         }
         print(json.dumps(report, sort_keys=True))
     else:

@@ -320,6 +320,8 @@ class DivergenceScan:
     certified supremum.  Samples with |Z|_inf below the cutoff are skipped;
     the ones within a factor 2 of the cutoff are reported as offenders
     (they sit near the singular set where the ratio degenerates to 0/0).
+    A Z component, or div Z at a sample not skipped, that is not a finite
+    double (finite terms can sum to inf) raises ``OverflowError``.
     """
 
     box: tuple[float, float]
@@ -346,13 +348,19 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
     skipped = 0
     for _ in range(samples):
         x = [rng.uniform(lo, hi) for _ in range(Z.n)]
-        znorm = max(abs(_eval_float_form(form, x)) for form in zforms)
+        z = [_eval_float_form(form, x) for form in zforms]
+        if not all(map(math.isfinite, z)):
+            raise OverflowError(f"a component of Z is not finite at the sample {x}")
+        znorm = max(map(abs, z))
         if znorm < cutoff:
             skipped += 1
             continue
         if znorm < 2.0 * cutoff and len(offenders) < 16:
             offenders.append(tuple(x))
-        ratio = abs(_eval_float_form(div, x)) / znorm
+        dz = _eval_float_form(div, x)
+        if not math.isfinite(dz):
+            raise OverflowError(f"div Z is not finite at the sample {x}")
+        ratio = abs(dz) / znorm
         if ratio > best:
             best = ratio
             argmax = tuple(x)

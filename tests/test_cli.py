@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import singfol
 from conftest import TWO_SPELLINGS, tampered_goh
 from singfol import abnormal
-from singfol.cli import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, MAX_SAMPLES, InputError, build_frame,
-                         main)
+from singfol.cli import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, MAX_JET_MONOMIALS, MAX_SAMPLES,
+                         InputError, build_frame, main)
 from singfol.demos import DEMOS, demo_names
-from singfol.exactpoly import ParseError
+from singfol.exactpoly import ParseError, Polynomial
 from singfol.pfaffian import skew_rank
 
 
@@ -28,6 +28,18 @@ def run(capsys, *argv):
 def frame_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(DEMOS[name].to_spec()), encoding="utf-8")
+    return str(path)
+
+
+# a general (not normal-form) frame whose normal form at a high jet order
+# takes seconds to minutes
+GENERAL = {"dimension": 3, "rank": 2,
+           "fields": [["1+x1+x2+x3", "x2", "x3"], ["x3", "1+x1-x2", "x1*x3"]]}
+
+
+def general_file(tmp_path):
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(GENERAL), encoding="utf-8")
     return str(path)
 
 
@@ -263,6 +275,8 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["integrate", "--from", "nan,0,0,0", "--T", "0", "--h", "0.1"], "--from"),
     (["integrate", "--from", "0,inf,0,0", "--T", "0", "--h", "0.1"], "--from"),
     (["integrate", "--from", "0,0,0,-1e400", "--T", "0.1", "--h", "0.05"], "--from"),
+    # order-13 jets in 4 variables hold up to C(17, 4) = 2380 monomials
+    (["normalform", "--order", "13"], "--order"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -273,6 +287,21 @@ def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     assert code == EXIT_INPUT
     report = json.loads(out)
     assert report["command"] == argv[0] and flag in report["error"]
+
+
+def test_normalform_order_beyond_the_jet_bound_exits_1_at_once(capsys, tmp_path, monkeypatch):
+    # order 60 ran for more than 20 s on this frame; it is refused before
+    # any jet is built
+    def refuse(F, order):
+        raise AssertionError("a jet was built")
+
+    monkeypatch.setattr("singfol.normalform.JetFrame.from_frame", refuse)
+    frame = general_file(tmp_path)
+    code, out, err = run(capsys, "normalform", "--order", "60", "--frame", frame)
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: --order 60 ") and str(MAX_JET_MONOMIALS) in err
+    code, out, _ = run(capsys, "normalform", "--order", "60", "--frame", frame, "--json")
+    assert code == EXIT_INPUT and "--order" in json.loads(out)["error"]
 
 
 def test_scan_div_takes_samples_up_to_the_bound(capsys, tmp_path):
@@ -290,10 +319,19 @@ def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
                                 "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
                     encoding="utf-8")
     dim4 = frame_file(tmp_path, "dim4")
+    # finite terms whose sum overflows: div Z = N*x2 + N*x3 near x = (1, 1, 1),
+    # and near x = (2, 2, 2) the component N/2*(x3^2 + x2*x3) of Z too
+    N = 10 ** 308
+    sum_path, z_path = tmp_path / "sum.json", tmp_path / "z.json"
+    for doc, A in ((sum_path, f"{N}/2*x3^2 + {N}*x2*x3"), (z_path, f"{N}/2*x3^2 + {N}/2*x2*x3")):
+        doc.write_text(json.dumps({"dimension": 3, "rank": 2, "normal_form": [A, "0"]}),
+                       encoding="utf-8")
     for argv in (["scan-div", "--samples", "4", "--frame", str(path)],
                  ["scan-div", "--samples", "4", "--frame", dim4, "--box=-1e200,1e200"],
                  ["stratify", "--samples", "16", "--frame", str(path)],
-                 ["stratify", "--samples", "16", "--frame", dim4, "--box", "1e200,1e201"]):
+                 ["stratify", "--samples", "16", "--frame", dim4, "--box", "1e200,1e201"],
+                 ["scan-div", "--samples", "8", "--frame", str(sum_path), "--box", "0.9,1"],
+                 ["scan-div", "--samples", "8", "--frame", str(z_path), "--box", "1.9,2"]):
         code, out, err = run(capsys, *argv, "--seed", "1")
         assert code == EXIT_INPUT, argv
         assert out == "" and err.startswith("error: ") and "double range" in err, argv
@@ -466,6 +504,108 @@ def test_json_report_schema(capsys, tmp_path):
     assert report["results"]["certificates"][0]["base_constant"] == "2"
 
 
+def _polynomial_strings(command, results):
+    """The strings of the polynomials in a command's --json results."""
+    if command == "goh":
+        return [v for key in ("H", "reduced") for row in results.get(key, []) for v in row]
+    if command == "pfaffian":
+        return list(results["minors"].values())
+    if command == "generators":
+        return [v for g in results["generators"] for v in g["Y"] + (g["Z"] or [])]
+    if command == "certify":
+        keys = ("phase_divergence", "jacobi_expansion", "base_residual")
+        return [v for c in results["certificates"]
+                for v in [c[k] for k in keys if k in c] + c.get("base_coefficients", [])]
+    if command == "singular-set":
+        return [e["phi"] for e in results["equations"]]
+    assert command == "normalform"
+    return [v for row in results["fields"] for v in row]
+
+
+SYMBOLIC = [["goh"], ["pfaffian", "--minors", "2"], ["generators"], ["certify"],
+            ["singular-set"], ["normalform"]]
+
+
+@pytest.mark.parametrize("argv", SYMBOLIC, ids=lambda argv: argv[0])
+def test_each_reported_polynomial_is_rendered_once(capsys, tmp_path, monkeypatch, argv):
+    rendered = []
+    to_str = Polynomial.__str__
+
+    def counted(p):
+        rendered.append(to_str(p))
+        return rendered[-1]
+
+    monkeypatch.setattr(Polynomial, "__str__", counted)
+    code, out, _ = run(capsys, *argv, "--frame", frame_file(tmp_path, "dim5"), "--json")
+    assert code == EXIT_OK
+    want = _polynomial_strings(argv[0], json.loads(out)["results"])
+    assert want and sorted(rendered) == sorted(want)
+
+
+def _value_lines(command, results):
+    """The indented text lines of a report, formed from its --json results."""
+    def index_set(I):
+        return "{" + ",".join(map(str, I)) + "}"
+
+    def vector(strings):
+        return "(" + ", ".join(strings) + ")"
+
+    if command == "goh":
+        return [f"  {name}[{i}] = [{', '.join(row)}]"
+                for key, name in (("H", "H"), ("reduced", "Ht"))
+                for i, row in enumerate(results.get(key, []), 1)]
+    if command == "pfaffian":
+        return [f"  phi{I} = {value}" for I, value in results["minors"].items()]
+    if command == "generators":
+        lines = []
+        for g in results["generators"]:
+            lines.append(f"  generator I={index_set(g['I'])}  "
+                         f"p-degrees (x,p) = {tuple(g['p_degree'])}")
+            lines.append(f"    Y = {vector(g['Y'])}")
+            if g["Z"] is not None:
+                lines.append(f"    Z = {vector(g['Z'])}")
+        return lines
+    if command == "certify":
+        return [f"  I={index_set(c['I'])}: div(Y) = {c['phase_divergence']}, "
+                f"jacobi sum = {c['jacobi_expansion']}"
+                + (f", base constant = {c['base_constant']}" if "base_constant" in c else "")
+                for c in results["certificates"]]
+    if command == "singular-set":
+        return [f"  phi{index_set(e['I'])} = {e['phi']}" for e in results["equations"]]
+    if command == "normalform":
+        return ([f"  X{k} = {vector(row)}" for k, row in enumerate(results["fields"], 1)]
+                + ["  [" + ", ".join(row) + "]" for row in results["chart"]])
+    assert command == "stratify"
+    lines = []
+    for level in results["levels"]:
+        kind = "open stratum" if level["has_interior"] else "locus level"
+        lines.append(f"  dim {level['dim']} (rank {level['rank']}, {kind}): "
+                     f"{level['samples']} samples, "
+                     f"parity/bound {'ok' if level['parity_ok'] else 'violated'}")
+        lines += [f"    witness x = {vector(w['x'])}" for w in level["witnesses"][:2]]
+    if "unconfirmed" in results:
+        lines.append(f"  unconfirmed float candidates: {len(results['unconfirmed'])}")
+    return lines
+
+
+@pytest.mark.parametrize("argv", SYMBOLIC + [["stratify", "--seed", "7", "--samples", "16"]],
+                         ids=lambda argv: argv[0])
+def test_text_reports_print_the_strings_of_the_json_results(capsys, tmp_path, argv):
+    frames = [frame_file(tmp_path, name) for name in demo_names()]
+    if argv[0] != "singular-set":
+        # the singular-set equations need the corank-1 normal form
+        frames.append(general_file(tmp_path))
+    for frame in frames:
+        code, text, _ = run(capsys, *argv, "--frame", frame)
+        assert code == EXIT_OK, frame
+        code, out, _ = run(capsys, *argv, "--frame", frame, "--json")
+        assert code == EXIT_OK, frame
+        indented = [line for line in text.splitlines() if line.startswith("  ")]
+        want = _value_lines(argv[0], json.loads(out)["results"])
+        # the --json minors are keyed by index set, in sorted key order
+        assert sorted(indented) == sorted(want) if argv[0] == "pfaffian" else indented == want
+
+
 def test_byte_identical_reruns(capsys, tmp_path):
     frame = frame_file(tmp_path, "dim6-cubic")
     outputs = set()
@@ -501,7 +641,7 @@ FLAGS = {
     "singular-set": {"--rank": RANKS},
     "stratify": {"--seed": INTS, "--samples": ["1", "7", "0", "-1", "100001", "100000000"],
                  "--box": BOXES, "--tolerance": FLOATS},
-    "normalform": {"--order": ["0", "1", "3", "-1"]},
+    "normalform": {"--order": ["0", "1", "3", "-1", "60"]},
     "integrate": {"--from": POINTS, "--T": ["0.05", "0", "-1", "nan", "1e400"],
                   "--h": ["0.01", "0", "-0.01", "nan", "1e400"], "--field": FIELDS,
                   "--rank": RANKS, "--tolerance": FLOATS},
@@ -581,6 +721,10 @@ def _with_flag_examples(test):
     return test
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=300, deadline=5000, derandomize=True, database=None)
 @given(argv=_argvs(), doc=_frame_documents())
 @_with_flag_examples
@@ -603,5 +747,7 @@ def test_fuzzed_command_lines_exit_0_1_or_2(argv, doc):
     assert code in (None, EXIT_OK, EXIT_INPUT, EXIT_CERTIFICATE), argv
     assert "Traceback" not in err.getvalue()
     if "--json" in argv:
-        # one document, or nothing after a usage error
-        assert json.loads(out.getvalue()) if code is not None else out.getvalue() == ""
+        # one strict JSON document (no NaN or Infinity), or nothing after a
+        # usage error
+        assert (json.loads(out.getvalue(), parse_constant=_reject_constant) if code is not None
+                else out.getvalue() == "")
