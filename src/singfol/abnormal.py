@@ -5,8 +5,10 @@ stratification.
 Conventions used throughout:
 
 * the Goh matrix H has entries h^{ij} = p . [X^i, X^j], fiber-linear;
-* for a corank-1 frame X^i = d_i + A_i d_n the bracket points along d_n, so
-  H = p_n * Ht with Ht carrying the x-only reduced entries, and every
+* a corank-1 frame X^i = d_i + A_i d_n has the annihilating form
+  omega = (-A_1, ..., -A_{n-1}, 1) (``Frame.omega``), omega . X^i = 0, and
+  the reduced matrix Ht has the x-only entries omega . [X^i, X^j]; so
+  H(x, lam * omega) = lam * Ht, on a normal form H = p_n * Ht, and every
   Pfaffian minor factors as phi(H, I) = p_n^(|I|/2) * phi(Ht, I);
 * generators for the rank-r kernel are Y_I = sum over j in I of
   eps(I,j) phi(H, I minus j) hvec^j, one per index set I of cardinality r+1,
@@ -122,8 +124,9 @@ class GohMatrix:
     """The skew matrix of pairwise bracket momenta of a frame.
 
     ``hamiltonians`` and ``ham_fields`` cache the momentum functions h^i and
-    their Hamiltonian vector fields; ``reduced`` is the x-only matrix Ht with
-    H = p_n * Ht, present exactly when the frame is in corank-1 normal form.
+    their Hamiltonian vector fields; ``reduced`` is the x-only matrix Ht of
+    entries omega . [X^i, X^j], present exactly when the frame has an
+    annihilating form omega (``Frame.omega``).
     The entry H[k,l] is the pair bracket {h^k, h^l}; ``_jacobi`` memoizes the
     cyclic Jacobi sums J(T), at most one per triple of {1..m}.  Every J(T)
     is zero when H is the bracket matrix of the hamiltonians, so a nonzero
@@ -195,30 +198,23 @@ class GohMatrix:
 
 
 def goh_matrix(F: Frame) -> GohMatrix:
-    """Entries h^{ij} = lift of [X^i, X^j]; reduced form when corank-1."""
-    phase = F.space.phase
+    """Entries h^{ij} = lift of B = [X^i, X^j]; when the frame has an
+    annihilating form omega, the reduced entries omega . B."""
     hams = tuple(hamiltonian_lift(X) for X in F.fields)
     hvfs = tuple(hamiltonian_vector_field(h) for h in hams)
-    upper = {}
-    for i in range(1, F.m + 1):
-        for j in range(i + 1, F.m + 1):
-            upper[(i, j)] = hamiltonian_lift(lie_bracket(F.fields[i - 1], F.fields[j - 1]))
-    H = SkewMatrix(phase, F.m, upper)
+    brackets = {(i, j): lie_bracket(F.fields[i - 1], F.fields[j - 1])
+                for i in range(1, F.m + 1) for j in range(i + 1, F.m + 1)}
+    upper = {key: hamiltonian_lift(B) for key, B in brackets.items()}
+    H = SkewMatrix(F.space.phase, F.m, upper)
     for entry in upper.values():
         if not entry.is_zero() and entry.p_homogeneous_degree() != 1:
             raise AssertionError("Goh entries must be fiber-linear")
     reduced = None
-    if F.normal_form is not None:
-        pn = phase.p(F.n)
-        red_upper = {}
-        for key, entry in upper.items():
-            if entry.is_zero():
-                continue
-            k, quotient = entry.factor_out(pn)
-            if k != 1:
-                raise NormalFormError(f"entry {key} does not factor as p{F.n} * (x-only)")
-            red_upper[key] = quotient.drop_fiber()
-        reduced = SkewMatrix(F.space, F.m, red_upper)
+    if (omega := F.omega) is not None:
+        if any(_sum_products(F.space, zip(omega, X.components)) for X in F.fields):
+            raise AssertionError("omega must annihilate every frame field")
+        reduced = SkewMatrix(F.space, F.m, {key: _sum_products(F.space, zip(omega, B.components))
+                                            for key, B in brackets.items()})
     return GohMatrix(F, H, hams, hvfs, reduced)
 
 
@@ -303,7 +299,7 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
         raise ValueError(f"need 0 <= r < m={F.m}")
     if goh is None:
         goh = goh_matrix(F)
-    if F.normal_form is not None:
+    if F.omega is not None:
         subs, scale = _projection_substitution(F, r)
     generators = []
     for gen in kernel_generators(goh.H, r):
@@ -311,7 +307,7 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
                          [goh.ham_fields[i - 1] for i in gen.I])
         entry = AbnormalGenerator(gen.I, r, Y, gen.coefficients,
                                   p_degree=Y.p_homogeneity() if not Y.is_zero() else (None, None))
-        if F.normal_form is not None:
+        if F.omega is not None:
             entry = _project(entry, F, goh, subs, scale)
         generators.append(entry)
     return generators
@@ -320,11 +316,12 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
 def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None) -> AbnormalGenerator:
     """Attach the base projection Z_I = sum eps(I,i) phi_red(I minus i) X^i.
 
-    Consistency is enforced exactly: substituting p_i -> -A_i p_n into the
-    x-block of Y_I must recover p_n^(r/2) times the components of Z_I.  A
-    frame without the corank-1 structure fails with NormalFormError.
+    Consistency is enforced exactly: substituting p_k -> omega_k p_n, k < n,
+    into the x-block of Y_I must recover p_n^(r/2) times the components of
+    Z_I.  A frame without an annihilating form omega fails with
+    NormalFormError.
     """
-    if F.normal_form is None:
+    if F.omega is None:
         raise NormalFormError("corank-1 normal form required for projection")
     if goh is None:
         goh = goh_matrix(F)
@@ -332,12 +329,13 @@ def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None
 
 
 def _projection_substitution(F: Frame, r: int) -> tuple[dict[int, Polynomial], Polynomial]:
-    """The substitution p_i -> -A_i p_n and the factor p_n^(r/2) of the
-    projection check, built once per rank and shared by its generators."""
+    """The substitution p_k -> omega_k p_n, k < n, and the factor p_n^(r/2)
+    of the projection check, built once per rank and shared by its
+    generators."""
     phase = F.space.phase
     pn = Polynomial.variable(phase, phase.p(F.n))
-    subs = {phase.p(i + 1): -A.lift_to_phase() * pn if A else A.lift_to_phase()
-            for i, A in enumerate(F.normal_form)}
+    subs = {phase.p(k): w.lift_to_phase() * pn if w else w.lift_to_phase()
+            for k, w in enumerate(F.omega[:-1], start=1)}
     return subs, pn ** (r // 2)
 
 
@@ -445,7 +443,7 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
 def singular_set_equations(F: Frame, r: int, goh: GohMatrix | None = None) -> list[Polynomial]:
     """The reduced Pfaffian minors phi_I(x), I of cardinality r, whose common
     zero set is the singular set of the rank-r level."""
-    if F.normal_form is None:
+    if F.omega is None:
         raise NormalFormError("singular-set equations need the corank-1 normal form")
     if r % 2 or not 0 < r <= F.m:
         raise ValueError("r must be even and in 1..m")
@@ -536,20 +534,16 @@ def _grid_numerators(box) -> tuple[int, int]:
     return math.ceil(box[0] * SAMPLE_DENOMINATOR), math.floor(box[1] * SAMPLE_DENOMINATOR)
 
 
-def _corank1_covector(F: Frame, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """(-A_1(x), ..., -A_{n-1}(x), 1), the covector annihilating a corank-1 frame."""
-    pair = _exact_pairs(x)
-    return tuple(-Fraction(*pair(A)) for A in F.normal_form) + (Fraction(1),)
-
-
 def sample_annihilator_point(F: Frame, rng: random.Random, config: SamplerConfig
                              ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Draw one exact point (x, p) with p annihilating the frame at x."""
+    """Draw one exact point (x, p) with p annihilating the frame at x: the
+    covector omega(x) when the frame has an annihilating form omega."""
     lo, hi = _grid_numerators(config.box)
     for _ in range(64):
         x = tuple(Fraction(rng.randint(lo, hi), SAMPLE_DENOMINATOR) for _ in range(F.n))
-        if F.normal_form is not None:
-            return x, _corank1_covector(F, x)
+        if F.omega is not None:
+            pair = _exact_pairs(x)
+            return x, tuple(Fraction(*pair(w)) for w in F.omega)
         p = _linalg.kernel_combination(F._annihilator_rows(x), lambda: rng.randint(-9, 9))
         if p is not None and any(p):
             return x, tuple(p)
@@ -688,7 +682,8 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
                 point = _project_onto_locus(minors, x)
                 if point is None:
                     continue
-                pt_p = _corank1_covector(F, point)
+                pair = _exact_pairs(point)
+                pt_p = tuple(Fraction(*pair(w)) for w in F.omega)
                 d = kernel_dim_at(F, point, pt_p, goh)
                 found.append(Witness(point, pt_p, d, True))
             if not found:

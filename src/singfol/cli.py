@@ -29,7 +29,7 @@ from singfol import abnormal
 from singfol.demos import DEMOS, demo_names
 from singfol.exactpoly import ParseError, SingfolError, Space, parse_expression
 from singfol.pfaffian import calibration_report, index_sets, pfaffian_by_recursion, skew_rank
-from singfol.vectorfield import Frame, VectorField, divergence
+from singfol.vectorfield import Frame, VectorField
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -332,7 +332,7 @@ def cmd_integrate(F: Frame, args):
     # dynamics (and numpy with it) is imported only by the numeric commands
     from singfol import dynamics
 
-    if F.normal_form is None:
+    if F.omega is None:
         raise InputError("integrate needs a corank-1 frame")
     if not (math.isfinite(args.h) and args.h > 0):
         raise InputError("--h must be a positive finite number")
@@ -376,7 +376,7 @@ def cmd_integrate(F: Frame, args):
 def cmd_scan_div(F: Frame, args):
     from singfol import dynamics
 
-    if F.normal_form is None:
+    if F.omega is None:
         raise InputError("scan-div needs a corank-1 frame")
     if not args.cutoff > 0:
         raise InputError("--cutoff must be positive")
@@ -398,7 +398,7 @@ def cmd_scan_div(F: Frame, args):
         "I": list(g.I), "ratio_sup": scan.ratio_sup, "skipped": scan.skipped,
         "offenders": [list(x) for x in scan.offenders],
         "argmax": list(scan.argmax) if scan.argmax else None,
-        "div": str(divergence(g.Z)),
+        "div": str(scan.div),
     }
     return lines, payload
 

@@ -9,7 +9,8 @@ of a corank-1 kernel generator carry, per step,
   coefficients of the generator (exactly the reduced Pfaffian cofactors, a
   kernel vector of Ht wherever the rank matches), and
 * the annihilation residual  max_i |p(t) . X^i(x(t))|  for the canonical
-  lift p = (-A_1(x), ..., -A_{n-1}(x), 1), which vanishes by construction.
+  lift p = omega(x) = (-A_1(x), ..., -A_{n-1}(x), 1), the frame's
+  annihilating form (``Frame.omega``), which vanishes by construction.
 
 Horizontality of the path is structural (the generator is an explicit
 frame combination), so it is recorded rather than measured.
@@ -51,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from singfol.abnormal import AbnormalGenerator, GohMatrix, goh_matrix
-from singfol.exactpoly import SingfolError, _eval_float_form
+from singfol.exactpoly import Polynomial, SingfolError, _eval_float_form
 from singfol.vectorfield import Frame, VectorField, divergence
 
 __all__ = [
@@ -270,8 +271,9 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
                         goh: GohMatrix | None = None) -> Trajectory:
     """Integrate the base projection of a generator and certify each step.
 
-    The lift uses the p_n = 1 gauge (the annihilator of a corank-1 frame is
-    a dilation-invariant graph, so the choice is harmless).  Residuals above
+    The lift is the annihilating form omega(x), in the gauge p_n = 1 (the
+    annihilator of a corank-1 frame is a dilation-invariant graph, so the
+    choice is harmless).  Residuals above
     ``tolerance`` are kept in the returned object; inspect ``certified`` /
     ``violations()`` rather than expecting an exception.  ``goh`` reuses a
     Goh matrix already built for F.
@@ -281,29 +283,29 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
     products ``Ht @ u`` and ``p . X^i`` stay per state, so they sum in the
     same order as on one state.
     """
-    if F.normal_form is None or g.Z is None:
+    if F.omega is None or g.Z is None:
         raise ValueError("certified integration needs a corank-1 generator with projection")
     traj = integrate_field(g.Z, x0, T, h)
-    m = F.m
+    m, n = F.m, F.n
     if goh is None:
         goh = goh_matrix(F)
     assert goh.reduced is not None
     S = traj.states
-    lift = len(F.normal_form)
     pairs = list(zip(g.I, g.reduced_coefficients))
-    polys = (list(F.normal_form) + [c for _, c in pairs]
+    polys = (list(F.omega) + [c for _, c in pairs]
              + [goh.reduced.entry(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
              + [c for X in F.fields for c in X.components])
     with np.errstate(over="ignore", invalid="ignore"):
         values = _eval_states([p._float_terms() for p in polys], S)
-        costates = np.hstack([-values[:, :lift], np.ones((len(S), 1))])
+        # a copy, so that the trajectory does not hold every evaluated column
+        costates = values[:, :n].copy()
         u = np.zeros((len(S), m))
-        u[:, [i - 1 for i, _ in pairs]] = values[:, lift:lift + len(pairs)]
+        u[:, [i - 1 for i, _ in pairs]] = values[:, n:n + len(pairs)]
         # views: each Ht[k] and X[k] is a contiguous block with the strides
         # of one state's own array, so each BLAS product sums as on one state
-        col = lift + len(pairs)
+        col = n + len(pairs)
         Ht = values[:, col:col + m * m].reshape(len(S), m, m)
-        fields = [values[:, c:c + F.n] for c in range(col + m * m, len(polys), F.n)]
+        fields = [values[:, c:c + n] for c in range(col + m * m, len(polys), n)]
         goh_res = np.array([float(abs(Ht[k] @ u[k]).max()) if m else 0.0
                             for k in range(len(S))])
         anni_res = np.array([max(abs(float(np.dot(costates[k], X[k]))) for X in fields)
@@ -316,6 +318,7 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
 class DivergenceScan:
     """Empirical estimate of sup |div Z| / |Z|_inf over a box.
 
+    ``div`` is the exact divergence of Z that the scan evaluates.
     ``ratio_sup`` is a max over finitely many samples: an estimate, never a
     certified supremum.  Samples with |Z|_inf below the cutoff are skipped;
     the ones within a factor 2 of the cutoff are reported as offenders
@@ -332,6 +335,7 @@ class DivergenceScan:
     argmax: tuple[float, ...] | None
     offenders: tuple[tuple[float, ...], ...]
     skipped: int
+    div: Polynomial
 
 
 def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int,
@@ -339,7 +343,8 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     rng = random.Random(seed)
-    div = divergence(Z)._float_terms()
+    div = divergence(Z)
+    div_form = div._float_terms()
     zforms = [c._float_terms() for c in Z.components]
     lo, hi = float(box[0]), float(box[1])
     best = 0.0
@@ -357,7 +362,7 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
             continue
         if znorm < 2.0 * cutoff and len(offenders) < 16:
             offenders.append(tuple(x))
-        dz = _eval_float_form(div, x)
+        dz = _eval_float_form(div_form, x)
         if not math.isfinite(dz):
             raise OverflowError(f"div Z is not finite at the sample {x}")
         ratio = abs(dz) / znorm
@@ -365,7 +370,7 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
             best = ratio
             argmax = tuple(x)
     return DivergenceScan((lo, hi), samples, seed, cutoff, best, argmax,
-                          tuple(offenders), skipped)
+                          tuple(offenders), skipped, div)
 
 
 @dataclass(frozen=True)

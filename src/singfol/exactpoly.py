@@ -585,34 +585,6 @@ class Polynomial:
         pad = (0,) * self.space.n
         return Polynomial._trusted(phase, {e + pad: c for e, c in self.terms.items()})
 
-    def drop_fiber(self) -> "Polynomial":
-        """Forget the fiber block (requires no fiber variable to occur)."""
-        if not self.space.fiber:
-            return self
-        n = self.space.n
-        out = {}
-        for exps, coeff in self.terms.items():
-            if any(exps[n:]):
-                raise ValueError("polynomial depends on fiber variables")
-            out[exps[:n]] = coeff
-        return Polynomial._trusted(self.space.base, out)
-
-    def factor_out(self, pos: int) -> tuple[int, "Polynomial"]:
-        """Largest k with variable^k dividing self, and the exact quotient.
-
-        The zero polynomial returns (0, 0).
-        """
-        if self.is_zero():
-            return 0, self
-        k = min(e[pos] for e in self.terms)
-        if k == 0:
-            return 0, self
-        out = {
-            exps[:pos] + (exps[pos] - k,) + exps[pos + 1:]: c
-            for exps, c in self.terms.items()
-        }
-        return k, Polynomial._trusted(self.space, out)
-
     def truncate_total(self, order: int) -> "Polynomial":
         """Drop every term of total degree exceeding ``order``."""
         return Polynomial._trusted(
@@ -646,8 +618,9 @@ class Polynomial:
                 if coeff > 0:
                     chunks.append(body)
                 else:
-                    # a leading unary minus binds to the first atom only, so
-                    # "-x1^2" would re-parse as (-x1)^2; spell the -1 out
+                    # "-1*x1^2" is the printed form of a leading -x1^2; it
+                    # parses to the same polynomial whether unary minus
+                    # binds above or below '^'
                     if mag == 1 and factors and "^" in factors[0]:
                         body = "*".join(["1"] + factors)
                     chunks.append(f"-{body}")
@@ -768,10 +741,13 @@ class JetSeries:
 # Grammar (whitespace insignificant, no implicit multiplication):
 #   expr     := term  (('+'|'-') term)*
 #   term     := factor ('*' factor)*
-#   factor   := atom ('^' uint)?
-#   atom     := rational | var | '(' expr ')' | '-' atom
+#   factor   := '-' factor | atom ('^' uint)?
+#   atom     := rational | var | '(' expr ')'
 #   rational := uint ('/' uint)?
 #   var      := ('x'|'p') uint          (1-based, bounds-checked)
+#
+# Unary minus binds below '^' and above '*': -x1^2 is -(x1^2), -2^2 is -4,
+# and -x1*x2 is (-x1)*x2.
 # ---------------------------------------------------------------------------
 
 
@@ -780,7 +756,7 @@ class _Scanner:
         self.text = text
         self.space = space
         self.pos = 0
-        self.depth = 0  # open '(' and unary '-' around the current atom
+        self.depth = 0  # open '(' and unary '-' around the current factor
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -842,7 +818,19 @@ class _Scanner:
             raise ParseError(f"{what} with {len(value.terms)} terms, above the limit "
                              f"{MAX_TERMS}", at)
 
+    def enter(self):
+        """Step over the '(' or unary '-' at the cursor, one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"'(' and unary '-' nested deeper than {MAX_NESTING}", self.pos)
+        self.depth += 1
+        self.pos += 1
+
     def factor(self) -> Polynomial:
+        if self.peek() == "-":
+            self.enter()
+            value = -self.factor()
+            self.depth -= 1
+            return value
         base = self.atom()
         if self.take("^"):
             at = self.pos
@@ -884,16 +872,10 @@ class _Scanner:
 
     def atom(self) -> Polynomial:
         ch = self.peek()
-        if ch in ("-", "("):
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"'(' and unary '-' nested deeper than {MAX_NESTING}", self.pos)
-            self.depth += 1
-            self.pos += 1
-            if ch == "-":
-                value = -self.atom()
-            else:
-                value = self.expr()
-                self.expect(")")
+        if ch == "(":
+            self.enter()
+            value = self.expr()
+            self.expect(")")
             self.depth -= 1
             return value
         if ch in ("x", "p"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from singfol import _linalg
@@ -161,6 +162,7 @@ class Frame:
     A_1..A_{n-1} of a corank-1 frame X^i = d_i + A_i d_n (so m = n-1); the
     component data is checked against it on construction.  Linear
     independence of the fields at the origin is always required.
+    :attr:`omega` is the frame's annihilating 1-form when it has one.
     """
 
     n: int
@@ -210,6 +212,16 @@ class Frame:
     @property
     def space(self) -> Space:
         return Space(self.n)
+
+    @cached_property
+    def omega(self) -> tuple[Polynomial, ...] | None:
+        """The 1-form omega = (-A_1, ..., -A_{n-1}, 1) spanning the
+        annihilator of a normal-form frame: omega . X^i = 0 for every field,
+        and omega_n = 1.  None for a frame without a normal form; computed
+        once."""
+        if self.normal_form is None:
+            return None
+        return tuple(-A for A in self.normal_form) + (Polynomial.constant(self.space, 1),)
 
     def annihilator_basis(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
         """Exact basis of covectors p with p . X^i(x) = 0 for all i."""

@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 
 from singfol import _linalg
-from singfol.abnormal import (SAMPLE_DENOMINATOR, GohMatrix, SamplingError, _corank1_covector,
-                              _grid_numerators, goh_matrix)
+from singfol.abnormal import (SAMPLE_DENOMINATOR, GohMatrix, SamplingError, _grid_numerators,
+                              goh_matrix)
 from singfol.exactpoly import Polynomial, Space
 from singfol.pfaffian import SkewMatrix, index_sets, pfaffian_by_recursion
 from singfol.vectorfield import Frame, VectorField
@@ -293,16 +293,40 @@ def reference_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(comps, X.kind)
 
 
+def reference_corank1_covector(F: Frame, x) -> tuple[Fraction, ...]:
+    """(-A_1(x), ..., -A_{n-1}(x), 1), read off the normal form term by term
+    (the covector the sampler took before ``Frame.omega``)."""
+    return tuple(-reference_eval_exact(A, x) for A in F.normal_form) + (Fraction(1),)
+
+
+def reference_reduced(goh: GohMatrix) -> SkewMatrix:
+    """The reduced matrix as ``goh_matrix`` built it before ``Frame.omega``:
+    p_n factored out of each nonzero Goh entry, which must leave exactly one
+    factor p_n and no other fiber variable, and the fiber block dropped."""
+    F = goh.frame
+    n, pn = F.n, F.space.phase.p(F.n)
+    upper = {}
+    for key, entry in goh.H.upper.items():
+        k = min(exps[pn] for exps in entry.terms)
+        assert k == 1, f"entry {key} does not factor as p{n} * (x-only)"
+        quotient = {exps[:pn] + (exps[pn] - k,) + exps[pn + 1:]: c
+                    for exps, c in entry.terms.items()}
+        assert not any(any(exps[n:]) for exps in quotient), f"entry {key} depends on p"
+        upper[key] = Polynomial(F.space, {exps[:n]: c for exps, c in quotient.items()})
+    return SkewMatrix(F.space, F.m, upper)
+
+
 def reference_annihilator_point(F: Frame, rng: random.Random, config):
     """One exact point (x, p) as ``sample_annihilator_point`` drew it before
     it read p off the integer echelon rows: on a general frame, p sums the
     vectors of ``Frame.annihilator_basis(x)`` in Fractions, with one
-    coefficient ``randint(-9, 9)`` drawn per basis vector."""
+    coefficient ``randint(-9, 9)`` drawn per basis vector; on a normal-form
+    frame, p is :func:`reference_corank1_covector`."""
     lo, hi = _grid_numerators(config.box)
     for _ in range(64):
         x = tuple(Fraction(rng.randint(lo, hi), SAMPLE_DENOMINATOR) for _ in range(F.n))
         if F.normal_form is not None:
-            return x, _corank1_covector(F, x)
+            return x, reference_corank1_covector(F, x)
         basis = F.annihilator_basis(x)
         if not basis:
             continue

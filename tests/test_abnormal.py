@@ -12,10 +12,13 @@ from conftest import (
     random_corank1_frame,
     random_general_frame,
     random_rational_point,
+    reference_annihilator_point,
+    reference_corank1_covector,
     reference_eval_exact,
     reference_offenders,
     reference_poisson,
     reference_product,
+    reference_reduced,
     reference_sum,
     scale_fiber,
     tampered_goh,
@@ -120,6 +123,70 @@ def test_goh_reduced_factorization():
     for i in range(1, 4):
         for j in range(1, 4):
             assert goh.H.entry(i, j) == pn * goh.reduced.entry(i, j).lift_to_phase()
+
+
+# the two frame shapes of the benchmark's dense-kernel workload, whose
+# coefficient has 969 terms
+DENSE = "(-2*x1 + 1*x2 + -1*x3 + -1)^16"
+
+
+def _omega_frames():
+    """The demos, random corank-1 frames with n = 5, 7, 9, 13 and the two
+    dense shapes."""
+    frames = [demo_frame(name) for name in DEMOS]
+    frames += [random_corank1_frame(random.Random(seed), n, 3, 3)
+               for seed in (0, 1) for n in (5, 7, 9, 13)]
+    for n, texts in ((3, [DENSE, "0"]), (4, ["x2", "x4", DENSE])):
+        frames.append(Frame.corank1(n, [parse_expression(t, Space(n)) for t in texts],
+                                    name=f"dense-{n}"))
+    return frames
+
+
+def test_omega_annihilates_every_normal_form_frame():
+    for F in _omega_frames():
+        assert F.omega == tuple(-A for A in F.normal_form) + (Polynomial.constant(F.space, 1),)
+        for X in F.fields:
+            assert sum((w * c for w, c in zip(F.omega, X.components)),
+                       Polynomial.zero(F.space)).is_zero(), F.name
+    for seed, n, m in ((1, 4, 2), (2, 5, 3), (3, 6, 5), (4, 3, 2)):
+        assert random_general_frame(random.Random(seed), n, m).omega is None
+
+
+def test_reduced_matrix_is_the_factored_goh_matrix():
+    # Ht = omega . [X^i, X^j] is the x-only factor of H = p_n * Ht, entry by
+    # entry, as p_n factored out of the phase entries gave it
+    for F in _omega_frames():
+        goh = goh_matrix(F)
+        assert goh.reduced.upper == reference_reduced(goh).upper, F.name
+
+
+def test_goh_matrix_checks_that_omega_annihilates_the_frame():
+    F = demo_frame("dim4")
+    wrong = list(F.omega)
+    wrong[1] = -wrong[1]
+    # stored where the cached property keeps its value
+    F.__dict__["omega"] = tuple(wrong)
+    with pytest.raises(AssertionError, match="annihilate"):
+        goh_matrix(F)
+
+
+def test_sampled_covectors_are_omega_at_x():
+    # the sampler and the stratify walk read p = omega(x), the covector
+    # (-A(x), 1) of the normal form, printed alike
+    for F in _omega_frames()[:9]:
+        config = SamplerConfig(seed=4)
+        rng, ref = random.Random(4), random.Random(4)
+        for _ in range(6):
+            got = sample_annihilator_point(F, rng, config)
+            assert repr(got) == repr(reference_annihilator_point(F, ref, config)), F.name
+    deep = 0
+    for name, seed in (("martinet", 1), ("dim6-cubic", 7)):
+        F = demo_frame(name)
+        for level in stratify(F, SamplerConfig(seed=seed, count=64)).strata:
+            for w in level.witnesses:
+                assert repr(w.p) == repr(reference_corank1_covector(F, w.x)), name
+            deep += not level.has_interior
+    assert deep == 2
 
 
 def test_goh_entries_are_pair_brackets():

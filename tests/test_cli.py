@@ -17,6 +17,7 @@ from singfol.cli import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, MAX_JET_MONOMIAL
 from singfol.demos import DEMOS, demo_names
 from singfol.exactpoly import ParseError, Polynomial
 from singfol.pfaffian import skew_rank
+from singfol.vectorfield import divergence
 
 
 def run(capsys, *argv):
@@ -141,11 +142,25 @@ def test_integrate_impossible_tolerance_fails_with_exit_2(capsys, tmp_path):
     assert "certificate failure" in err
 
 
-def test_scan_div(capsys, tmp_path):
-    code, out, _ = run(capsys, "scan-div", "--seed", "5", "--samples", "64",
-                       "--cutoff", "0.01", "--frame", frame_file(tmp_path, "dim4"))
+def test_scan_div(capsys, tmp_path, monkeypatch):
+    # div Z is computed once, by the scan, and --json prints that one
+    calls = []
+
+    def counted(V):
+        calls.append(V)
+        return divergence(V)
+
+    monkeypatch.setattr("singfol.dynamics.divergence", counted)
+    monkeypatch.setattr("singfol.cli.divergence", counted, raising=False)
+    argv = ["scan-div", "--seed", "5", "--samples", "64", "--cutoff", "0.01",
+            "--frame", frame_file(tmp_path, "dim4")]
+    code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert "ratio_sup" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert len(calls) == 2
+    assert json.loads(out)["results"]["div"] == str(divergence(calls[1]))
 
 
 def test_negative_values_accepted_by_flags(capsys, tmp_path):

@@ -283,7 +283,7 @@ def _reference_residuals(F, g, goh, states):
     costates, goh_res, anni_res = [], [], []
     for state in states:
         point = state.tolist()
-        p = np.array([-_reference_eval(A, point) for A in F.normal_form] + [1.0])
+        p = np.array([_reference_eval(w, point) for w in F.omega])
         u = np.array([_reference_eval(coeff_by_index[i], point) if i in coeff_by_index else 0.0
                       for i in range(1, m + 1)])
         Ht = np.array([[_reference_eval(goh.reduced.entry(i, j), point)
@@ -343,6 +343,9 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
     assert _same(traj.costates, costates)
     assert _same(traj.goh_residuals, goh_res)
     assert _same(traj.annihilation_residuals, anni_res)
+    # omega(x) is (-A(x), 1) read off the normal form, up to the sign of a zero
+    assert np.array_equal(traj.costates, [[-_reference_eval(A, x) for A in F.normal_form] + [1.0]
+                                          for x in traj.states.tolist()])
     cloud = sample_cloud((-0.6, 0.6), 16, F.n, seed=F.n)
     report = volume_distortion(g.Z, cloud, 0.1, h)
     weights, lengths, min_weights = _reference_volume(g.Z, cloud, 0.1, h)

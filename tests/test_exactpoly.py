@@ -173,8 +173,10 @@ def test_parse_examples():
 def test_parse_unary_minus_and_rationals():
     s = Space(2)
     assert parse_expression("-3/2", s) == Polynomial.constant(s, Fraction(-3, 2))
-    # unary minus binds to the atom, so -x1^2 means (-x1)^2
-    assert parse_expression("-x1^2", s) == var(s, "x1") ** 2
+    # unary minus binds below '^', so -x1^2 means -(x1^2) and -2^2 is -4
+    assert parse_expression("-x1^2", s) == -(var(s, "x1") ** 2)
+    assert parse_expression("-2^2", s) == Polynomial.constant(s, -4)
+    assert parse_expression("(-x1)^2", s) == var(s, "x1") ** 2
     assert parse_expression("-(x1^2)", s) == -(var(s, "x1") ** 2)
     assert parse_expression("2 - - 1", s) == Polynomial.constant(s, 3)
 

@@ -8,14 +8,14 @@ singfol itself never imports it.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial, random_skew
 from singfol.abnormal import SamplerConfig, stratify
 from singfol.cli import build_frame
 from singfol.demos import demo_frame
-from singfol.exactpoly import Polynomial, Space
+from singfol.exactpoly import Polynomial, Space, parse_expression
 from singfol.pfaffian import minor_determinant, pfaffian_by_recursion
 from singfol.vectorfield import VectorField, divergence, lie_bracket, poisson_bracket
 
@@ -63,6 +63,40 @@ def test_product_and_power(seed, space, size):
     assert_equal((f + g) * (f - g), (F + G) * (F - G), syms)
     for k in range(4):
         assert_equal(f ** k, F ** k, syms)
+
+
+# expression text in the parser's grammar: a power's base is a variable, an
+# integer or a parenthesized expression, since "2/3^2" is (2/3)^2 here and
+# 2/(3^2) in Python, and "x1^2^2" is no expression here
+_leaves = st.one_of(st.sampled_from(["x1", "x2", "x3"]), st.integers(0, 9).map(str),
+                    st.tuples(st.integers(0, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format))
+_bases = st.one_of(st.sampled_from(["x1", "x2", "x3"]), st.integers(0, 9).map(str))
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from([" + ", " - ", "*", " * -"]), children).map("".join),
+        children.map("-{}".format),
+        children.map("({})".format),
+        st.tuples(st.one_of(_bases, children.map("({})".format)), st.integers(0, 3))
+        .map("{0[0]}^{0[1]}".format),
+    )
+
+
+_texts = st.recursive(_leaves, _compound, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts)
+@example("-x1^2")
+@example("-2^2 + x2")
+@example("x1 * -x2^3 - -(x3 - 1)^2")
+def test_parser_reads_expressions_as_python_does(text):
+    # unary minus, powers, parentheses and rationals bind as in Python and
+    # sympy: -x1^2 is -(x1^2)
+    space = Space(3)
+    syms = symbols(space)
+    assert_equal(parse_expression(text, space), sympy.sympify(text.replace("^", "**")), syms)
 
 
 @settings(max_examples=30, deadline=None)
