@@ -80,6 +80,7 @@ __all__ = [
     "kernel_dim_at",
     "abnormal_generators",
     "project_corank1",
+    "kernel_residual",
     "divergence_certificate",
     "singular_set_equations",
     "sample_annihilator_point",
@@ -361,6 +362,26 @@ def _project(g: AbnormalGenerator, F: Frame, goh: GohMatrix,
                 f"x-block component {k + 1} of Y_{g.I} does not factor through p{F.n}^{g.rank // 2}"
             )
     return AbnormalGenerator(g.I, g.rank, g.Y, g.coefficients, Z, red_coeffs, g.p_degree)
+
+
+def kernel_residual(g: AbnormalGenerator, goh: GohMatrix) -> tuple[Polynomial, ...]:
+    """The m polynomials (Ht . u)_i, u the reduced coefficients of g along I.
+
+    Each is a sum of products over the stored entries of row i of Ht, so the
+    check does not rest on the Pfaffian identities that make it zero: for i
+    in I the expansion of a Pfaffian with a repeated row, and for i outside
+    I (-1)^k phi(Ht, J), J = I + {i} and k the position of i in J, which
+    vanishes at r >= the generic rank.  All zero means that Z_I is a section
+    of the Goh kernel everywhere.
+    """
+    if goh.reduced is None or g.reduced_coefficients is None:
+        raise NormalFormError("the kernel residual needs the reduced Goh matrix and a projection")
+    Ht = goh.reduced
+    u = dict(zip(g.I, g.reduced_coefficients))
+    neg = {j: -c for j, c in u.items()}
+    return tuple(_sum_products(Ht.space, ((a, u[j] if sign > 0 else neg[j])
+                                          for j, (a, sign) in Ht._rows[i].items() if j in u))
+                 for i in range(1, Ht.size + 1))
 
 
 @dataclass(frozen=True)

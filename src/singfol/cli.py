@@ -338,8 +338,6 @@ def cmd_integrate(F: Frame, args):
         raise InputError("--h must be a positive finite number")
     if not (math.isfinite(args.T) and args.T >= 0):
         raise InputError("--T must be a finite number >= 0")
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise InputError("--tolerance must be a finite number >= 0")
     try:
         x0 = [float(v) for v in args.start.split(",")]
     except ValueError as exc:
@@ -358,19 +356,13 @@ def cmd_integrate(F: Frame, args):
         raise InputError(f"rank-{r} generators span the Goh kernel only on the singular set, "
                          f"not along a flow: the generic Goh rank is {generic}")
     g = _pick_generator(F, args, goh, r)
-    traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, args.tolerance, goh)
-    csv = traj.to_csv(seed=None)
-    if not traj.certified:
-        raise abnormal.CertificateError(f"trajectory residuals exceed tolerance {args.tolerance}",
-                                        {"violations": traj.violations()[:8]})
+    traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, goh=goh)
     payload = {
         "I": list(g.I), "rank": r, "T": args.T, "h": args.h,
         "end_state": [float(v) for v in traj.states[-1]],
-        "max_goh_residual": float(traj.goh_residuals.max()),
-        "max_annihilation_residual": float(traj.annihilation_residuals.max()),
         "certified": traj.certified,
     }
-    return csv.rstrip("\n").split("\n"), payload
+    return traj.to_csv(seed=None).rstrip("\n").split("\n"), payload
 
 
 def cmd_scan_div(F: Frame, args):
@@ -502,13 +494,17 @@ def make_parser() -> argparse.ArgumentParser:
     nf.add_argument("--order", type=int, default=3)
     _add_frame_arg(nf)
 
-    integ = subs.add_parser("integrate", help="certified trajectory of a generator (CSV)")
+    integ = subs.add_parser(
+        "integrate", help="certified trajectory of a generator (CSV)",
+        description="RK4 trajectory of a kernel generator Z_I, as CSV.  Exit 0 means that "
+                    "Ht.u = 0 was checked exactly, as polynomials, before the first step, so "
+                    "Z_I is a Goh kernel section everywhere; exit 2 names the nonzero "
+                    "component.  The residual columns hold these exact residuals, 0.0.")
     integ.add_argument("--field", help="index set of the generator, e.g. 1,2,3")
     integ.add_argument("--rank", type=int, default=None)
     integ.add_argument("--from", dest="start", required=True, help="start point x0, comma separated")
     integ.add_argument("--T", type=float, required=True)
     integ.add_argument("--h", type=float, required=True)
-    integ.add_argument("--tolerance", type=float, default=1e-10)
     _add_frame_arg(integ)
 
     scan = subs.add_parser("scan-div", help="empirical |div Z| / |Z| ratio over a box")

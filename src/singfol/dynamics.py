@@ -1,19 +1,17 @@
-"""Numeric integration of base vector fields with certification residuals,
+"""Numeric integration of base vector fields with an exact kernel check,
 plus divergence-ratio scans and Monte-Carlo volume-distortion diagnostics.
 
 Integration is classical fixed-step RK4: deterministic, reproducible runs
-beat adaptive efficiency at the scales used here.  Certified trajectories
-of a corank-1 kernel generator carry, per step,
-
-* the Goh residual  ||Ht(x(t)) . u(t)||_inf  where u(t) are the frame
-  coefficients of the generator (exactly the reduced Pfaffian cofactors, a
-  kernel vector of Ht wherever the rank matches), and
-* the annihilation residual  max_i |p(t) . X^i(x(t))|  for the canonical
-  lift p = omega(x) = (-A_1(x), ..., -A_{n-1}(x), 1), the frame's
-  annihilating form (``Frame.omega``), which vanishes by construction.
-
-Horizontality of the path is structural (the generator is an explicit
-frame combination), so it is recorded rather than measured.
+beat adaptive efficiency at the scales used here.  A certified trajectory
+of a corank-1 kernel generator Z_I is integrated only once its generator is
+proven, exactly and once, to be a Goh kernel section everywhere: every
+component of Ht . u, with u the frame coefficients of Z_I (the reduced
+Pfaffian cofactors), is the zero polynomial (:func:`abnormal.kernel_residual`).
+It carries the costates p(t) = omega(x(t)) = (-A_1, ..., -A_{n-1}, 1), the
+frame's annihilating form (``Frame.omega``), whose identity omega . X^i = 0
+:func:`abnormal.goh_matrix` has checked exactly.  No float residual is
+measured per state: both identities are exact, so a float value of them
+would measure rounding only.
 
 Evaluation.  Each call compiles its polynomials once into their float form
 (``Polynomial._float_terms``: float coefficients and nonzero exponents,
@@ -26,15 +24,14 @@ over ``eval_float`` bit for bit.  ``integrate_field`` runs the loop once,
 ``volume_distortion`` once per cloud point, in cloud order; on a few floats
 per point a numpy call costs more than it saves, even batched over a cloud.
 Stored states are evaluated by one evaluator, :func:`_eval_states`, which
-runs every form a caller needs over every state in one call: the lift, Goh
-matrix and fields of a trajectory, and div Z and the components of Z over a
-cloud.  It does the same products and sums as numpy elementwise operations,
-term by term in the same order, over blocks of at most ``EVAL_BLOCK_ROWS``
-states, with each power taken per element by Python's float ``**`` (libm
-``pow``), because numpy's ``**`` rounds differently in a few percent of
-values.  Every array therefore equals the per-point evaluation bit for bit,
-and printed floats do not depend on how many points were evaluated
-together.
+runs every form a caller needs over every state in one call: the costates
+of a trajectory, and div Z and the components of Z over a cloud.  It does
+the same products and sums as numpy elementwise operations, term by term in
+the same order, over blocks of at most ``EVAL_BLOCK_ROWS`` states, with each
+power taken per element by Python's float ``**`` (libm ``pow``), because
+numpy's ``**`` rounds differently in a few percent of values.  Every array
+therefore equals the per-point evaluation bit for bit, and printed floats do
+not depend on how many points were evaluated together.
 
 All vector norms in this module are sup norms; the scan's ratio estimate
 |div Z| / |Z|_inf is then bounded by the sum of the certificate
@@ -51,7 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from singfol.abnormal import AbnormalGenerator, GohMatrix, goh_matrix
+from singfol.abnormal import (AbnormalGenerator, CertificateError, GohMatrix, goh_matrix,
+                              kernel_residual)
 from singfol.exactpoly import Polynomial, SingfolError, _eval_float_form
 from singfol.vectorfield import Frame, VectorField, divergence
 
@@ -83,42 +81,29 @@ class BlowUpError(SingfolError, RuntimeError):
 
 @dataclass
 class Trajectory:
-    """A fixed-step trajectory with optional certification residuals."""
+    """A fixed-step trajectory.  ``certified`` is True only on trajectories
+    from :func:`abnormal_trajectory`, whose generator passed the exact
+    kernel check; they also carry the costates."""
 
     times: np.ndarray
     states: np.ndarray
     h: float
     costates: np.ndarray | None = None
-    goh_residuals: np.ndarray | None = None
-    annihilation_residuals: np.ndarray | None = None
-    tolerance: float | None = None
-    horizontal_by_construction: bool = False
-
-    @property
-    def certified(self) -> bool:
-        if self.goh_residuals is None or self.tolerance is None:
-            return False
-        return (float(np.max(self.goh_residuals)) <= self.tolerance
-                and float(np.max(self.annihilation_residuals)) <= self.tolerance)
-
-    def violations(self) -> list[tuple[float, float]]:
-        """(time, Goh residual) pairs exceeding the tolerance."""
-        if self.goh_residuals is None or self.tolerance is None:
-            return []
-        bad = np.nonzero(self.goh_residuals > self.tolerance)[0]
-        return [(float(self.times[i]), float(self.goh_residuals[i])) for i in bad]
+    certified: bool = False
 
     def to_csv(self, seed: int | None = None) -> str:
-        """Rows "t, x1..xn, residual_b, residual_c" under a header comment."""
+        """Rows "t, x1..xn, residual_b, residual_c" under a header comment.
+
+        The two residual columns hold 0.0 on every row: the exact value of
+        Ht . u and of omega . X^i, both proven to be zero polynomials before
+        a certified trajectory takes its first step.
+        """
         T = float(self.times[-1]) if len(self.times) else 0.0
         lines = [f"# seed={seed if seed is not None else 'none'}, h={self.h!r}, T={T!r}"]
         n = self.states.shape[1]
         lines.append("t," + ",".join(f"x{k + 1}" for k in range(n)) + ",residual_b,residual_c")
-        for i, t in enumerate(self.times):
-            rb = self.goh_residuals[i] if self.goh_residuals is not None else 0.0
-            rc = self.annihilation_residuals[i] if self.annihilation_residuals is not None else 0.0
-            coords = ",".join(repr(float(v)) for v in self.states[i])
-            lines.append(f"{float(t)!r},{coords},{float(rb)!r},{float(rc)!r}")
+        for t, state in zip(self.times.tolist(), self.states.tolist()):
+            lines.append(f"{t!r},{','.join(map(repr, state))},0.0,0.0")
         return "\n".join(lines) + "\n"
 
 
@@ -267,51 +252,32 @@ def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> 
 
 
 def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
-                        T: float, h: float, tolerance: float = 1e-10,
-                        goh: GohMatrix | None = None) -> Trajectory:
-    """Integrate the base projection of a generator and certify each step.
+                        T: float, h: float, *, goh: GohMatrix | None = None) -> Trajectory:
+    """Integrate the base projection of a generator after checking, exactly,
+    that it is a Goh kernel section.
 
-    The lift is the annihilating form omega(x), in the gauge p_n = 1 (the
-    annihilator of a corank-1 frame is a dilation-invariant graph, so the
-    choice is harmless).  Residuals above
-    ``tolerance`` are kept in the returned object; inspect ``certified`` /
-    ``violations()`` rather than expecting an exception.  ``goh`` reuses a
-    Goh matrix already built for F.
-
-    The lift, the frame coefficients u, the Goh matrix and the frame fields
-    are evaluated over all states by one :func:`_eval_states` call; the
-    products ``Ht @ u`` and ``p . X^i`` stay per state, so they sum in the
-    same order as on one state.
+    A nonzero component of :func:`abnormal.kernel_residual` raises
+    :class:`abnormal.CertificateError` before any step, naming I, the
+    component and its residual.  The costates are the annihilating form
+    omega(x), in the gauge p_n = 1 (the annihilator of a corank-1 frame is a
+    dilation-invariant graph, so the choice is harmless), evaluated over all
+    states by one :func:`_eval_states` call.  ``goh`` reuses a Goh matrix
+    already built for F.
     """
     if F.omega is None or g.Z is None:
         raise ValueError("certified integration needs a corank-1 generator with projection")
-    traj = integrate_field(g.Z, x0, T, h)
-    m, n = F.m, F.n
     if goh is None:
         goh = goh_matrix(F)
-    assert goh.reduced is not None
-    S = traj.states
-    pairs = list(zip(g.I, g.reduced_coefficients))
-    polys = (list(F.omega) + [c for _, c in pairs]
-             + [goh.reduced.entry(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-             + [c for X in F.fields for c in X.components])
+    for i, residual in enumerate(kernel_residual(g, goh), start=1):
+        if residual:
+            raise CertificateError(
+                f"Z_{g.I} is not a Goh kernel section: component {i} of Ht.u is nonzero: "
+                f"residual {residual}", {"I": list(g.I), "component": i, "residual": str(residual)},
+                residual)
+    traj = integrate_field(g.Z, x0, T, h)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _eval_states([p._float_terms() for p in polys], S)
-        # a copy, so that the trajectory does not hold every evaluated column
-        costates = values[:, :n].copy()
-        u = np.zeros((len(S), m))
-        u[:, [i - 1 for i, _ in pairs]] = values[:, n:n + len(pairs)]
-        # views: each Ht[k] and X[k] is a contiguous block with the strides
-        # of one state's own array, so each BLAS product sums as on one state
-        col = n + len(pairs)
-        Ht = values[:, col:col + m * m].reshape(len(S), m, m)
-        fields = [values[:, c:c + n] for c in range(col + m * m, len(polys), n)]
-        goh_res = np.array([float(abs(Ht[k] @ u[k]).max()) if m else 0.0
-                            for k in range(len(S))])
-        anni_res = np.array([max(abs(float(np.dot(costates[k], X[k]))) for X in fields)
-                             for k in range(len(S))])
-    return Trajectory(traj.times, traj.states, h, costates, goh_res, anni_res, tolerance,
-                      horizontal_by_construction=True)
+        costates = _eval_states([w._float_terms() for w in F.omega], traj.states)
+    return Trajectory(traj.times, traj.states, h, costates, certified=True)
 
 
 @dataclass(frozen=True)

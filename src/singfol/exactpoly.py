@@ -236,6 +236,11 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
     return {e: Fraction(v, scale) for e, v in out.items()}
 
 
+def _is_constant(terms: Mapping[tuple, Fraction]) -> bool:
+    """Whether ``terms`` is one term with every exponent 0."""
+    return len(terms) == 1 and not any(next(iter(terms)))
+
+
 def _sum_products(space: Space, pairs) -> "Polynomial":
     """The sum of ``a * b`` over ``pairs``, each product added into one
     dictionary by :func:`_add_terms`.  A pair with a falsy operand (an
@@ -434,6 +439,15 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            self._check_space(other)
+            # a constant operand scales the other one, as a scalar does
+            if _is_constant(other.terms):
+                other = next(iter(other.terms.values()))
+            elif _is_constant(self.terms):
+                self, other = other, next(iter(self.terms.values()))
+            else:
+                return Polynomial._trusted(self.space, _mul_terms(self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if c == 0:
@@ -443,10 +457,7 @@ class Polynomial:
                 # Pfaffian prefactor is 1
                 return self
             return Polynomial._trusted(self.space, {e: c * v for e, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_space(other)
-        return Polynomial._trusted(self.space, _mul_terms(self.terms, other.terms))
+        return NotImplemented
 
     __rmul__ = __mul__
 

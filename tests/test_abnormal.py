@@ -38,6 +38,7 @@ from singfol.abnormal import (
     divergence_certificate,
     goh_matrix,
     kernel_dim_at,
+    kernel_residual,
     project_corank1,
     sample_annihilator_point,
     singular_set_equations,
@@ -434,6 +435,63 @@ def test_generator_kernel_membership_at_annihilator_points():
                 for i, cf in zip(g.I, g.coefficients):
                     u[i - 1] = cf.eval_exact(point)
                 assert matvec(H, u) == [Fraction(0)] * F.m
+
+
+def test_kernel_residual_matches_the_matvec_and_the_cofactor_identity():
+    # at exact points (Ht . u)_i is the Fraction matvec of Ht(x) and u(x);
+    # as a polynomial it is zero for i in I, and (-1)^k phi(Ht, J) for i
+    # outside I, J = I + {i} and k the position of i in J, at every rank
+    rng = random.Random(5)
+    frames = [demo_frame(name) for name in ("dim4", "dim5", "dim6-cubic", "martinet")]
+    frames += [random_corank1_frame(rng, n, 3, 3) for n in (4, 5, 5, 6)]
+    nonzero = 0
+    for F in frames:
+        goh = goh_matrix(F)
+        for r in range(0, F.m, 2):
+            for g in abnormal_generators(F, r, goh):
+                residual = kernel_residual(g, goh)
+                assert len(residual) == F.m
+                for _ in range(2):
+                    x = random_rational_point(rng, F.n)
+                    u = [Fraction(0)] * F.m
+                    for i, c in zip(g.I, g.reduced_coefficients):
+                        u[i - 1] = c.eval_exact(x)
+                    assert [q.eval_exact(x) for q in residual] == matvec(goh.reduced.evaluate(x), u)
+                for i, q in enumerate(residual, start=1):
+                    if i in g.I:
+                        assert q.is_zero()
+                        continue
+                    J = tuple(sorted(g.I + (i,)))
+                    phi = pfaffian_by_definition(goh.reduced, J)
+                    assert q == (-phi if J.index(i) % 2 else phi)
+                    nonzero += bool(q)
+    assert nonzero
+    # a general frame has no reduced matrix and no projection
+    G = random_general_frame(rng, 3, 2)
+    goh = goh_matrix(G)
+    with pytest.raises(NormalFormError):
+        kernel_residual(abnormal_generators(G, 0, goh)[0], goh)
+
+
+def test_kernel_residual_is_zero_at_the_certify_rank():
+    # at the generic rank every generator is a Goh kernel section: the four
+    # flow demos and a sparse frame (n = 13, generic rank 8, 220
+    # generators); martinet's certify rank 0 is below its generic rank 2,
+    # where the fields are kernel sections only where H = 0
+    sparse = ["-3/2*x8*x9", "-2*x13", "-x2", "-3/2*x9", "-x10", "x10", "x1", "0", "0", "0",
+              "-2*x4*x10", "0"]
+    frames = [demo_frame(name) for name in ("dim4", "dim4-engel", "dim5", "dim6-cubic")]
+    frames.append(Frame.corank1(13, [parse_expression(t, Space(13)) for t in sparse]))
+    for F in frames:
+        goh = goh_matrix(F)
+        r = skew_rank(goh.reduced)
+        gens = abnormal_generators(F, r, goh)
+        assert all(not any(kernel_residual(g, goh)) for g in gens), F.name
+    assert (F.n, r, len(gens)) == (13, 8, 220)
+    F = demo_frame("martinet")
+    goh = goh_matrix(F)
+    assert skew_rank(goh.reduced) == 2
+    assert all(any(kernel_residual(g, goh)) for g in abnormal_generators(F, 0, goh))
 
 
 def test_corank1_coherence():

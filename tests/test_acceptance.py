@@ -28,6 +28,7 @@ from singfol.abnormal import (
     divergence_certificate,
     goh_matrix,
     kernel_dim_at,
+    kernel_residual,
     stratify,
 )
 from singfol.cli import main as cli_main
@@ -318,15 +319,15 @@ def test_criterion_09_normal_form_rank_preservation():
 def test_criterion_10_abnormal_trajectory_certification():
     start = time.time()
     F = demo_frame("dim4-engel")
-    g = abnormal_generators(F, 2)[0]
-    traj = abnormal_trajectory(F, g, [0, 0, 0, 0], 1.0, 1e-3, tolerance=1e-10)
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, 2, goh)[0]
+    traj = abnormal_trajectory(F, g, [0, 0, 0, 0], 1.0, 1e-3, goh=goh)
     assert np.max(np.abs(traj.states[-1] - np.array([1.0, 0.0, 1.0, 0.0]))) <= 1e-10
-    assert float(traj.goh_residuals.max()) <= 1e-10
-    assert float(traj.annihilation_residuals.max()) <= 1e-10
+    assert all(q.is_zero() for q in kernel_residual(g, goh))
     assert traj.certified
     elapsed = time.time() - start
     assert elapsed < 5.0
-    _report(10, f"Engel trajectory ends at (1,0,1,0), residuals <= 1e-10 throughout ({elapsed:.1f}s)")
+    _report(10, f"Engel trajectory ends at (1,0,1,0), Ht.u = 0 exactly ({elapsed:.1f}s)")
 
 
 def test_criterion_11_volume_distortion():

@@ -15,7 +15,7 @@ from singfol import abnormal
 from singfol.cli import (EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, MAX_JET_MONOMIALS, MAX_SAMPLES,
                          InputError, build_frame, main)
 from singfol.demos import DEMOS, demo_names
-from singfol.exactpoly import ParseError, Polynomial
+from singfol.exactpoly import ParseError, Polynomial, Space, parse_expression
 from singfol.pfaffian import skew_rank
 from singfol.vectorfield import divergence
 
@@ -133,13 +133,34 @@ def test_integrate_engel_csv(capsys, tmp_path, monkeypatch):
     assert lines[2] == "t,x1,x2,x3,x4,residual_b,residual_c"
 
 
-def test_integrate_impossible_tolerance_fails_with_exit_2(capsys, tmp_path):
-    # dim4 from a generic point has float-level residuals; tolerance 0 cannot hold
-    code, out, err = run(capsys, "integrate", "--from", "0.3,0.2,0.1,0.4", "--T", "0.1",
-                         "--h", "0.01", "--tolerance", "0",
-                         "--frame", frame_file(tmp_path, "dim4"))
+def test_integrate_checks_the_kernel_exactly(capsys, tmp_path, monkeypatch):
+    frame = frame_file(tmp_path, "dim4")
+    argv = ["integrate", "--from", "0.3,0.2,0.1,0.4", "--T", "0.1", "--h", "0.01", "--frame", frame]
+    # there is no float tolerance to set: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tolerance", "0"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --tolerance 0" in capsys.readouterr().err
+    # large states round more, but the check is exact: exit 0, zero residuals
+    code, out, err = run(capsys, *argv[:2], "1000,1000,1000,1000", "--T", "0.01", "--h", "0.001",
+                         "--frame", frame)
+    assert code == EXIT_OK and err == ""
+    rows = [line for line in out.splitlines() if not line.startswith(("#", "t,"))]
+    assert len(rows) == 11 and all(line.endswith(",0.0,0.0") for line in rows)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert sorted(json.loads(out)["results"]) == ["I", "T", "certified", "end_state", "h", "rank"]
+    # a nonzero component of Ht.u is a certificate failure naming I, the
+    # component and the residual
+    zero = Polynomial.zero(Space(4))
+    residual = parse_expression("x1*x4 - 2", Space(4))
+    monkeypatch.setattr("singfol.dynamics.kernel_residual", lambda g, goh: (zero, zero, residual))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CERTIFICATE and out == ""
+    assert err.startswith("certificate failure: Z_(1, 2, 3) is not a Goh kernel section")
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == EXIT_CERTIFICATE
-    assert "certificate failure" in err
+    assert json.loads(out)["detail"] == {"I": [1, 2, 3], "component": 3, "residual": "x1*x4 - 2"}
 
 
 def test_scan_div(capsys, tmp_path, monkeypatch):
@@ -264,12 +285,10 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["bracket-check", "--depth", "-1"], "--depth"),
     (["stratify", "--seed", "1", "--tolerance", "nan"], "--tolerance"),
     (["stratify", "--seed", "1", "--tolerance", "-0.5"], "--tolerance"),
-    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "nan"],
-     "--tolerance"),
-    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "-1"],
-     "--tolerance"),
-    (["integrate", "--from", "0,0,0,0", "--T", "0.1", "--h", "0.05", "--tolerance", "inf"],
-     "--tolerance"),
+    # integrate has no --tolerance: its kernel check is exact
+    (["stratify", "--seed", "1", "--tolerance", "inf"], "--tolerance"),
+    (["stratify", "--seed", "1", "--tolerance", "1e400"], "--tolerance"),
+    (["stratify", "--seed", "1", "--tolerance", "-1e400"], "--tolerance"),
     # 3^2 + ... + 3^9 brackets exceed the budget; so does a depth no loop
     # could reach, rejected before the first bracket is formed
     (["bracket-check", "--depth", "9"], "--depth"),
@@ -659,7 +678,7 @@ FLAGS = {
     "normalform": {"--order": ["0", "1", "3", "-1", "60"]},
     "integrate": {"--from": POINTS, "--T": ["0.05", "0", "-1", "nan", "1e400"],
                   "--h": ["0.01", "0", "-0.01", "nan", "1e400"], "--field": FIELDS,
-                  "--rank": RANKS, "--tolerance": FLOATS},
+                  "--rank": RANKS},
     "scan-div": {"--seed": INTS, "--samples": ["0", "7", "-1", "100001", "1000000000"],
                  "--box": BOXES, "--cutoff": FLOATS, "--field": FIELDS, "--rank": RANKS},
     "bracket-check": {"--depth": ["1", "4", "0", "-1"], "--at": POINTS},

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import TWO_SPELLINGS, random_corank1_frame, random_polynomial
-from singfol.abnormal import (_project_onto_locus, abnormal_generators, divergence_certificate,
-                              goh_matrix, singular_set_equations)
+from singfol.abnormal import (CertificateError, _project_onto_locus, abnormal_generators,
+                              divergence_certificate, goh_matrix, kernel_residual,
+                              singular_set_equations)
 from singfol import dynamics
 from singfol.demos import demo_frame
 from singfol.dynamics import (
@@ -85,11 +86,9 @@ def test_bad_steps_rejected():
 def test_engel_certified_trajectory():
     F = demo_frame("dim4-engel")
     g = abnormal_generators(F, 2)[0]
-    traj = abnormal_trajectory(F, g, [0, 0, 0, 0], 1.0, 1e-3, tolerance=1e-12)
+    traj = abnormal_trajectory(F, g, [0, 0, 0, 0], 1.0, 1e-3)
     assert traj.certified
-    assert traj.horizontal_by_construction
-    assert float(traj.goh_residuals.max()) <= 1e-12
-    assert float(traj.annihilation_residuals.max()) <= 1e-12
+    assert not integrate_field(g.Z, [0, 0, 0, 0], 1.0, 1e-3).certified
     assert np.max(np.abs(traj.states[-1] - np.array([1, 0, 1, 0]))) < 1e-10
 
 
@@ -109,31 +108,30 @@ def test_dim5_certified_trajectory():
     z1 = next(g for g in gens if g.I == (2, 3, 4))
     traj = abnormal_trajectory(F, z1, [0.2, 0.1, -0.3, 0.05, 0.0], 1.0, 1e-3)
     assert traj.certified
-    assert float(traj.goh_residuals.max()) <= 1e-10
 
 
-def test_goh_residual_scales_with_machine_epsilon():
-    # residual (b) stays below 100 eps times the local magnitude of the
-    # matrix-vector product, frame by frame
-    eps = np.finfo(float).eps
-    # martinet is excluded: with m = 2 the only generators live at rank 0 and
-    # span the kernel on the singular surface only, not along a generic flow
+def test_kernel_check_is_exact_and_runs_before_the_first_step(monkeypatch):
+    # at the generic rank Ht . u is the zero polynomial on every flow demo,
+    # so any start point integrates, however large its coordinates
     for name in ("dim4", "dim4-engel", "dim5", "dim6-cubic"):
         F = demo_frame(name)
         goh = goh_matrix(F)
-        from singfol.pfaffian import skew_rank
-        r = skew_rank(goh.reduced)
-        g = abnormal_generators(F, r, goh)[0]
-        x0 = [0.11, -0.23, 0.07, 0.19, -0.13, 0.29][: F.n]
-        traj = abnormal_trajectory(F, g, x0, 0.2, 1e-2, tolerance=np.inf)
-        coeff_by_index = {i: c for i, c in zip(g.I, g.reduced_coefficients)}
-        for state, res in zip(traj.states, traj.goh_residuals):
-            point = state.tolist()
-            hmax = max(abs(goh.reduced.entry(i, j).eval_float(point))
-                       for i in range(1, F.m + 1) for j in range(1, F.m + 1))
-            umax = max(abs(coeff_by_index[i].eval_float(point)) for i in g.I)
-            scale = max(1.0, F.m * hmax * umax)
-            assert res <= 100 * eps * scale, (name, res, scale)
+        for g in abnormal_generators(F, skew_rank(goh.reduced), goh):
+            assert not any(kernel_residual(g, goh))
+    F = demo_frame("dim4")
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, 2, goh)[0]
+    assert abnormal_trajectory(F, g, [1000.0] * 4, 0.01, 1e-3, goh=goh).certified
+    # a nonzero component raises before any step, naming I, the component
+    # and the residual
+    runs = _recorded_runs(monkeypatch)
+    residual = parse_expression("x1 - x3", F.space)
+    zero = Polynomial.zero(F.space)
+    monkeypatch.setattr(dynamics, "kernel_residual", lambda g, goh: (zero, residual, zero))
+    with pytest.raises(CertificateError) as err:
+        abnormal_trajectory(F, g, [0.1, 0.2, 0.3, 0.4], 0.1, 1e-2, goh=goh)
+    assert err.value.detail == {"I": [1, 2, 3], "component": 2, "residual": "x1 - x3"}
+    assert err.value.residual == residual and runs == []
 
 
 def test_trajectory_csv_layout():
@@ -144,6 +142,8 @@ def test_trajectory_csv_layout():
     assert lines[0] == "# seed=5, h=0.01, T=0.01"
     assert lines[1] == "t,x1,x2,x3,x4,residual_b,residual_c"
     assert len(lines) == 4  # header, columns, two states
+    # the residual columns hold the exact residuals, which are zero
+    assert all(line.endswith(",0.0,0.0") for line in lines[2:])
 
 
 # -- divergence scan ----------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_volume_dim4_exp_bound():
 #
 # The numeric layer evaluates compiled float forms, on one point or on whole
 # arrays of states.  The references below are the plain per-point loops it
-# replaced: a term-by-term eval_float, a per-state RHS, the per-state residual
+# replaced: a term-by-term eval_float, a per-state RHS, the per-state costate
 # loop and the per-point volume loop.  Every array must match them byte for
 # byte (tobytes), not merely to a tolerance.
 
@@ -277,22 +277,8 @@ def _reference_integrate(V, x0, T, h):
     return np.array(states)
 
 
-def _reference_residuals(F, g, goh, states):
-    m = F.m
-    coeff_by_index = {i: c for i, c in zip(g.I, g.reduced_coefficients)}
-    costates, goh_res, anni_res = [], [], []
-    for state in states:
-        point = state.tolist()
-        p = np.array([_reference_eval(w, point) for w in F.omega])
-        u = np.array([_reference_eval(coeff_by_index[i], point) if i in coeff_by_index else 0.0
-                      for i in range(1, m + 1)])
-        Ht = np.array([[_reference_eval(goh.reduced.entry(i, j), point)
-                        for j in range(1, m + 1)] for i in range(1, m + 1)])
-        goh_res.append(float(np.max(np.abs(Ht @ u))) if m else 0.0)
-        anni_res.append(max(abs(float(np.dot(p, [_reference_eval(c, point) for c in X.components])))
-                            for X in F.fields))
-        costates.append(p)
-    return np.array(costates), np.array(goh_res), np.array(anni_res)
+def _reference_costates(F, states):
+    return np.array([[_reference_eval(w, state.tolist()) for w in F.omega] for state in states])
 
 
 def _reference_volume(Z, cloud, T, h):
@@ -337,15 +323,21 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
     # negative coordinates throughout, so odd powers of negative bases occur
     x0 = [-0.31, 0.27, -0.44, 0.18, -0.23, 0.39][: F.n]
     T, h = 0.2, 1e-3
-    traj = abnormal_trajectory(F, g, x0, T, h, 1e-10, goh)
-    assert _same(traj.states, _reference_integrate(g.Z, x0, T, h))
-    costates, goh_res, anni_res = _reference_residuals(F, g, goh, traj.states)
-    assert _same(traj.costates, costates)
-    assert _same(traj.goh_residuals, goh_res)
-    assert _same(traj.annihilation_residuals, anni_res)
-    # omega(x) is (-A(x), 1) read off the normal form, up to the sign of a zero
-    assert np.array_equal(traj.costates, [[-_reference_eval(A, x) for A in F.normal_form] + [1.0]
-                                          for x in traj.states.tolist()])
+    if r < skew_rank(goh.reduced):
+        # (29, 5): m = 4 and generic rank 4, so the rank-2 generator is a
+        # kernel section only on the singular set, and is refused
+        with pytest.raises(CertificateError) as err:
+            abnormal_trajectory(F, g, x0, T, h, goh=goh)
+        assert err.value.detail["component"] == 4
+        states = integrate_field(g.Z, x0, T, h).states
+    else:
+        traj = abnormal_trajectory(F, g, x0, T, h, goh=goh)
+        states = traj.states
+        assert _same(traj.costates, _reference_costates(F, states))
+        # omega(x) is (-A(x), 1) read off the normal form, up to the sign of a zero
+        assert np.array_equal(traj.costates, [[-_reference_eval(A, x) for A in F.normal_form]
+                                              + [1.0] for x in states.tolist()])
+    assert _same(states, _reference_integrate(g.Z, x0, T, h))
     cloud = sample_cloud((-0.6, 0.6), 16, F.n, seed=F.n)
     report = volume_distortion(g.Z, cloud, 0.1, h)
     weights, lengths, min_weights = _reference_volume(g.Z, cloud, 0.1, h)
@@ -354,7 +346,7 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
     assert _same(report.min_weights, min_weights)
     # the RHS and div Z on every state, directly: RK4 and the quadrature can
     # absorb a last-bit difference that these cannot
-    rows = np.concatenate([traj.states, np.array(cloud)])
+    rows = np.concatenate([states, np.array(cloud)])
     ref = _reference_rhs(g.Z)
     rhs, _ = _compiled_flow(_field_forms(g.Z))
     assert _same(np.array([rhs(*x) for x in rows.tolist()]), np.array([ref(x) for x in rows]))
@@ -376,7 +368,7 @@ def test_numeric_layer_bitwise_equal_to_per_point_loops(case):
 def test_volume_in_blocks_of_steps_is_bitwise_equal(monkeypatch):
     # stored states evaluated in blocks of one row, of 16 and 50 rows with a
     # shorter last block, and in one block: the volume cloud and a
-    # trajectory's residuals are the same bits either way
+    # trajectory's costates are the same bits either way
     F = _flow_frame((29, 6))
     goh = goh_matrix(F)
     g = abnormal_generators(F, skew_rank(goh.reduced), goh)[0]
@@ -384,17 +376,14 @@ def test_volume_in_blocks_of_steps_is_bitwise_equal(monkeypatch):
     weights, lengths, min_weights = _reference_volume(g.Z, cloud, 0.1, 1e-3)
     x0 = [-0.31, 0.27, -0.44, 0.18, -0.23, 0.39]
     states = _reference_integrate(g.Z, x0, 0.2, 1e-3)
-    costates, goh_res, anni_res = _reference_residuals(F, g, goh, states)
+    costates = _reference_costates(F, states)
     for rows in (1, 16, 50, dynamics.EVAL_BLOCK_ROWS):
         monkeypatch.setattr(dynamics, "EVAL_BLOCK_ROWS", rows)
         report = volume_distortion(g.Z, cloud, 0.1, 1e-3)
         assert _same(report.weights, weights), rows
         assert _same(report.lengths, lengths), rows
         assert _same(report.min_weights, min_weights), rows
-        traj = abnormal_trajectory(F, g, x0, 0.2, 1e-3, 1e-10, goh)
-        assert _same(traj.costates, costates), rows
-        assert _same(traj.goh_residuals, goh_res), rows
-        assert _same(traj.annihilation_residuals, anni_res), rows
+        assert _same(abnormal_trajectory(F, g, x0, 0.2, 1e-3, goh=goh).costates, costates), rows
 
 
 def test_eval_states_matches_reference_on_every_row(monkeypatch):
@@ -555,9 +544,9 @@ def test_float_outputs_depend_only_on_polynomial_values():
         assert c1._float_terms() == c2._float_terms()
     x0, T, h = [0.1, 0.05, -0.1, 0.02], 0.5, 0.01
     assert _same(integrate_field(Z1, x0, T, h).states, integrate_field(Z2, x0, T, h).states)
-    t1, t2 = (abnormal_trajectory(F, g, x0, T, h, 1e-10, goh)
+    t1, t2 = (abnormal_trajectory(F, g, x0, T, h, goh=goh)
               for F, g, goh in zip(frames, gens, gohs))
-    for name in ("states", "costates", "goh_residuals", "annihilation_residuals"):
+    for name in ("states", "costates"):
         assert _same(getattr(t1, name), getattr(t2, name)), name
     cloud = sample_cloud((-0.5, 0.5), 8, 4, seed=3)
     v1, v2 = (volume_distortion(Z, cloud, 0.2, h) for Z in (Z1, Z2))

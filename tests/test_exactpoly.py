@@ -26,7 +26,8 @@ from singfol.exactpoly import (
     SpaceMismatchError,
     parse_expression,
 )
-from singfol.vectorfield import VectorField, divergence, lie_bracket, poisson_bracket
+from singfol.abnormal import goh_matrix
+from singfol.vectorfield import Frame, VectorField, divergence, lie_bracket, poisson_bracket
 
 PHASE3 = Space(3, True)
 BASE2 = Space(2)
@@ -414,6 +415,35 @@ def test_product_matches_reference_small_and_large():
             f, g = _pair(seed, sizes, Space(3))
             for a, b in [(f, g), (f + g, f - g)]:
                 assert a * b == reference_product(a, b)
+
+
+def test_constant_operand_scales_the_other(monkeypatch):
+    # a product with a constant polynomial is the _mul_terms product, terms
+    # in the same order, with the constant on either side
+    rng = random.Random(8)
+    space = Space(3)
+    constants = [Polynomial.constant(space, c) for c in (1, -1, Fraction(-7, 3), Fraction(5, 2))]
+    for _ in range(30):
+        f = random_polynomial(rng, space, rng.choice((1, 4, 12)), 3, _RATIONAL)
+        for c in constants + [Polynomial.zero(space)]:
+            want = exactpoly._mul_terms(f.terms, c.terms)
+            for got in (f * c, c * f):
+                assert got.terms == want and list(got.terms) == list(want)
+    # goh_matrix on a dense-4 frame like the dense-kernel workload's multiplies
+    # by the constant component 1 of its fields through the scalar branch
+    constant_operands = []
+    mul_terms = exactpoly._mul_terms
+
+    def counted(a, b, order=None):
+        if exactpoly._is_constant(a) or exactpoly._is_constant(b):
+            constant_operands.append((a, b))
+        return mul_terms(a, b, order)
+
+    monkeypatch.setattr(exactpoly, "_mul_terms", counted)
+    s4 = Space(4)
+    F = Frame.corank1(4, [parse_expression(t, s4) for t in ("x2", "x4", "(2*x1 - x2 + x3 - 1)^16")])
+    goh_matrix(F)
+    assert constant_operands == []
 
 
 @settings(max_examples=80, deadline=None)
