@@ -124,9 +124,10 @@ class SamplingError(SingfolError, RuntimeError):
 class GohMatrix:
     """The skew matrix of pairwise bracket momenta of a frame.
 
-    ``hamiltonians`` and ``ham_fields`` cache the momentum functions h^i and
-    their Hamiltonian vector fields; ``reduced`` is the x-only matrix Ht of
-    entries omega . [X^i, X^j], present exactly when the frame has an
+    ``hamiltonians`` holds the momentum functions h^i, and ``ham_fields``
+    their Hamiltonian vector fields, built on first read: only the Jacobi
+    check and the generators read them.  ``reduced`` is the x-only matrix
+    Ht of entries omega . [X^i, X^j], present exactly when the frame has an
     annihilating form omega (``Frame.omega``).
     The entry H[k,l] is the pair bracket {h^k, h^l}; ``_jacobi`` memoizes the
     cyclic Jacobi sums J(T), at most one per triple of {1..m}.  Every J(T)
@@ -138,13 +139,16 @@ class GohMatrix:
     frame: Frame
     H: SkewMatrix
     hamiltonians: tuple[Polynomial, ...]
-    ham_fields: tuple[VectorField, ...]
     reduced: SkewMatrix | None = None
     _jacobi: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return self.frame.m
+
+    @cached_property
+    def ham_fields(self) -> tuple[VectorField, ...]:
+        return tuple(hamiltonian_vector_field(h) for h in self.hamiltonians)
 
     def jacobi_sum(self, T: tuple[int, int, int]) -> Polynomial:
         """J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} for
@@ -202,7 +206,6 @@ def goh_matrix(F: Frame) -> GohMatrix:
     """Entries h^{ij} = lift of B = [X^i, X^j]; when the frame has an
     annihilating form omega, the reduced entries omega . B."""
     hams = tuple(hamiltonian_lift(X) for X in F.fields)
-    hvfs = tuple(hamiltonian_vector_field(h) for h in hams)
     brackets = {(i, j): lie_bracket(F.fields[i - 1], F.fields[j - 1])
                 for i in range(1, F.m + 1) for j in range(i + 1, F.m + 1)}
     upper = {key: hamiltonian_lift(B) for key, B in brackets.items()}
@@ -216,7 +219,7 @@ def goh_matrix(F: Frame) -> GohMatrix:
             raise AssertionError("omega must annihilate every frame field")
         reduced = SkewMatrix(F.space, F.m, {key: _sum_products(F.space, zip(omega, B.components))
                                             for key, B in brackets.items()})
-    return GohMatrix(F, H, hams, hvfs, reduced)
+    return GohMatrix(F, H, hams, reduced)
 
 
 def kernel_dim_at(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction],
@@ -494,16 +497,12 @@ class SamplerConfig:
     ``box`` bounds every base coordinate; samples are exact rationals on the
     grid with denominator ``SAMPLE_DENOMINATOR``, so every rank decision
     downstream stays in exact arithmetic.  A box that holds fewer than two
-    grid values raises :class:`SamplingError`.  The locus search is exact;
-    ``tolerance`` bounds only the float screen that fills
-    ``Stratification.unconfirmed``: the largest |minor| of a seed reported
-    there.
+    grid values raises :class:`SamplingError`.
     """
 
     seed: int
     count: int = 256
     box: tuple[Fraction, Fraction] = (Fraction(-1), Fraction(1))
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         lo, hi = _grid_numerators(self.box)
@@ -540,6 +539,10 @@ class Stratification:
     polynomial frames every deeper level sits inside the common zero set of
     the previous level's Pfaffian minors, which has empty interior, so the
     deeper levels are reported as locus levels rather than open strata.
+
+    ``unconfirmed`` is always empty: no float decides a level.  The
+    benchmark still reads it; ROADMAP item 13 deletes it together with the
+    ``abnormal.unconfirmed`` bench counter.
     """
 
     frame_name: str
@@ -662,10 +665,10 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
     on the symbolic vanishing loci (corank-1 reduced minors when available)
     by moving samples onto the locus one coordinate at a time, at exact
     rational roots of a frozen minor, keeping only witnesses where every
-    minor vanishes exactly.  ``config.tolerance`` has one role: when no seed
-    reaches the locus, those of the first four seeds at which every nonzero
-    minor is below it in absolute value, in floats, are reported in
-    ``unconfirmed`` and excluded from the dims.  A :class:`SamplingError`
+    minor vanishes exactly.  The walk stops at the first level that no seed
+    reaches.  Each seed is an exact witness of the current rank, so some
+    minor of that rank is exactly nonzero there: a seed never lies on the
+    locus, however small its minors are.  A :class:`SamplingError`
     reports samples that all miss the open stratum of a bracket-generating
     frame.
     """
@@ -682,7 +685,6 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
         observed.setdefault(d, []).append(Witness(x, p, d, True))
 
     reduced = goh.reduced
-    unconfirmed: list[tuple[float, ...]] = []
     # the minors of each rank the walk builds, reused by the strata
     equations: dict[int, list[Polynomial]] = {}
 
@@ -708,13 +710,6 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
                 d = kernel_dim_at(F, point, pt_p, goh)
                 found.append(Witness(point, pt_p, d, True))
             if not found:
-                # float screening: keep a record of near-locus candidates that
-                # could not be certified exactly
-                for x in seeds[:4]:
-                    xf = [float(v) for v in x]
-                    values = [q.eval_float(xf) for q in minors if not q.is_zero()]
-                    if values and max(abs(v) for v in values) < config.tolerance:
-                        unconfirmed.append(tuple(xf))
                 break
             deeper = min(w.kernel_dim for w in found)
             if deeper <= current_dim or deeper in seen_dims:
@@ -746,4 +741,4 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
                     f"constraints, although the frame is bracket generating at "
                     f"x = ({', '.join(map(str, w.x))}): no sample reached the open stratum"
                 )
-    return Stratification(F.name, F.m, dims, tuple(strata), config, tuple(unconfirmed))
+    return Stratification(F.name, F.m, dims, tuple(strata), config)

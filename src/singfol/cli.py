@@ -265,13 +265,10 @@ def cmd_stratify(F: Frame, args):
         raise InputError("--samples must be >= 1")
     if args.samples > MAX_SAMPLES:
         raise InputError(f"--samples must be <= {MAX_SAMPLES}")
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise InputError("--tolerance must be a finite number >= 0")
     box = _parse_box(args.box)
     config = abnormal.SamplerConfig(seed=args.seed, count=args.samples,
                                     box=(Fraction(box[0]).limit_denominator(10 ** 6),
-                                         Fraction(box[1]).limit_denominator(10 ** 6)),
-                                    tolerance=args.tolerance)
+                                         Fraction(box[1]).limit_denominator(10 ** 6)))
     S = abnormal.stratify(F, config)
     lines = [f"kernel-dimension levels: {{{', '.join(str(d) for d in S.dims)}}} "
              f"(seed={args.seed}, samples={args.samples})"]
@@ -289,9 +286,6 @@ def cmd_stratify(F: Frame, args):
                      f"parity/bound {'ok' if st.parity_ok else 'violated'}")
         lines += [f"    witness x = {_vector(w['x'])}" for w in entry["witnesses"][:2]]
         payload["levels"].append(entry)
-    if S.unconfirmed:
-        lines.append(f"  unconfirmed float candidates: {len(S.unconfirmed)}")
-        payload["unconfirmed"] = [list(x) for x in S.unconfirmed]
     return lines, payload
 
 
@@ -399,7 +393,7 @@ def cmd_bracket_check(F: Frame, args):
     if args.depth < 1:
         raise InputError("--depth must be >= 1")
     try:
-        x = [Fraction(v).limit_denominator(10 ** 6) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
+        x = [Fraction(v) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--at expects comma-separated numbers: {exc}") from exc
     if len(x) != F.n:
@@ -442,7 +436,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let values like "-0.5,0.5" or "-1e-1,1e-1" (box bounds, start
-        # points, tolerances) pass as arguments instead of being mistaken
+        # points, sample counts) pass as arguments instead of being mistaken
         # for option strings
         number = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
         self._negative_number_matcher = re.compile(rf"^-{number}(,-?{number})*$")
@@ -485,9 +479,6 @@ def make_parser() -> argparse.ArgumentParser:
     strat.add_argument("--samples", type=int, default=256)
     strat.add_argument("--seed", type=int, required=True)
     strat.add_argument("--box", default="-1,1")
-    strat.add_argument("--tolerance", type=float, default=1e-8,
-                       help="largest |minor|, in floats, of a seed reported as an unconfirmed "
-                            "locus candidate when no seed reaches the locus exactly")
     _add_frame_arg(strat)
 
     nf = subs.add_parser("normalform", help="jet-level frame normal form")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -137,14 +138,14 @@ def _compiled_flow(forms):
     makes the whole RHS inf.
 
     ``run(x, steps, hh, h, h6)`` takes ``steps`` RK4 steps from the tuple x
-    with hh = 0.5 * h and h6 = h / 6.0, and returns the list of the steps + 1
-    states as tuples.  The state lives in the locals ``x0..x{n-1}`` and each
-    stage is one ``rhs`` call.  Each operation is the one numpy would do on
-    the (n,) arrays, in the same order: ``xk + hh * ak`` for a stage (``xk
-    + h * dk`` for the last), ``xk + h6 * (((ak + 2.0 * bk) + 2.0 * dk) +
-    ek)`` for a step.  A state with a non-finite coordinate, which is
-    exactly one where some ``xk - xk`` is not 0.0, raises BlowUpError with
-    the last valid time.
+    with hh = 0.5 * h and h6 = h / 6.0, and returns the steps + 1 states as
+    one flat ``array('d')``, state after state, 8 bytes per coordinate.  The
+    state lives in the locals ``x0..x{n-1}`` and each stage is one ``rhs``
+    call.  Each operation is the one numpy would do on the (n,) arrays, in
+    the same order: ``xk + hh * ak`` for a stage (``xk + h * dk`` for the
+    last), ``xk + h6 * (((ak + 2.0 * bk) + 2.0 * dk) + ek)`` for a step.  A
+    state with a non-finite coordinate, which is exactly one where some ``xk
+    - xk`` is not 0.0, raises BlowUpError with the last valid time.
     """
     n = len(forms)
     coeffs = []
@@ -173,8 +174,8 @@ def _compiled_flow(forms):
         "",
         "def run(x, steps, hh, h, h6):",
         f"    {row('x{0}')} = x",
-        "    states = [x]",
-        "    append = states.append",
+        "    states = array('d', x)",
+        "    extend = states.extend",
         "    for i in range(steps):",
         f"        {row('a{0}')} = rhs({names('x{0}')})",
         f"        {row('b{0}')} = rhs({names('x{0} + hh * a{0}')})",
@@ -184,10 +185,11 @@ def _compiled_flow(forms):
           for k in range(n)),
         f"        if {' + '.join(f'(x{k} - x{k})' for k in range(n))} != 0.0:",
         "            raise BlowUpError(i * h)",
-        f"        append({row('x{0}')})",
+        f"        extend({row('x{0}')})",
         "    return states",
     ])
-    scope = {"c": tuple(coeffs), "infs": (math.inf,) * n, "BlowUpError": BlowUpError}
+    scope = {"c": tuple(coeffs), "infs": (math.inf,) * n, "BlowUpError": BlowUpError,
+             "array": array}
     exec(compile(source, "<singfol.dynamics flow>", "exec"), scope)
     return scope["rhs"], scope["run"]
 
@@ -247,8 +249,8 @@ def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> 
     if len(x) != V.n:
         raise ValueError(f"start point of length {len(x)}, expected {V.n}")
     _, run = _compiled_flow(_field_forms(V))
-    states = run(x, steps, 0.5 * h, h, h / 6.0)
-    return Trajectory(np.arange(steps + 1) * h, np.array(states, dtype=float), h)
+    states = np.frombuffer(run(x, steps, 0.5 * h, h, h / 6.0)).reshape(steps + 1, V.n)
+    return Trajectory(np.arange(steps + 1) * h, states, h)
 
 
 def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
@@ -382,7 +384,8 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     _, run = _compiled_flow(forms)
     states = np.empty((steps + 1,) + X.shape)
     for i, x in enumerate(X.tolist()):
-        states[:, i] = run(tuple(x), steps, 0.5 * h, h, h / 6.0)
+        flat = run(tuple(x), steps, 0.5 * h, h, h / 6.0)
+        states[:, i] = np.frombuffer(flat).reshape(steps + 1, Z.n)
     div = divergence(Z)._float_terms()
     with np.errstate(over="ignore", invalid="ignore"):
         # values[k, i, t]: form k at cloud point i and grid time t

@@ -182,8 +182,7 @@ def tampered_goh(F):
                 if i not in (k, l):
                     extra = extra * Polynomial.variable(phase, phase.x(i))
             upper[(k, l)] = goh.H.entry(k, l) + extra
-    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
-                     goh.reduced)
+    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.reduced)
 
 
 def reference_eval_exact(f: Polynomial, point) -> Fraction:

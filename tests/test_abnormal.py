@@ -711,8 +711,7 @@ def _goh_with_shifted_entry(F, k, l, shift="x1"):
     phase = F.space.phase
     upper = dict(goh.H.upper)
     upper[(k, l)] = goh.H.entry(k, l) + parse_expression(shift, phase)
-    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.ham_fields,
-                     goh.reduced)
+    return GohMatrix(F, SkewMatrix(phase, F.m, upper), goh.hamiltonians, goh.reduced)
 
 
 def _cyclic_sum(goh, T, bracket):
@@ -852,6 +851,8 @@ def test_jacobi_check_memoizes_the_cyclic_sums_and_keeps_no_partials(monkeypatch
             gohs += [tampered_goh(F), _goh_with_shifted_entry(F, F.m - 1, F.m)]
         for goh in gohs:
             taken.clear()
+            # the fields are built on first read, by partials of the h^i
+            goh.ham_fields
             monkeypatch.setattr(Polynomial, "partial", counted_partial)
             failure = goh.jacobi_failure
             monkeypatch.setattr(Polynomial, "partial", plain_partial)
@@ -1004,6 +1005,34 @@ def test_stratify_reaches_a_locus_root_with_a_large_denominator():
     assert S.dims == (0, 2)
     assert S.strata[1].witnesses
     assert all(w.x[0] == Fraction(1, 1000003) for w in S.strata[1].witnesses)
+
+
+def test_a_seed_the_locus_search_cannot_move_is_off_the_locus(monkeypatch):
+    # each seed of the walk is an exact witness of the current rank r, so
+    # some r-minor is exactly nonzero at it: a seed that no rational root
+    # moves onto the locus is off the locus, however small its minors are
+    calls = []
+    search = abnormal._project_onto_locus
+
+    def recorded(minors, x):
+        calls.append((minors, x, search(minors, x)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(abnormal, "_project_onto_locus", recorded)
+    space = Space(3)
+    # loci at x1 = +-1/sqrt(2) inside the box and +-sqrt(2) outside it, with
+    # minors below 10^-8 at every sample in the second frame
+    frames = [Frame.corank1(3, [parse_expression(t, space) for t in ("0", A)])
+              for A in ("1/3*x1^3 - 1/2*x1", "1/3000000000*x1^3 - 2/1000000000*x1")]
+    frames += [demo_frame(name) for name in DEMOS if demo_frame(name).omega is not None]
+    frames += [random_corank1_frame(random.Random(k), n) for k, n in ((1, 3), (2, 4), (3, 5))]
+    for F in frames:
+        for seed in range(3):
+            stratify(F, SamplerConfig(seed=seed, count=16))
+    missed = [(minors, x) for minors, x, point in calls if point is None]
+    assert missed and len(missed) < len(calls)
+    for minors, x in missed:
+        assert any(q.eval_exact(x) for q in minors), x
 
 
 def _minors(*texts):

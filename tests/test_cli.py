@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,6 +206,43 @@ def test_bracket_check(capsys, tmp_path):
         assert code == EXIT_OK and "diagnostic only" in out, name
 
 
+def test_bracket_check_reads_the_point_exactly(capsys, tmp_path):
+    # martinet's brackets span at depth 2 off the plane x1 = 0 and at depth 3
+    # on it; x1 = 10^-7 and 1/3000001 are off it, although a denominator
+    # bounded by 10^6 would round both to 0
+    frame = frame_file(tmp_path, "martinet")
+    F = build_frame(DEMOS["martinet"].to_spec())
+    for at, x1 in (("1e-7,0,0", Fraction(1, 10 ** 7)), ("1/3000001,0,0", Fraction(1, 3000001))):
+        depth = F.bracket_generation_depth((x1, Fraction(0), Fraction(0)))
+        assert depth == 2
+        code, out, _ = run(capsys, "bracket-check", "--at", at, "--frame", frame)
+        assert code == EXIT_OK and f"at depth {depth} " in out, at
+        code, out, _ = run(capsys, "bracket-check", "--at", at, "--frame", frame, "--json")
+        assert code == EXIT_OK and json.loads(out)["results"]["depth"] == depth, at
+
+
+def test_hamiltonian_fields_are_built_only_when_read(capsys, tmp_path, monkeypatch):
+    # only the Jacobi check and the generators read the Hamiltonian fields
+    built = []
+    field_of = abnormal.hamiltonian_vector_field
+
+    def counted(h):
+        built.append(h)
+        return field_of(h)
+
+    monkeypatch.setattr(abnormal, "hamiltonian_vector_field", counted)
+    for name in ("dim5", "dim6-cubic"):
+        frame = frame_file(tmp_path, name)
+        for argv in (["goh"], ["pfaffian", "--minors", "2"], ["singular-set"],
+                     ["stratify", "--seed", "7", "--samples", "16"]):
+            built.clear()
+            code, _, _ = run(capsys, *argv, "--frame", frame)
+            assert code == EXIT_OK and built == [], (name, argv)
+        built.clear()
+        code, _, _ = run(capsys, "certify", "--frame", frame)
+        assert code == EXIT_OK and len(built) == build_frame(DEMOS[name].to_spec()).m, name
+
+
 def test_malformed_expression_reports_offset(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dimension": 3, "rank": 2, "normal_form": ["0", "x1 +"]}),
@@ -283,12 +321,12 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["scan-div", "--seed", "1", "--samples", "-1"], "--samples"),
     (["bracket-check", "--depth", "0"], "--depth"),
     (["bracket-check", "--depth", "-1"], "--depth"),
-    (["stratify", "--seed", "1", "--tolerance", "nan"], "--tolerance"),
-    (["stratify", "--seed", "1", "--tolerance", "-0.5"], "--tolerance"),
-    # integrate has no --tolerance: its kernel check is exact
-    (["stratify", "--seed", "1", "--tolerance", "inf"], "--tolerance"),
-    (["stratify", "--seed", "1", "--tolerance", "1e400"], "--tolerance"),
-    (["stratify", "--seed", "1", "--tolerance", "-1e400"], "--tolerance"),
+    # --at is read exactly, so a value that is not a rational number is refused
+    (["bracket-check", "--at", "nan,0,0,0"], "--at"),
+    (["bracket-check", "--at", "0,inf,0,0"], "--at"),
+    (["bracket-check", "--at", "0,0,0"], "--at"),
+    (["stratify", "--seed", "1", "--box", "nan,1"], "--box"),
+    (["stratify", "--seed", "1", "--box", "1"], "--box"),
     # 3^2 + ... + 3^9 brackets exceed the budget; so does a depth no loop
     # could reach, rejected before the first bracket is formed
     (["bracket-check", "--depth", "9"], "--depth"),
@@ -347,7 +385,7 @@ def test_scan_div_takes_samples_up_to_the_bound(capsys, tmp_path):
 
 def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
     # a coefficient that no double holds, and a box whose powers overflow,
-    # in the float scan of scan-div and in the locus search of stratify
+    # in the float scan of scan-div
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dimension": 4, "rank": 3,
                                 "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
@@ -362,8 +400,6 @@ def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
                        encoding="utf-8")
     for argv in (["scan-div", "--samples", "4", "--frame", str(path)],
                  ["scan-div", "--samples", "4", "--frame", dim4, "--box=-1e200,1e200"],
-                 ["stratify", "--samples", "16", "--frame", str(path)],
-                 ["stratify", "--samples", "16", "--frame", dim4, "--box", "1e200,1e201"],
                  ["scan-div", "--samples", "8", "--frame", str(sum_path), "--box", "0.9,1"],
                  ["scan-div", "--samples", "8", "--frame", str(z_path), "--box", "1.9,2"]):
         code, out, err = run(capsys, *argv, "--seed", "1")
@@ -372,6 +408,52 @@ def test_scan_div_beyond_double_range_is_an_input_error(capsys, tmp_path):
         code, out, _ = run(capsys, *argv, "--seed", "1", "--json")
         assert code == EXIT_INPUT, argv
         assert "double range" in json.loads(out)["error"], argv
+
+
+def test_huge_boxes_and_coefficients_are_exact_stratify_inputs(capsys, tmp_path):
+    # stratify evaluates no float: a coefficient that no double holds, and a
+    # box whose powers overflow a double, are exact inputs, and every
+    # witness is an exact annihilator point of its level's kernel dimension
+    huge = {"dimension": 4, "rank": 3, "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge), encoding="utf-8")
+    for spec, frame, box in ((huge, str(path), []),
+                             (DEMOS["dim4"].to_spec(), frame_file(tmp_path, "dim4"),
+                              ["--box", "1e200,1e201"])):
+        argv = ["stratify", "--seed", "1", "--samples", "16", *box, "--frame", frame]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == "" and "    witness x = (" in out, argv
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK, argv
+        F = build_frame(spec)
+        levels = json.loads(out)["results"]["levels"]
+        assert levels and all(level["witnesses"] for level in levels)
+        for level in levels:
+            for w in level["witnesses"]:
+                x, p = [Fraction(v) for v in w["x"]], [Fraction(v) for v in w["p"]]
+                assert w["exact"] and abnormal.kernel_dim_at(F, x, p) == level["dim"], argv
+
+
+def test_stratify_makes_no_float_decision(capsys, tmp_path):
+    # there is no float screen, so no tolerance to set: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["stratify", "--seed", "1", "--tolerance", "0", "--frame", frame_file(tmp_path, "dim4")])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --tolerance 0" in capsys.readouterr().err
+    # Ht[1,2] = 10^-9 * (x1^2 - 2) is below 10^-8 at every sample, but it
+    # vanishes only at x1 = +-sqrt(2), outside the box: one level and no
+    # candidate report
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"dimension": 3, "rank": 2, "normal_form": [
+        "0", "1/3000000000*x1^3 - 2/1000000000*x1"]}), encoding="utf-8")
+    argv = ["stratify", "--seed", "7", "--samples", "64", "--frame", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("kernel-dimension levels: {0} ") and "unconfirmed" not in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert results["dims"] == [0] and "unconfirmed" not in results
 
 
 def test_samples_that_miss_the_open_stratum_are_an_input_error(capsys, tmp_path):
@@ -397,9 +479,9 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path):
         assert run(capsys, *scan, "--box", "-1e-1,1e-1", *extra) == want
     # the value reaches the handler's range check instead of being taken
     # for an option
-    code, out, err = run(capsys, "stratify", "--seed", "1", "--tolerance", "-1e-8", "--frame", frame)
+    code, out, err = run(capsys, "stratify", "--seed", "1", "--samples", "-5", "--frame", frame)
     assert code == EXIT_INPUT
-    assert out == "" and err == "error: --tolerance must be a finite number >= 0\n"
+    assert out == "" and err == "error: --samples must be >= 1\n"
     # a mantissa without digits after or before its point, as float reads it
     strat = ["stratify", "--seed", "1", "--samples", "8", "--frame", frame]
     integ = ["integrate", "--T", "0.02", "--h", "0.01", "--frame", frame]
@@ -617,8 +699,6 @@ def _value_lines(command, results):
                      f"{level['samples']} samples, "
                      f"parity/bound {'ok' if level['parity_ok'] else 'violated'}")
         lines += [f"    witness x = {vector(w['x'])}" for w in level["witnesses"][:2]]
-    if "unconfirmed" in results:
-        lines.append(f"  unconfirmed float candidates: {len(results['unconfirmed'])}")
     return lines
 
 
@@ -674,7 +754,7 @@ FLAGS = {
     "certify": {"--rank": RANKS},
     "singular-set": {"--rank": RANKS},
     "stratify": {"--seed": INTS, "--samples": ["1", "7", "0", "-1", "100001", "100000000"],
-                 "--box": BOXES, "--tolerance": FLOATS},
+                 "--box": BOXES},
     "normalform": {"--order": ["0", "1", "3", "-1", "60"]},
     "integrate": {"--from": POINTS, "--T": ["0.05", "0", "-1", "nan", "1e400"],
                   "--h": ["0.01", "0", "-0.01", "nan", "1e400"], "--field": FIELDS,

@@ -587,7 +587,7 @@ def test_cloud_blow_up_reports_first_point_in_cloud_order():
 
 
 def _recorded_runs(monkeypatch):
-    """The state lists returned by every run of the compiled RK4 loop."""
+    """The flat state arrays returned by every run of the compiled RK4 loop."""
     runs = []
     compiled = dynamics._compiled_flow
 
@@ -628,7 +628,8 @@ def test_volume_cloud_matches_per_point_reference(monkeypatch):
             assert len(runs) == len(cloud)
         # the points before a blow-up, or every point
         for states, x0 in zip(runs, cloud):
-            assert _same(np.array(states), _reference_integrate(V, x0, T, h))
+            assert _same(np.frombuffer(states).reshape(-1, len(x0)),
+                         _reference_integrate(V, x0, T, h))
         return expected, len(runs)
 
     # x' = x^2: the middle point's power overflows after step 0
