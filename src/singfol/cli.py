@@ -46,6 +46,10 @@ MAX_SAMPLES = 10 ** 5
 # bracket-check rejects a --depth at which it would form more iterated
 # brackets than this (m^2 + ... + m^depth for m frame fields)
 MAX_BRACKETS = 10 ** 4
+# bracket-check rejects an --at coordinate whose digits plus its decimal
+# exponent pass this: Fraction writes the exponent out in full, and
+# Fraction("1e10000000") alone takes 13 s
+MAX_AT_DIGITS = 1000
 
 
 class InputError(SingfolError):
@@ -323,7 +327,7 @@ def _pick_generator(F: Frame, args, goh, r: int):
 
 
 def cmd_integrate(F: Frame, args):
-    # dynamics (and numpy with it) is imported only by the numeric commands
+    # dynamics is imported only by the numeric commands; numpy by neither
     from singfol import dynamics
 
     if F.omega is None:
@@ -353,10 +357,10 @@ def cmd_integrate(F: Frame, args):
     traj = dynamics.abnormal_trajectory(F, g, x0, args.T, args.h, goh=goh)
     payload = {
         "I": list(g.I), "rank": r, "T": args.T, "h": args.h,
-        "end_state": [float(v) for v in traj.states[-1]],
+        "end_state": traj.flat[-traj.n:].tolist(),
         "certified": traj.certified,
     }
-    return traj.to_csv(seed=None).rstrip("\n").split("\n"), payload
+    return traj.csv_lines(), payload
 
 
 def cmd_scan_div(F: Frame, args):
@@ -392,8 +396,17 @@ def cmd_scan_div(F: Frame, args):
 def cmd_bracket_check(F: Frame, args):
     if args.depth < 1:
         raise InputError("--depth must be >= 1")
+    coords = args.at.split(",") if args.at else ["0"] * F.n
+    for k, v in enumerate(coords, start=1):
+        digits = sum(map(str.isdigit, v))
+        exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", v)
+        if exponent and digits <= MAX_AT_DIGITS:
+            digits += int(exponent[1])
+        if digits > MAX_AT_DIGITS:
+            raise InputError(f"--at coordinate {k}: its digits plus its decimal exponent "
+                             f"exceed {MAX_AT_DIGITS}")
     try:
-        x = [Fraction(v) for v in (args.at.split(",") if args.at else ["0"] * F.n)]
+        x = [Fraction(v) for v in coords]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--at expects comma-separated numbers: {exc}") from exc
     if len(x) != F.n:

@@ -7,11 +7,11 @@ of a corank-1 kernel generator Z_I is integrated only once its generator is
 proven, exactly and once, to be a Goh kernel section everywhere: every
 component of Ht . u, with u the frame coefficients of Z_I (the reduced
 Pfaffian cofactors), is the zero polynomial (:func:`abnormal.kernel_residual`).
-It carries the costates p(t) = omega(x(t)) = (-A_1, ..., -A_{n-1}, 1), the
-frame's annihilating form (``Frame.omega``), whose identity omega . X^i = 0
-:func:`abnormal.goh_matrix` has checked exactly.  No float residual is
-measured per state: both identities are exact, so a float value of them
-would measure rounding only.
+Its costates are p(t) = omega(x(t)) = (-A_1, ..., -A_{n-1}, 1), the frame's
+annihilating form (``Frame.omega``), whose identity omega . X^i = 0
+:func:`abnormal.goh_matrix` has checked exactly; they are evaluated when
+first read.  No float residual is measured per state: both identities are
+exact, so a float value of them would measure rounding only.
 
 Evaluation.  Each call compiles its polynomials once into their float form
 (``Polynomial._float_terms``: float coefficients and nonzero exponents,
@@ -33,6 +33,11 @@ numpy's ``**`` rounds differently in a few percent of values.  Every array
 therefore equals the per-point evaluation bit for bit, and printed floats do
 not depend on how many points were evaluated together.
 
+numpy is imported only by :func:`_eval_states`, :func:`volume_distortion`
+and the array views of :class:`Trajectory`.  A trajectory keeps the flat
+``array('d')`` the RK4 loop returns, and the divergence scan evaluates one
+point at a time, so a caller that prints states or a scan never loads it.
+
 All vector norms in this module are sup norms; the scan's ratio estimate
 |div Z| / |Z|_inf is then bounded by the sum of the certificate
 coefficients |c_j| evaluated pointwise, which the tests exploit.
@@ -43,16 +48,17 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
-
-import numpy as np
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING, Sequence
 
 from singfol.abnormal import (AbnormalGenerator, CertificateError, GohMatrix, goh_matrix,
                               kernel_residual)
 from singfol.exactpoly import Polynomial, SingfolError, _eval_float_form
 from singfol.vectorfield import Frame, VectorField, divergence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -82,30 +88,68 @@ class BlowUpError(SingfolError, RuntimeError):
 
 @dataclass
 class Trajectory:
-    """A fixed-step trajectory.  ``certified`` is True only on trajectories
-    from :func:`abnormal_trajectory`, whose generator passed the exact
-    kernel check; they also carry the costates."""
+    """A fixed-step trajectory: the states of the compiled RK4 loop as one
+    flat ``array('d')``, n coordinates per state, state i at time i * h.
 
-    times: np.ndarray
-    states: np.ndarray
+    ``omega_forms``, the float forms of the frame's annihilating form, is
+    set only on trajectories from :func:`abnormal_trajectory`, whose
+    generator passed the exact kernel check; ``certified`` says so.  The
+    numpy views ``states``, ``times`` and ``costates`` are built on first
+    read, so a caller that reads none of them never imports numpy.
+    """
+
+    flat: array = field(repr=False)
+    n: int
     h: float
-    costates: np.ndarray | None = None
-    certified: bool = False
+    omega_forms: list | None = field(default=None, repr=False)
 
-    def to_csv(self, seed: int | None = None) -> str:
+    @property
+    def certified(self) -> bool:
+        return self.omega_forms is not None
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self.flat).reshape(-1, self.n)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        import numpy as np
+
+        return np.arange(len(self.flat) // self.n) * self.h
+
+    @cached_property
+    def costates(self) -> np.ndarray | None:
+        """p(t) = omega(x(t)) on every state, by one :func:`_eval_states`
+        call, or None on a trajectory that is not certified.  A power that
+        overflows raises ``OverflowError`` here, in the reader."""
+        if self.omega_forms is None:
+            return None
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _eval_states(self.omega_forms, self.states)
+
+    def csv_lines(self, seed: int | None = None) -> list[str]:
         """Rows "t, x1..xn, residual_b, residual_c" under a header comment.
 
-        The two residual columns hold 0.0 on every row: the exact value of
-        Ht . u and of omega . X^i, both proven to be zero polynomials before
-        a certified trajectory takes its first step.
+        Row i's time is ``i * h``, the same double as element i of
+        ``times``.  The two residual columns hold 0.0 on every row: the
+        exact value of Ht . u and of omega . X^i, both proven to be zero
+        polynomials before a certified trajectory takes its first step.
         """
-        T = float(self.times[-1]) if len(self.times) else 0.0
-        lines = [f"# seed={seed if seed is not None else 'none'}, h={self.h!r}, T={T!r}"]
-        n = self.states.shape[1]
-        lines.append("t," + ",".join(f"x{k + 1}" for k in range(n)) + ",residual_b,residual_c")
-        for t, state in zip(self.times.tolist(), self.states.tolist()):
-            lines.append(f"{t!r},{','.join(map(repr, state))},0.0,0.0")
-        return "\n".join(lines) + "\n"
+        n, h = self.n, self.h
+        T = (len(self.flat) // n - 1) * h
+        lines = [f"# seed={seed if seed is not None else 'none'}, h={h!r}, T={T!r}",
+                 "t," + ",".join(f"x{k + 1}" for k in range(n)) + ",residual_b,residual_c"]
+        for i, state in enumerate(zip(*[map(repr, self.flat)] * n)):
+            lines.append(f"{i * h!r},{','.join(state)},0.0,0.0")
+        return lines
+
+    def to_csv(self, seed: int | None = None) -> str:
+        """The lines of :meth:`csv_lines`, each ended by a newline."""
+        return "\n".join(self.csv_lines(seed)) + "\n"
 
 
 def _field_forms(V: VectorField) -> list:
@@ -209,6 +253,8 @@ def _eval_states(forms, S: np.ndarray) -> np.ndarray:
     columns shared across the forms, so memory does not grow with len(S).
     An overflowing power raises ``OverflowError``, as in ``eval_float``.
     """
+    import numpy as np
+
     out = np.empty((len(S), len(forms)))
     for start in range(0, len(S), EVAL_BLOCK_ROWS):
         X = S[start:start + EVAL_BLOCK_ROWS]
@@ -249,8 +295,7 @@ def integrate_field(V: VectorField, x0: Sequence[float], T: float, h: float) -> 
     if len(x) != V.n:
         raise ValueError(f"start point of length {len(x)}, expected {V.n}")
     _, run = _compiled_flow(_field_forms(V))
-    states = np.frombuffer(run(x, steps, 0.5 * h, h, h / 6.0)).reshape(steps + 1, V.n)
-    return Trajectory(np.arange(steps + 1) * h, states, h)
+    return Trajectory(run(x, steps, 0.5 * h, h, h / 6.0), V.n, h)
 
 
 def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
@@ -262,9 +307,10 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
     :class:`abnormal.CertificateError` before any step, naming I, the
     component and its residual.  The costates are the annihilating form
     omega(x), in the gauge p_n = 1 (the annihilator of a corank-1 frame is a
-    dilation-invariant graph, so the choice is harmless), evaluated over all
-    states by one :func:`_eval_states` call.  ``goh`` reuses a Goh matrix
-    already built for F.
+    dilation-invariant graph, so the choice is harmless): the trajectory
+    keeps omega's float forms and evaluates them over all states when
+    ``costates`` is first read.  ``goh`` reuses a Goh matrix already built
+    for F.
     """
     if F.omega is None or g.Z is None:
         raise ValueError("certified integration needs a corank-1 generator with projection")
@@ -277,9 +323,7 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
                 f"residual {residual}", {"I": list(g.I), "component": i, "residual": str(residual)},
                 residual)
     traj = integrate_field(g.Z, x0, T, h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        costates = _eval_states([w._float_terms() for w in F.omega], traj.states)
-    return Trajectory(traj.times, traj.states, h, costates, certified=True)
+    return Trajectory(traj.flat, traj.n, h, [w._float_terms() for w in F.omega])
 
 
 @dataclass(frozen=True)
@@ -378,6 +422,8 @@ def volume_distortion(Z: VectorField, cloud: Sequence[Sequence[float]],
     exp(-K C) lower-bound comparison.  Every value is bit for bit the one
     of integrating and evaluating the points one at a time.
     """
+    import numpy as np
+
     steps = _steps(Z, T, h)
     X = np.array([[float(v) for v in x0] for x0 in cloud], dtype=float).reshape(len(cloud), Z.n)
     forms = _field_forms(Z)

@@ -209,10 +209,12 @@ def test_bracket_check(capsys, tmp_path):
 def test_bracket_check_reads_the_point_exactly(capsys, tmp_path):
     # martinet's brackets span at depth 2 off the plane x1 = 0 and at depth 3
     # on it; x1 = 10^-7 and 1/3000001 are off it, although a denominator
-    # bounded by 10^6 would round both to 0
+    # bounded by 10^6 would round both to 0; 10^-996 is off it too, and its
+    # digits plus exponent, 1 + 3 + 996, stay within the digit bound
     frame = frame_file(tmp_path, "martinet")
     F = build_frame(DEMOS["martinet"].to_spec())
-    for at, x1 in (("1e-7,0,0", Fraction(1, 10 ** 7)), ("1/3000001,0,0", Fraction(1, 3000001))):
+    for at, x1 in (("1e-7,0,0", Fraction(1, 10 ** 7)), ("1/3000001,0,0", Fraction(1, 3000001)),
+                   ("1e-996,0,0", Fraction(1, 10 ** 996))):
         depth = F.bracket_generation_depth((x1, Fraction(0), Fraction(0)))
         assert depth == 2
         code, out, _ = run(capsys, "bracket-check", "--at", at, "--frame", frame)
@@ -349,6 +351,12 @@ def test_schema_validation_errors(capsys, tmp_path):
     (["integrate", "--from", "0,0,0,-1e400", "--T", "0.1", "--h", "0.05"], "--from"),
     # order-13 jets in 4 variables hold up to C(17, 4) = 2380 monomials
     (["normalform", "--order", "13"], "--order"),
+    # Fraction writes a decimal exponent out in full: 10^10000000 alone
+    # took 13.5 s, so a coordinate past the digit bound is refused
+    (["bracket-check", "--at", "1e10000000,0,0,0"], "--at"),
+    (["bracket-check", "--at", "0,1e-1_000_000,0,0"], "--at"),
+    (["bracket-check", "--at", "0,0,1e998,0"], "--at"),
+    (["bracket-check", "--at", "0,0,0," + "7" * 1001], "--at"),
 ])
 def test_out_of_range_flags_are_input_errors(capsys, tmp_path, argv, flag):
     frame = frame_file(tmp_path, "dim4")
@@ -525,8 +533,23 @@ def test_integrate_below_generic_goh_rank_is_an_input_error(capsys, tmp_path):
     assert report["command"] == "integrate" and "singular set" in report["error"]
 
 
-def test_symbolic_commands_start_without_numpy():
-    # numpy is loaded only by the numeric commands (integrate, scan-div)
+def test_integrate_evaluates_no_costate(capsys, tmp_path):
+    # at 1e200 dim5's costate -(x2+x3)^2 overflows a double, but integrate
+    # prints states only, so the costates are never evaluated: exit 0
+    argv = ["integrate", "--from", "1e200,1e200,1e200,1e200,1e200", "--T", "0.01",
+            "--h", "0.001", "--frame", frame_file(tmp_path, "dim5")]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    rows = [line for line in out.splitlines() if not line.startswith(("#", "t,"))]
+    assert len(rows) == 11 and all(line.endswith(",0.0,0.0") for line in rows)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["end_state"] == [1e200] * 5
+
+
+def test_cli_commands_start_without_numpy():
+    # no command loads numpy: integrate prints the flat states of the RK4
+    # loop, and scan-div evaluates one point at a time
     script = (
         "import io, json, sys\n"
         "from singfol import cli\n"
@@ -536,9 +559,13 @@ def test_symbolic_commands_start_without_numpy():
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(singfol.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    integrate = ["integrate", "--from", "0.1,0.2,0.3,0.1,0.2", "--T", "0.1", "--h", "0.01"]
     # stratify on dim6-cubic moves samples onto its deeper locus
     for name, argv in (("dim4", ["certify"]),
-                       ("dim6-cubic", ["stratify", "--seed", "7", "--samples", "16"])):
+                       ("dim6-cubic", ["stratify", "--seed", "7", "--samples", "16"]),
+                       ("dim5", integrate), ("dim5", integrate + ["--json"]),
+                       ("dim4", ["scan-div", "--seed", "7", "--samples", "64"]),
+                       ("dim4", ["scan-div", "--seed", "7", "--samples", "64", "--json"])):
         doc = json.dumps(DEMOS[name].to_spec())
         done = subprocess.run([sys.executable, "-c", script, doc, json.dumps(argv)], env=env,
                               capture_output=True, text=True, timeout=60)

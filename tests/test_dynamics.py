@@ -146,6 +146,32 @@ def test_trajectory_csv_layout():
     assert all(line.endswith(",0.0,0.0") for line in lines[2:])
 
 
+def test_csv_rows_are_the_states_and_times_bit_for_bit():
+    F = demo_frame("dim5")
+    g = abnormal_generators(F, 2)[0]
+    traj = abnormal_trajectory(F, g, [0.2, 0.1, -0.3, 0.05, 0.0], 0.5, 0.007)
+    lines = traj.csv_lines(seed=2)
+    assert traj.to_csv(seed=2) == "\n".join(lines) + "\n"
+    assert lines[0] == f"# seed=2, h=0.007, T={float(traj.times[-1])!r}"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert _same(rows[:, 0], traj.times)
+    assert _same(np.ascontiguousarray(rows[:, 1:-2]), traj.states)
+
+
+def test_costates_are_evaluated_when_read():
+    # at 1e200 the costate -(x2+x3)^2 of dim5 overflows a double: the
+    # trajectory integrates, and reading its costates raises
+    F = demo_frame("dim5")
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, skew_rank(goh.reduced), goh)[0]
+    traj = abnormal_trajectory(F, g, [1e200] * 5, 0.01, 1e-3, goh=goh)
+    assert traj.certified and "costates" not in vars(traj)
+    assert traj.states.shape == (11, 5) and np.all(traj.states == 1e200)
+    with pytest.raises(OverflowError):
+        traj.costates
+    assert integrate_field(g.Z, [1e200] * 5, 0.01, 1e-3).costates is None
+
+
 # -- divergence scan ----------------------------------------------------------------
 
 
