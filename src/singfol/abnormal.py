@@ -27,26 +27,26 @@ Pfaffians times the J(T), so this one check per frame covers it for every
 generator, and certifies the bracket code and the Goh entries; the
 frame-specific claims are div(Y_I) = 0 and the base residual.
 
-Kernel-membership checks on the annihilator bundle use exact evaluation at
-random rational points rather than quotient-ring arithmetic; a polynomial
-that vanishes at sufficiently many generic exact points of the sampled
-family is reported with those witnesses, and every identity that can be
-stated off the ideal is checked fully symbolically.
+Every identity above is checked on polynomials, as an exact zero.  The
+kernel dimension on the annihilator bundle is the exact rank of H at a
+rational point (x, p) that satisfies p . X^i(x) = 0; no quotient-ring
+arithmetic is done.  The stratification reports such points as witnesses
+of each level it observes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import (Polynomial, SingfolError, Space, _add_terms, _as_fraction,
-                               _exact_pairs, _sum_products)
+from singfol.exactpoly import (Polynomial, SingfolError, _add_terms, _as_fraction, _exact_pairs,
+                               _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
     _cofactors,
@@ -129,18 +129,17 @@ class GohMatrix:
     check and the generators read them.  ``reduced`` is the x-only matrix
     Ht of entries omega . [X^i, X^j], present exactly when the frame has an
     annihilating form omega (``Frame.omega``).
-    The entry H[k,l] is the pair bracket {h^k, h^l}; ``_jacobi`` memoizes the
-    cyclic Jacobi sums J(T), at most one per triple of {1..m}.  Every J(T)
-    is zero when H is the bracket matrix of the hamiltonians, so a nonzero
-    one shows that H or the bracket code is wrong.  :attr:`jacobi_failure`
-    runs that check over all triples once, shared by all certificates.
+    The entry H[k,l] is the pair bracket {h^k, h^l}, so every cyclic Jacobi
+    sum J(T) over a triple T of {1..m} is zero, and a nonzero one shows that
+    H or the bracket code is wrong.  :attr:`jacobi_failure` runs that check
+    over all triples once, shared by all certificates, and keeps only the
+    first failing triple and its sum.
     """
 
     frame: Frame
     H: SkewMatrix
     hamiltonians: tuple[Polynomial, ...]
     reduced: SkewMatrix | None = None
-    _jacobi: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -150,20 +149,13 @@ class GohMatrix:
     def ham_fields(self) -> tuple[VectorField, ...]:
         return tuple(hamiltonian_vector_field(h) for h in self.hamiltonians)
 
-    def jacobi_sum(self, T: tuple[int, int, int]) -> Polynomial:
-        """J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} for
-        T = (a, b, c), a < b < c, memoized.  Each bracket differentiates
-        along the cached Hamiltonian field of its h^j."""
-        value = self._jacobi.get(T)
-        if value is None:
-            value = self._jacobi[T] = self._cyclic_sum(T, {})
-        return value
-
     def _cyclic_sum(self, T: tuple[int, int, int], partials: dict) -> Polynomial:
-        """J(T), each product added straight into one dictionary.  The
-        partial of a stored entry H[k,l] in the variable ``pos`` is taken
-        only behind a nonzero component of the Hamiltonian field, and is
-        read from or stored in ``partials`` under (k, l, pos)."""
+        """J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} for
+        T = (a, b, c), a < b < c, each product added straight into one
+        dictionary.  Each bracket differentiates along the Hamiltonian field
+        of its h^j; the partial of a stored entry H[k,l] in the variable
+        ``pos`` is taken only behind a nonzero component of that field, and
+        is read from or stored in ``partials`` under (k, l, pos)."""
         a, b, c = T
         acc: dict = {}
         for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
@@ -180,9 +172,10 @@ class GohMatrix:
         return Polynomial._trusted(self.H.space, acc)
 
     @cached_property
-    def jacobi_failure(self) -> tuple[int, int, int] | None:
-        """The first triple T of {1..m}, in lexicographic order, with
-        J(T) != 0, or None; computed once.
+    def jacobi_failure(self) -> tuple[tuple[int, int, int], Polynomial] | None:
+        """(T, J(T)) for the first triple T of {1..m}, in lexicographic
+        order, with J(T) != 0, or None when the Jacobi identity holds;
+        computed once.
 
         The sums share one cache of partials, local to this check, so each
         partial of a Goh entry is taken once although the entry lies in
@@ -190,16 +183,9 @@ class GohMatrix:
         """
         partials: dict = {}
         for T in combinations(range(1, self.m + 1), 3):
-            value = self._jacobi.get(T)
-            if value is None:
-                value = self._jacobi[T] = self._cyclic_sum(T, partials)
-            if value:
-                return T
+            if value := self._cyclic_sum(T, partials):
+                return T, value
         return None
-
-    def jacobi_identity_holds(self) -> bool:
-        """Whether J(T) = 0 for every triple T of {1..m}."""
-        return self.jacobi_failure is None
 
 
 def goh_matrix(F: Frame) -> GohMatrix:
@@ -259,15 +245,15 @@ def kernel_dim_at(F: Frame, x: Sequence[Fraction], p: Sequence[Fraction],
     return F.m - _linalg.rank(_integer_values(goh.H, pair))
 
 
-def _combination(space: Space, kind: str, coeffs: Sequence[Polynomial],
-                 fields: Sequence[VectorField]) -> VectorField:
+def _combination(coeffs: Sequence[Polynomial], fields: Sequence[VectorField]) -> VectorField:
     """The field sum over k of coeffs[k] * fields[k], summed componentwise."""
+    space = fields[0].space
     if not any(coeffs):
-        return VectorField.zero(space, kind)
+        return VectorField.zero(space)
     return VectorField([
         _sum_products(space, zip(coeffs, (field.components[k] for field in fields)))
-        for k in range(len(fields[0].components))
-    ], kind)
+        for k in range(space.nvars)
+    ])
 
 
 @dataclass(frozen=True)
@@ -276,17 +262,21 @@ class AbnormalGenerator:
 
     ``coefficients`` are the frame coefficients eps(I,j) phi(H, I minus j)
     (phase polynomials, indexed along I).  ``Z`` and ``reduced_coefficients``
-    carry the corank-1 base projection when the frame has a normal form.
-    ``p_degree`` records the fiber homogeneity of the (x-block, p-block).
+    carry the corank-1 base projection when the frame has an annihilating
+    form omega.  ``p_degree`` records the fiber homogeneity of the
+    (x-block, p-block).  The rank r is |I| - 1.
     """
 
     I: tuple[int, ...]
-    rank: int
     Y: VectorField
     coefficients: tuple[Polynomial, ...]
     Z: VectorField | None = None
     reduced_coefficients: tuple[Polynomial, ...] | None = None
     p_degree: tuple[int | None, int | None] = (None, None)
+
+    @property
+    def rank(self) -> int:
+        return len(self.I) - 1
 
 
 def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[AbnormalGenerator]:
@@ -307,13 +297,10 @@ def abnormal_generators(F: Frame, r: int, goh: GohMatrix | None = None) -> list[
         subs, scale = _projection_substitution(F, r)
     generators = []
     for gen in kernel_generators(goh.H, r):
-        Y = _combination(F.space.phase, "phase", gen.coefficients,
-                         [goh.ham_fields[i - 1] for i in gen.I])
-        entry = AbnormalGenerator(gen.I, r, Y, gen.coefficients,
-                                  p_degree=Y.p_homogeneity() if not Y.is_zero() else (None, None))
-        if F.omega is not None:
-            entry = _project(entry, F, goh, subs, scale)
-        generators.append(entry)
+        Y = _combination(gen.coefficients, [goh.ham_fields[i - 1] for i in gen.I])
+        projection = () if F.omega is None else _project(gen.I, Y, F, goh, subs, scale)
+        generators.append(AbnormalGenerator(gen.I, Y, gen.coefficients, *projection,
+                                            p_degree=Y.p_homogeneity()))
     return generators
 
 
@@ -329,7 +316,8 @@ def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None
         raise NormalFormError("corank-1 normal form required for projection")
     if goh is None:
         goh = goh_matrix(F)
-    return _project(g, F, goh, *_projection_substitution(F, g.rank))
+    Z, reduced = _project(g.I, g.Y, F, goh, *_projection_substitution(F, g.rank))
+    return replace(g, Z=Z, reduced_coefficients=reduced)
 
 
 def _projection_substitution(F: Frame, r: int) -> tuple[dict[int, Polynomial], Polynomial]:
@@ -343,28 +331,29 @@ def _projection_substitution(F: Frame, r: int) -> tuple[dict[int, Polynomial], P
     return subs, pn ** (r // 2)
 
 
-def _project(g: AbnormalGenerator, F: Frame, goh: GohMatrix,
-             subs: dict[int, Polynomial], scale: Polynomial) -> AbnormalGenerator:
-    """:func:`project_corank1` with the substitution and factor given."""
+def _project(I: tuple[int, ...], Y: VectorField, F: Frame, goh: GohMatrix,
+             subs: dict[int, Polynomial], scale: Polynomial
+             ) -> tuple[VectorField, tuple[Polynomial, ...]]:
+    """Z_I and its reduced cofactors, once Y_I is checked against them, for
+    :func:`project_corank1` with the substitution and factor given."""
     assert goh.reduced is not None
-    red_coeffs = _cofactors(goh.reduced, g.I)
-    Z = _combination(F.space, "base", red_coeffs, [F.fields[i - 1] for i in g.I])
+    red_coeffs = _cofactors(goh.reduced, I)
+    Z = _combination(red_coeffs, [F.fields[i - 1] for i in I])
 
     # exact consistency of the projection with the phase generator; a zero
     # component of Y needs no substitution, and a zero component of Z no
     # lift: there the restricted component must be the phase-space zero
     zero = Polynomial.zero(F.space.phase)
     for k in range(F.n):
-        restricted = g.Y.components[k]
+        restricted = Y.components[k]
         if restricted:
             restricted = restricted.substitute(subs)
         component = Z.components[k]
         expected = scale * component.lift_to_phase() if component else zero
         if restricted != expected:
-            raise NormalFormError(
-                f"x-block component {k + 1} of Y_{g.I} does not factor through p{F.n}^{g.rank // 2}"
-            )
-    return AbnormalGenerator(g.I, g.rank, g.Y, g.coefficients, Z, red_coeffs, g.p_degree)
+            raise NormalFormError(f"x-block component {k + 1} of Y_{I} does not factor "
+                                  f"through p{F.n}^{(len(I) - 1) // 2}")
+    return Z, red_coeffs
 
 
 def kernel_residual(g: AbnormalGenerator, goh: GohMatrix) -> tuple[Polynomial, ...]:
@@ -395,19 +384,24 @@ class DivergenceCertificate:
     ``phase_divergence`` (the Euclidean divergence of Y_I over phase space)
     and, when a base projection exists, ``base_residual`` =
     div(Z_I) - sum c_j Z_I(x_j) with c_j = base_constant * d(A_j)/dx_n.
-    ``jacobi_expansion`` is the zero polynomial: the triple-bracket
-    expansion of the divergence vanishes because the Goh matrix satisfies
-    the Jacobi identity, which :func:`divergence_certificate` checks once per
-    frame before any generator (see the module docstring).
+    :attr:`jacobi_expansion` is the zero polynomial: the triple-bracket
+    expansion of the divergence, in the bracket order ``bracket_order``,
+    vanishes because the Goh matrix satisfies the Jacobi identity, which
+    :func:`divergence_certificate` checks once per frame before any
+    generator (see the module docstring).
     """
+
+    bracket_order = "{h^j,{h^k,h^l}}"
 
     subject: tuple[int, ...]
     phase_divergence: Polynomial
-    jacobi_expansion: Polynomial
     base_constant: Fraction | None = None
     base_coefficients: tuple[Polynomial, ...] | None = None
     base_residual: Polynomial | None = None
-    bracket_order: str = "{h^j,{h^k,h^l}}"
+
+    @property
+    def jacobi_expansion(self) -> Polynomial:
+        return Polynomial.zero(self.phase_divergence.space)
 
     def ok(self) -> bool:
         residuals = [self.phase_divergence]
@@ -432,10 +426,10 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
         return CertificateError(f"{message}: residual {residual}",
                                 {"I": list(g.I), "residual": str(residual)}, residual)
 
-    if not goh.jacobi_identity_holds():
-        T = goh.jacobi_failure
+    if (broken := goh.jacobi_failure) is not None:
+        T, value = broken
         raise failure(f"Jacobi identity fails for Y_{g.I}: the cyclic Jacobi sum of the "
-                      f"triple T={T} is nonzero", goh.jacobi_sum(T))
+                      f"triple T={T} is nonzero", value)
     phase_div = divergence(g.Y)
     base_constant = None
     base_coeffs = None
@@ -455,8 +449,7 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
             base_constant = div_z.coefficient(exps) / coeff
             base_residual = div_z - combo * base_constant
         base_coeffs = tuple(dA[j - 1] * base_constant for j in g.I)
-    cert = DivergenceCertificate(g.I, phase_div, Polynomial.zero(goh.H.space), base_constant,
-                                 base_coeffs, base_residual)
+    cert = DivergenceCertificate(g.I, phase_div, base_constant, base_coeffs, base_residual)
     if not phase_div.is_zero():
         raise failure(f"phase divergence of Y_{g.I} is nonzero", phase_div)
     if base_residual is not None and not base_residual.is_zero():
@@ -507,9 +500,20 @@ class SamplerConfig:
     def __post_init__(self):
         lo, hi = _grid_numerators(self.box)
         if hi - lo < 1:
+            lo, hi = map(_decimal_name, self.box)
             raise SamplingError(
-                f"box [{self.box[0]}, {self.box[1]}] holds fewer than two sample values "
+                f"box [{lo}, {hi}] holds fewer than two sample values "
                 f"k/{SAMPLE_DENOMINATOR}: every sample would be one point")
+
+
+def _decimal_name(v: Fraction) -> Fraction:
+    """A box bound as a message names it: a bound that is exactly a double,
+    as the CLI reads --box, by the shortest decimal that names the double
+    (1/100 for the double 0.01), any other bound as it is."""
+    try:
+        return Fraction(repr(double)) if Fraction(double := float(v)) == v else v
+    except OverflowError:
+        return v
 
 
 @dataclass(frozen=True)
@@ -685,9 +689,6 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
         observed.setdefault(d, []).append(Witness(x, p, d, True))
 
     reduced = goh.reduced
-    # the minors of each rank the walk builds, reused by the strata
-    equations: dict[int, list[Polynomial]] = {}
-
     if reduced is not None:
         # walk down the loci: minors of the current rank cut the next level
         current_dim = min(observed)
@@ -697,7 +698,7 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
             rank_here = F.m - current_dim
             if rank_here <= 0:
                 break
-            minors = equations[rank_here] = singular_set_equations(F, rank_here, goh)
+            minors = singular_set_equations(F, rank_here, goh)
             if all(q.is_zero() for q in minors):
                 break
             found = []
@@ -727,7 +728,8 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
         parity_ok = (d % 2 == F.m % 2) and d <= F.m - 2
         locus: tuple[Polynomial, ...] = ()
         if reduced is not None and rank_here > 0:
-            locus = tuple(equations.get(rank_here) or singular_set_equations(F, rank_here, goh))
+            # the minors the walk built are read from the matrix's memo
+            locus = tuple(singular_set_equations(F, rank_here, goh))
         witnesses = tuple(observed[d][:4])
         strata.append(Stratum(d, rank_here, level == 0, counts.get(d, len(observed[d])),
                               witnesses, locus, parity_ok))

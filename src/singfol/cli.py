@@ -9,7 +9,9 @@ from stdin, with polynomial payloads written in the expression grammar:
 ``singfol demo <name>`` emits such a document for the built-in fixtures, so
 demos pipe into the other subcommands.  Every report is deterministic:
 identical inputs, flags and seeds produce byte-identical output.  A handler
-returns ``(lines, payload)``, whose text lines print the payload's strings.
+returns ``(lines, payload)``, whose text lines print the payload's strings;
+``lines`` may be an iterator, printed line by line as it yields, so
+``integrate`` streams its CSV rows.
 Exit codes: 0 success, 1 input error, 2 certificate failure.  Every reported
 error is a :class:`singfol.SingfolError` carrying its ``exit_code``, and a
 float overflow is an input error; any other exception is a bug.
@@ -125,8 +127,8 @@ def build_frame(spec: dict) -> Frame:
                         comps.append(parse_expression(text, space))
                     except ParseError as exc:
                         raise InputError(f"fields[{i}][{j}]: {exc}") from exc
-                fields.append(VectorField(comps, "base"))
-            return Frame(n, m, tuple(fields), None, name)
+                fields.append(VectorField(comps))
+            return Frame(tuple(fields), None, name)
         raise InputError("frame document needs 'normal_form' or 'fields'")
     except (ValueError, IndexError) as exc:
         raise InputError(str(exc)) from exc
@@ -269,10 +271,10 @@ def cmd_stratify(F: Frame, args):
         raise InputError("--samples must be >= 1")
     if args.samples > MAX_SAMPLES:
         raise InputError(f"--samples must be <= {MAX_SAMPLES}")
-    box = _parse_box(args.box)
+    # the bounds are read exactly, so no sample falls outside the box
+    lo, hi = _parse_box(args.box)
     config = abnormal.SamplerConfig(seed=args.seed, count=args.samples,
-                                    box=(Fraction(box[0]).limit_denominator(10 ** 6),
-                                         Fraction(box[1]).limit_denominator(10 ** 6)))
+                                    box=(Fraction(lo), Fraction(hi)))
     S = abnormal.stratify(F, config)
     lines = [f"kernel-dimension levels: {{{', '.join(str(d) for d in S.dims)}}} "
              f"(seed={args.seed}, samples={args.samples})"]

@@ -50,7 +50,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from singfol.abnormal import (AbnormalGenerator, CertificateError, GohMatrix, goh_matrix,
                               kernel_residual)
@@ -131,8 +131,10 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             return _eval_states(self.omega_forms, self.states)
 
-    def csv_lines(self, seed: int | None = None) -> list[str]:
-        """Rows "t, x1..xn, residual_b, residual_c" under a header comment.
+    def csv_lines(self, seed: int | None = None) -> Iterator[str]:
+        """Rows "t, x1..xn, residual_b, residual_c" under a header comment,
+        yielded one at a time, so a reader that prints them holds no more
+        than the flat states.
 
         Row i's time is ``i * h``, the same double as element i of
         ``times``.  The two residual columns hold 0.0 on every row: the
@@ -141,11 +143,10 @@ class Trajectory:
         """
         n, h = self.n, self.h
         T = (len(self.flat) // n - 1) * h
-        lines = [f"# seed={seed if seed is not None else 'none'}, h={h!r}, T={T!r}",
-                 "t," + ",".join(f"x{k + 1}" for k in range(n)) + ",residual_b,residual_c"]
+        yield f"# seed={seed if seed is not None else 'none'}, h={h!r}, T={T!r}"
+        yield "t," + ",".join(f"x{k + 1}" for k in range(n)) + ",residual_b,residual_c"
         for i, state in enumerate(zip(*[map(repr, self.flat)] * n)):
-            lines.append(f"{i * h!r},{','.join(state)},0.0,0.0")
-        return lines
+            yield f"{i * h!r},{','.join(state)},0.0,0.0"
 
     def to_csv(self, seed: int | None = None) -> str:
         """The lines of :meth:`csv_lines`, each ended by a newline."""
@@ -277,7 +278,7 @@ def _eval_states(forms, S: np.ndarray) -> np.ndarray:
 
 
 def _steps(V: VectorField, T: float, h: float) -> int:
-    if V.kind != "base":
+    if V.space.fiber:
         raise ValueError("integration is over base fields")
     if h <= 0 or T < 0:
         raise ValueError("need h > 0 and T >= 0")

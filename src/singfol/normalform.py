@@ -80,14 +80,12 @@ class JetFrame:
         return cls(F.n, F.m, order, comps)
 
     def to_frame(self, name: str = "") -> Frame:
-        fields = tuple(
-            VectorField([js.body for js in row], "base") for row in self.components
-        )
-        return Frame(self.n, self.m, fields, None, name)
+        return Frame(tuple(VectorField([js.body for js in row]) for row in self.components),
+                     None, name)
 
     def field(self, k: int) -> VectorField:
         """The k-th field (1-based) as a polynomial vector field."""
-        return VectorField([js.body for js in self.components[k - 1]], "base")
+        return VectorField([js.body for js in self.components[k - 1]])
 
     def coefficient(self, k: int, i: int) -> JetSeries:
         """Coefficient of d_i in X^k (both 1-based)."""

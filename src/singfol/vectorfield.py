@@ -32,13 +32,12 @@ __all__ = [
 
 
 class VectorField:
-    """A tuple of polynomial components with a base/phase kind flag."""
+    """A tuple of polynomial components over one space: n components for a
+    base field, 2n for a phase field, whose space has a fiber."""
 
-    __slots__ = ("space", "kind", "components")
+    __slots__ = ("space", "components")
 
-    def __init__(self, components: Sequence[Polynomial], kind: str = "base"):
-        if kind not in ("base", "phase"):
-            raise ValueError("kind must be 'base' or 'phase'")
+    def __init__(self, components: Sequence[Polynomial]):
         components = tuple(components)
         if not components:
             raise ValueError("a vector field needs at least one component")
@@ -46,33 +45,25 @@ class VectorField:
         for c in components:
             if c.space != space:
                 raise ValueError("components declared over different spaces")
-        expected = 2 * space.n if kind == "phase" else space.n
-        if kind == "phase" and not space.fiber:
-            raise ValueError("phase fields need a fiber in their space")
-        if kind == "base" and space.fiber:
-            raise ValueError("base fields must not carry fiber variables")
-        if len(components) != expected:
-            raise ValueError(
-                f"{kind} field over n={space.n} needs {expected} components, got {len(components)}"
-            )
+        if len(components) != space.nvars:
+            raise ValueError(f"a field over {space} needs {space.nvars} components, "
+                             f"got {len(components)}")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "components", components)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")
 
     @classmethod
-    def zero(cls, space: Space, kind: str = "base") -> "VectorField":
-        count = 2 * space.n if kind == "phase" else space.n
-        return cls([Polynomial.zero(space)] * count, kind)
+    def zero(cls, space: Space) -> "VectorField":
+        return cls([Polynomial.zero(space)] * space.nvars)
 
     @classmethod
     def coordinate(cls, space: Space, pos: int) -> "VectorField":
         """The constant field d/d(variable at position pos) of base kind."""
         comps = [Polynomial.zero(space) for _ in range(space.n)]
         comps[pos] = Polynomial.constant(space, 1)
-        return cls(comps, "base")
+        return cls(comps)
 
     @property
     def n(self) -> int:
@@ -84,32 +75,24 @@ class VectorField:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.kind == other.kind and self.components == other.components
+        return self.components == other.components
 
     def __hash__(self):
-        return hash((self.kind, self.components))
+        return hash(self.components)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        if self.kind != other.kind:
-            raise ValueError("kind mismatch")
-        return VectorField(
-            [a + b for a, b in zip(self.components, other.components)], self.kind
-        )
+        return VectorField([a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        if self.kind != other.kind:
-            raise ValueError("kind mismatch")
-        return VectorField(
-            [a - b for a, b in zip(self.components, other.components)], self.kind
-        )
+        return VectorField([a - b for a, b in zip(self.components, other.components)])
 
     def __neg__(self) -> "VectorField":
-        return VectorField([-c for c in self.components], self.kind)
+        return VectorField([-c for c in self.components])
 
     def __mul__(self, factor) -> "VectorField":
         if isinstance(factor, VectorField):
             return NotImplemented
-        return VectorField([c * factor for c in self.components], self.kind)
+        return VectorField([c * factor for c in self.components])
 
     __rmul__ = __mul__
 
@@ -136,7 +119,7 @@ class VectorField:
         Each slot is None when the corresponding block mixes degrees; a zero
         block reports None as well.
         """
-        if self.kind != "phase":
+        if not self.space.fiber:
             raise ValueError("homogeneity record applies to phase fields")
         n = self.n
         xdegs = {d for c in self.components[:n]
@@ -158,6 +141,7 @@ class VectorField:
 class Frame:
     """An m-tuple of base vector fields generating a rank-m distribution.
 
+    The dimension n and the rank m are read from the fields.
     ``normal_form``, when present, holds the n-1 coefficient functions
     A_1..A_{n-1} of a corank-1 frame X^i = d_i + A_i d_n (so m = n-1); the
     component data is checked against it on construction.  Linear
@@ -165,8 +149,6 @@ class Frame:
     :attr:`omega` is the frame's annihilating 1-form when it has one.
     """
 
-    n: int
-    m: int
     fields: tuple[VectorField, ...]
     normal_form: tuple[Polynomial, ...] | None = None
     name: str = ""
@@ -174,20 +156,16 @@ class Frame:
     def __post_init__(self):
         if not 1 <= self.m < self.n:
             raise ValueError("need 1 <= m < n")
-        if len(self.fields) != self.m:
-            raise ValueError(f"expected {self.m} fields, got {len(self.fields)}")
-        for X in self.fields:
-            if X.kind != "base" or X.n != self.n:
-                raise ValueError("frame fields must be base fields in dimension n")
+        if self.space.fiber or any(X.space != self.space for X in self.fields):
+            raise ValueError("frame fields must be base fields in dimension n")
         if self.normal_form is not None:
             if self.m != self.n - 1:
                 raise ValueError("normal form requires corank 1 (m = n-1)")
             if len(self.normal_form) != self.m:
                 raise ValueError("normal form needs n-1 coefficient functions")
-            space = Space(self.n)
             for i, (X, A) in enumerate(zip(self.fields, self.normal_form), start=1):
-                expected = VectorField.coordinate(space, i - 1) + VectorField(
-                    [Polynomial.zero(space)] * (self.n - 1) + [A], "base"
+                expected = VectorField.coordinate(self.space, i - 1) + VectorField(
+                    [Polynomial.zero(self.space)] * (self.n - 1) + [A]
                 )
                 if X != expected:
                     raise ValueError(f"field {i} inconsistent with its normal form")
@@ -206,12 +184,20 @@ class Frame:
             comps = [Polynomial.zero(space) for _ in range(n)]
             comps[i] = Polynomial.constant(space, 1)
             comps[n - 1] = comps[n - 1] + A
-            fields.append(VectorField(comps, "base"))
-        return cls(n, n - 1, tuple(fields), tuple(coeffs), name)
+            fields.append(VectorField(comps))
+        return cls(tuple(fields), tuple(coeffs), name)
 
     @property
     def space(self) -> Space:
-        return Space(self.n)
+        return self.fields[0].space
+
+    @property
+    def n(self) -> int:
+        return self.space.n
+
+    @property
+    def m(self) -> int:
+        return len(self.fields)
 
     @cached_property
     def omega(self) -> tuple[Polynomial, ...] | None:
@@ -259,8 +245,8 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     straight into one dictionary; a partial is taken only of a nonzero
     component, and a product only with a nonzero partial.
     """
-    if X.kind != Y.kind or X.space != Y.space:
-        raise ValueError("kind mismatch")
+    if X.space != Y.space:
+        raise ValueError("fields live in different spaces")
     sx = [(j, c) for j, c in enumerate(X.components) if c]
     sy = [(j, c) for j, c in enumerate(Y.components) if c]
 
@@ -272,8 +258,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
                     if df := f.partial(j):
                         _add_terms(acc, (c * df).terms, sign)
         return Polynomial._trusted(X.space, acc)
-    return VectorField([component(Xk, Yk) for Xk, Yk in zip(X.components, Y.components)],
-                       X.kind)
+    return VectorField([component(Xk, Yk) for Xk, Yk in zip(X.components, Y.components)])
 
 
 def hamiltonian_lift(X: VectorField) -> Polynomial:
@@ -282,7 +267,7 @@ def hamiltonian_lift(X: VectorField) -> Polynomial:
     Component k contributes its terms with the exponent of p_k raised to 1;
     terms of different components never share a key.
     """
-    if X.kind != "base":
+    if X.space.fiber:
         raise ValueError("lift applies to base fields")
     n = X.space.n
     units = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
@@ -300,7 +285,7 @@ def hamiltonian_vector_field(h: Polynomial) -> VectorField:
     n = space.n
     xblock = [h.partial(space.p(k)) for k in range(1, n + 1)]
     pblock = [-h.partial(space.x(k)) for k in range(1, n + 1)]
-    return VectorField(xblock + pblock, "phase")
+    return VectorField(xblock + pblock)
 
 
 def poisson_bracket(h: Polynomial, g: Polynomial) -> Polynomial:

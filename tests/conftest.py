@@ -109,9 +109,9 @@ def random_general_frame(rng: random.Random, n: int, m: int,
         fields = []
         for _ in range(m):
             comps = [random_polynomial(rng, space, max_terms, max_degree) for _ in range(n)]
-            fields.append(VectorField(comps, "base"))
+            fields.append(VectorField(comps))
         if _linalg.rank([X.constant_part() for X in fields]) == m:
-            return Frame(n, m, tuple(fields))
+            return Frame(tuple(fields))
 
 
 def random_rational_point(rng: random.Random, count: int, den: int = 8,
@@ -279,8 +279,8 @@ def reference_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y] by the dense loop over all n^2 pairs (j, k) on the reference
     loops (the loop ``lie_bracket`` ran before it read the supports):
     component k is the sum over j of X_j dY_k/dx_j - Y_j dX_k/dx_j."""
-    if X.kind != Y.kind or X.space != Y.space:
-        raise ValueError("kind mismatch")
+    if X.space != Y.space:
+        raise ValueError("fields live in different spaces")
     n = len(X.components)
     comps = []
     for k in range(n):
@@ -289,7 +289,7 @@ def reference_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
             signed.append((1, reference_product(X.components[j], Y.components[k].partial(j))))
             signed.append((-1, reference_product(Y.components[j], X.components[k].partial(j))))
         comps.append(reference_sum(X.space, signed))
-    return VectorField(comps, X.kind)
+    return VectorField(comps)
 
 
 def reference_corank1_covector(F: Frame, x) -> tuple[Fraction, ...]:

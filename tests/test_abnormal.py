@@ -1,7 +1,7 @@
-import math
 import random
 import re
 import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -87,9 +87,9 @@ def test_goh_martinet():
 
 def test_goh_commuting_frame_is_zero():
     s = Space(3)
-    F = Frame(3, 2, (
-        VectorField([parse_expression(e, s) for e in ("1", "0", "0")], "base"),
-        VectorField([parse_expression(e, s) for e in ("0", "1", "0")], "base"),
+    F = Frame((
+        VectorField([parse_expression(e, s) for e in ("1", "0", "0")]),
+        VectorField([parse_expression(e, s) for e in ("0", "1", "0")]),
     ))
     goh = goh_matrix(F)
     assert all(goh.H.entry(i, j).is_zero() for i in (1, 2) for j in (1, 2))
@@ -391,7 +391,7 @@ def test_engel_generator_is_x1_plus_x3():
     F = demo_frame("dim4-engel")
     g = abnormal_generators(F, 2)[0]
     assert g.Z == F.fields[0] + F.fields[2]
-    assert g.Z == VectorField([parse_expression(e, Space(4)) for e in ("1", "0", "1", "x2")], "base")
+    assert g.Z == VectorField([parse_expression(e, Space(4)) for e in ("1", "0", "1", "x2")])
 
 
 def test_generator_homogeneity():
@@ -528,7 +528,7 @@ def test_projection_check_covers_zero_components_of_y():
     goh = goh_matrix(F)
     g = abnormal_generators(F, 2, goh)[0]
     k = next(k for k, c in enumerate(g.Z.components) if not c.is_zero())
-    hollow = AbnormalGenerator(g.I, g.rank, VectorField.zero(F.space.phase, "phase"),
+    hollow = AbnormalGenerator(g.I, VectorField.zero(F.space.phase),
                                g.coefficients)
     with pytest.raises(NormalFormError, match=re.escape(f"component {k + 1} of Y_{g.I} ")):
         project_corank1(hollow, F, goh)
@@ -627,6 +627,22 @@ def test_certificate_constant_cross_check_second_frame():
     assert cert.base_constant == 2
 
 
+def test_frames_generators_and_certificates_store_no_derived_value():
+    # n, m, the rank and the certificate constants are read from the data
+    F = demo_frame("dim5")
+    goh = goh_matrix(F)
+    g = abnormal_generators(F, 2, goh)[0]
+    cert = divergence_certificate(g, F, goh)
+    assert [f.name for f in fields(F)] == ["fields", "normal_form", "name"]
+    assert [f.name for f in fields(g)] == ["I", "Y", "coefficients", "Z",
+                                           "reduced_coefficients", "p_degree"]
+    assert [f.name for f in fields(cert)] == ["subject", "phase_divergence", "base_constant",
+                                              "base_coefficients", "base_residual"]
+    assert (F.n, F.m, g.rank) == (5, 4, 2)
+    assert cert.jacobi_expansion == Polynomial.zero(F.space.phase)
+    assert cert.bracket_order == "{h^j,{h^k,h^l}}"
+
+
 def test_certificate_general_frame_phase_parts():
     # no projection: only div(Y) = 0 and the Jacobi expansion are checked
     F = random_general_frame(random.Random(71), 4, 3)
@@ -645,7 +661,7 @@ def test_certificate_failure_carries_residual():
     phase = Space(4, True)
     bogus_components = list(g.Y.components)
     bogus_components[0] = bogus_components[0] + Polynomial.variable(phase, 0)
-    bogus = AbnormalGenerator(g.I, g.rank, VectorField(bogus_components, "phase"),
+    bogus = AbnormalGenerator(g.I, VectorField(bogus_components),
                               g.coefficients, g.Z, g.reduced_coefficients, g.p_degree)
     with pytest.raises(CertificateError) as err:
         divergence_certificate(bogus, F)
@@ -699,10 +715,9 @@ def test_cyclic_jacobi_sums_vanish_on_the_bracket_matrix():
     frames += [random_corank1_frame(random.Random(seed), n) for seed, n in ((81, 7), (82, 8))]
     for F in frames:
         goh = goh_matrix(F)
-        triples = list(combinations(range(1, F.m + 1), 3))
-        for T in triples:
-            assert goh.jacobi_sum(T).is_zero(), (F.name, T)
-        assert len(goh._jacobi) == len(triples)
+        for T in combinations(range(1, F.m + 1), 3):
+            assert goh._cyclic_sum(T, {}).is_zero(), (F.name, T)
+        assert goh.jacobi_failure is None, F.name
 
 
 def _goh_with_shifted_entry(F, k, l, shift="x1"):
@@ -729,7 +744,7 @@ def _jacobi_test_frames():
 
 
 def test_jacobi_sums_match_the_coordinate_brackets():
-    # jacobi_sum differentiates along the cached Hamiltonian fields; it
+    # a cyclic sum differentiates along the cached Hamiltonian fields; it
     # must equal the cyclic sum of coordinate-formula brackets, on bracket
     # and on tampered matrices; a shift that depends on p reaches the
     # p-block products, which the x-only shifts of the tampered matrices
@@ -744,7 +759,7 @@ def test_jacobi_sums_match_the_coordinate_brackets():
             gohs.append(_goh_with_shifted_entry(F, F.m - 1, F.m, shift))
         for goh in gohs:
             for T in combinations(range(1, F.m + 1), 3):
-                got = goh.jacobi_sum(T)
+                got = goh._cyclic_sum(T, {})
                 assert got == _cyclic_sum(goh, T, reference_poisson), (F.name, T)
                 assert got == _cyclic_sum(goh, T, poisson_bracket), (F.name, T)
                 nonzero += bool(got)
@@ -824,19 +839,18 @@ def test_pfaffian_sums_match_the_reference_loops():
 def test_jacobi_identity_check_per_frame():
     for F in _jacobi_test_frames():
         goh = goh_matrix(F)
-        assert goh.jacobi_identity_holds() and goh.jacobi_identity_holds()
-        assert len(goh._jacobi) == math.comb(F.m, 3)
+        assert goh.jacobi_failure is None and goh.jacobi_failure is None
         if F.m >= 3:
-            assert not tampered_goh(F).jacobi_identity_holds(), F.name
-            assert not _goh_with_shifted_entry(F, F.m - 1, F.m).jacobi_identity_holds(), F.name
+            assert tampered_goh(F).jacobi_failure is not None, F.name
+            assert _goh_with_shifted_entry(F, F.m - 1, F.m).jacobi_failure is not None, F.name
 
 
 def test_jacobi_check_memoizes_the_cyclic_sums_and_keeps_no_partials(monkeypatch):
     # the check shares one cache of partials across its triples, so it takes
-    # each partial of a Goh entry once; every J(T) it memoizes must still be
-    # the cyclic sum of coordinate brackets, and the cache must be gone once
-    # the check ends
-    kept = {"frame", "H", "hamiltonians", "ham_fields", "reduced", "_jacobi", "jacobi_failure"}
+    # each partial of a Goh entry once; the J(T) it keeps must be the cyclic
+    # sum of coordinate brackets, every earlier triple's sum must be zero,
+    # and the cache must be gone once the check ends
+    kept = {"frame", "H", "hamiltonians", "ham_fields", "reduced", "jacobi_failure"}
     taken = []
     plain_partial = Polynomial.partial
 
@@ -859,11 +873,12 @@ def test_jacobi_check_memoizes_the_cyclic_sums_and_keeps_no_partials(monkeypatch
             assert len(taken) == len(set(taken)), F.name
             assert {f for f, _ in taken} <= {id(entry) for entry in goh.H.upper.values()}
             triples = list(combinations(range(1, F.m + 1), 3))
-            checked = triples if failure is None else triples[:triples.index(failure) + 1]
-            assert list(goh._jacobi) == checked, F.name
-            for T, value in goh._jacobi.items():
-                assert value == _cyclic_sum(goh, T, reference_poisson), (F.name, T)
-                assert bool(value) == (T == failure), (F.name, T)
+            if failure is not None:
+                T, value = failure
+                assert value and value == _cyclic_sum(goh, T, reference_poisson), (F.name, T)
+                triples = triples[:triples.index(T)]
+            for T in triples:
+                assert _cyclic_sum(goh, T, reference_poisson).is_zero(), (F.name, T)
             assert set(vars(goh)) == kept, F.name
             failures += failure is not None
     assert failures == 2 * sum(F.m >= 3 for F in _jacobi_test_frames())
@@ -874,8 +889,8 @@ def test_jacobi_failure_names_the_first_nonzero_triple():
     # the frame's first failing triple is (1, 5, 6)
     F = random_corank1_frame(random.Random(81), 7)
     shifted = _goh_with_shifted_entry(F, 5, 6)
-    assert shifted.jacobi_failure == (1, 5, 6)
     residual = _cyclic_sum(shifted, (1, 5, 6), reference_poisson)
+    assert shifted.jacobi_failure == ((1, 5, 6), residual)
     expanded = []
     for g in abnormal_generators(F, 4, goh_matrix(F)):
         with pytest.raises(CertificateError) as err:
@@ -982,18 +997,26 @@ def test_stratify_deterministic():
 
 
 def test_stratify_builds_the_minors_of_each_rank_once(monkeypatch):
-    # the walk down the loci and the strata share the minors of a rank
-    real = abnormal.singular_set_equations
-    ranks = []
+    # the walk down the loci and the strata read the minors of a rank from
+    # the reduced matrix's Pfaffian memo, so each minor is expanded once and
+    # each locus holds the memo's polynomials
+    real = pfaffian._raw_recursion_sum
+    expanded = []
 
-    def counted(F, r, goh=None):
-        ranks.append(r)
-        return real(F, r, goh)
+    def counted(A, I, i0, sub):
+        expanded.append((id(A), I))
+        return real(A, I, i0, sub)
 
-    monkeypatch.setattr(abnormal, "singular_set_equations", counted)
-    S = stratify(demo_frame("dim6-cubic"), SamplerConfig(seed=7, count=64))
+    monkeypatch.setattr(pfaffian, "_raw_recursion_sum", counted)
+    F = demo_frame("dim6-cubic")
+    goh = goh_matrix(F)
+    S = stratify(F, SamplerConfig(seed=7, count=64), goh)
     assert S.dims == (1, 3)
-    assert sorted(ranks) == [2, 4]
+    assert expanded and len(expanded) == len(set(expanded))
+    for st in S.strata:
+        memo = [goh.reduced._pfaffians[I] for I in index_sets(F.m, st.rank)]
+        assert len(st.vanishing_locus) == len(memo) > 0
+        assert all(q is phi for q, phi in zip(st.vanishing_locus, memo)), st.rank
 
 
 def test_stratify_reaches_a_locus_root_with_a_large_denominator():

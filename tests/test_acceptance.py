@@ -333,12 +333,12 @@ def test_criterion_10_abnormal_trajectory_certification():
 def test_criterion_11_volume_distortion():
     start = time.time()
     s = Space(4)
-    div_free = VectorField([parse_expression(e, s) for e in ("1", "0", "1", "x2")], "base")
+    div_free = VectorField([parse_expression(e, s) for e in ("1", "0", "1", "x2")])
     report = volume_distortion(div_free, sample_cloud((-0.5, 0.5), 16, 4, seed=2), 1.0, 1e-2)
     assert np.max(np.abs(report.weights - 1.0)) <= 1e-6
 
     s1 = Space(1)
-    contraction = VectorField([-Polynomial.variable(s1, 0)], "base")
+    contraction = VectorField([-Polynomial.variable(s1, 0)])
     report = volume_distortion(contraction, [[0.5], [1.0], [-0.25]], 1.0, 1e-3)
     assert np.max(np.abs(report.weights[:, -1] - math.exp(-1.0))) <= 1e-6
 

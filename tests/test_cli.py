@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -132,6 +134,57 @@ def test_integrate_engel_csv(capsys, tmp_path, monkeypatch):
     lines = out.splitlines()
     assert lines[1].startswith("# seed=none, h=0.01, T=0.02")
     assert lines[2] == "t,x1,x2,x3,x4,residual_b,residual_c"
+
+
+def test_integrate_streams_its_csv(capsys, tmp_path, monkeypatch):
+    # the rows are printed as the trajectory yields them, so at 20 001
+    # states the traced peak stays near the 0.92 MiB of the flat states
+    # (it was 3.45 MiB with every line held in one list); the stream is
+    # to_csv byte for byte
+    from singfol import dynamics
+
+    frame = frame_file(tmp_path, "dim6-cubic")
+    start = "0.1,0.1,0.1,0.1,0.1,0.1"
+    argv = ["integrate", "--from", start, "--T", "20", "--h", "0.001", "--frame", frame]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+
+    class Sink:
+        """A stdout that keeps a digest of what it is given, not the text."""
+
+        def __init__(self):
+            self.digest, self.size = hashlib.sha256(), 0
+
+        def write(self, text):
+            self.digest.update(text.encode())
+            self.size += len(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    assert code == EXIT_OK
+
+    F = build_frame(DEMOS["dim6-cubic"].to_spec())
+    goh = abnormal.goh_matrix(F)
+    g = next(g for g in abnormal.abnormal_generators(F, results["rank"], goh)
+             if list(g.I) == results["I"])
+    traj = dynamics.abnormal_trajectory(F, g, [0.1] * 6, 20, 0.001, goh=goh)
+    assert len(traj.flat) == 20001 * 6
+    expected = f"# frame: {F.name}\n" + traj.to_csv()
+    assert (sink.size, sink.digest.hexdigest()) == \
+        (len(expected), hashlib.sha256(expected.encode()).hexdigest())
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_integrate_checks_the_kernel_exactly(capsys, tmp_path, monkeypatch):
@@ -440,6 +493,33 @@ def test_huge_boxes_and_coefficients_are_exact_stratify_inputs(capsys, tmp_path)
             for w in level["witnesses"]:
                 x, p = [Fraction(v) for v in w["x"]], [Fraction(v) for v in w["p"]]
                 assert w["exact"] and abnormal.kernel_dim_at(F, x, p) == level["dim"], argv
+
+
+@pytest.mark.parametrize("box, shown", [
+    ("0,0.0156249999", "[0, 156249999/10000000000]"),
+    ("-0.0156249999,0", "[-156249999/10000000000, 0]"),
+])
+def test_stratify_reads_the_box_exactly(capsys, tmp_path, box, shown):
+    # the box holds one value of the 1/64 grid, 0: an input error, naming
+    # the box by the decimals typed (a rounded reading took it for
+    # [0, 1/64] and sampled x = 1/64, outside the box)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"dimension": 3, "rank": 2, "normal_form": ["0", "x1^2"]}),
+                    encoding="utf-8")
+    argv = ["stratify", "--seed", "3", "--samples", "8", f"--box={box}", "--frame", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert f"error: box {shown} holds fewer than two sample values k/64" in err
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_INPUT and f"box {shown} holds fewer" in json.loads(out)["error"]
+    # a bound just past a grid value excludes that value
+    lo = "0.0156250001"
+    code, out, _ = run(capsys, *argv[:-3], f"--box={lo},0.05", "--frame", str(path), "--json")
+    assert code == EXIT_OK
+    level = json.loads(out)["results"]["levels"][0]
+    assert level["has_interior"] and level["witnesses"]
+    assert all(Fraction(float(lo)) <= Fraction(v) <= Fraction(0.05)
+               for w in level["witnesses"] for v in w["x"])
 
 
 def test_stratify_makes_no_float_decision(capsys, tmp_path):

@@ -28,7 +28,7 @@ from singfol.vectorfield import Frame, VectorField, divergence
 
 
 def base_field(space, *exprs):
-    return VectorField([parse_expression(e, space) for e in exprs], "base")
+    return VectorField([parse_expression(e, space) for e in exprs])
 
 
 # -- integrator -----------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_csv_rows_are_the_states_and_times_bit_for_bit():
     F = demo_frame("dim5")
     g = abnormal_generators(F, 2)[0]
     traj = abnormal_trajectory(F, g, [0.2, 0.1, -0.3, 0.05, 0.0], 0.5, 0.007)
-    lines = traj.csv_lines(seed=2)
+    lines = list(traj.csv_lines(seed=2))
     assert traj.to_csv(seed=2) == "\n".join(lines) + "\n"
     assert lines[0] == f"# seed=2, h=0.007, T={float(traj.times[-1])!r}"
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
@@ -184,7 +184,7 @@ def test_scan_divergence_free_field():
 
 def test_scan_linear_field_structural_bound():
     s = Space(1)
-    Z = VectorField([Polynomial.variable(s, 0)], "base")
+    Z = VectorField([Polynomial.variable(s, 0)])
     scan = divergence_ratio_scan(Z, (-1, 1), 400, seed=9, cutoff=0.1)
     assert scan.ratio_sup <= 1.0 / 0.1 + 1e-9
     assert scan.ratio_sup > 1.0  # some sample lands near the cutoff
@@ -498,7 +498,7 @@ def test_integrate_field_matches_the_reference_on_random_fields():
     rng = random.Random(13)
     s = Space(3)
     for _ in range(100):
-        V = VectorField([random_polynomial(rng, s, 6, 4, (1, 3, 7)) for _ in range(3)], "base")
+        V = VectorField([random_polynomial(rng, s, 6, 4, (1, 3, 7)) for _ in range(3)])
         x0 = [0.0, rng.uniform(-0.5, 0.5), 0.0]
         try:
             expected = _reference_integrate(V, x0, 0.5, 0.1)
@@ -688,7 +688,7 @@ def test_volume_cloud_matches_per_point_reference(monkeypatch):
     for n in (1, 3, 13):
         s = Space(n)
         for _ in range(8):
-            V = VectorField([random_polynomial(rng, s, 6, 4, (1, 3, 7)) for _ in range(n)], "base")
+            V = VectorField([random_polynomial(rng, s, 6, 4, (1, 3, 7)) for _ in range(n)])
             cloud = [[0.0] * n for _ in range(5)]
             cloud[0][0] = rng.uniform(-0.5, 0.5)
             cloud[1][-1] = 3 * 2.0 ** -1074
@@ -757,7 +757,7 @@ def test_power_overflow_turns_the_row_inf():
 
 def test_coefficient_overflow_blows_up_at_time_zero():
     s = Space(1)
-    Z = VectorField([Polynomial(s, {(1,): Fraction(10 ** 400, 3)})], "base")
+    Z = VectorField([Polynomial(s, {(1,): Fraction(10 ** 400, 3)})])
     with pytest.raises(BlowUpError) as expected:
         _reference_integrate(Z, [0.5], 1.0, 0.1)
     for run in (lambda: integrate_field(Z, [0.5], 1.0, 0.1),

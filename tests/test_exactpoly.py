@@ -115,7 +115,7 @@ def test_evaluate_length_mismatch():
         with pytest.raises(ValueError, match="point of length"):
             f.eval_exact(point)
         with pytest.raises(ValueError, match="point of length"):
-            VectorField([f, f], "base").evaluate(point)
+            VectorField([f, f]).evaluate(point)
 
 
 # -- fiber grading ----------------------------------------------------------
@@ -628,7 +628,7 @@ def test_divergence_matches_reference_sum_of_partials(seed, kind):
         positions = rng.sample(range(space.nvars), rng.randint(0, space.nvars))
         return _polynomial_in(rng, space, positions, 4)
 
-    V = VectorField([component() for _ in range(space.nvars)], kind)
+    V = VectorField([component() for _ in range(space.nvars)])
     want = reference_sum(space, [(1, c.partial(pos)) for pos, c in enumerate(V.components)])
     assert divergence(V) == want
 

@@ -25,7 +25,7 @@ from singfol.vectorfield import (
 
 
 def base_field(space, *exprs):
-    return VectorField([parse_expression(e, space) for e in exprs], "base")
+    return VectorField([parse_expression(e, space) for e in exprs])
 
 
 # -- linear normalization ---------------------------------------------------------
@@ -43,7 +43,7 @@ def test_already_normalized_frame_gets_identity_chart():
 
 def test_linear_solve_mixes_fields():
     s = Space(3)
-    F = Frame(3, 2, (base_field(s, "1", "1", "0"), base_field(s, "0", "1", "0")))
+    F = Frame((base_field(s, "1", "1", "0"), base_field(s, "0", "1", "0")))
     out = normalize_linear(JetFrame.from_frame(F, 3))
     assert out.field(1) == base_field(s, "1", "0", "0")
     assert out.field(2) == base_field(s, "0", "1", "0")
@@ -51,7 +51,7 @@ def test_linear_solve_mixes_fields():
 
 def test_linear_rescale_single_field():
     s = Space(2)
-    F = Frame(2, 1, (base_field(s, "2", "0"),))
+    F = Frame((base_field(s, "2", "0"),))
     out = normalize_linear(JetFrame.from_frame(F, 2))
     assert out.field(1) == base_field(s, "1", "0")
 
@@ -59,7 +59,7 @@ def test_linear_rescale_single_field():
 def test_linear_completion_is_leftmost():
     # X^1(0) = e2: the completion must pick e1 (not e3) for the second column
     s = Space(3)
-    F = Frame(3, 1, (base_field(s, "0", "1", "0"),))
+    F = Frame((base_field(s, "0", "1", "0"),))
     out = normalize_linear(JetFrame.from_frame(F, 3))
     assert out.chart == (
         (Fraction(0), Fraction(1), Fraction(0)),
@@ -92,11 +92,11 @@ def test_phi_step_noop_when_diagonal_clean():
 
 def test_phi_step_geometric_series():
     s = Space(2)
-    F = Frame(2, 1, (base_field(s, "1 + x1", "0"),))
+    F = Frame((base_field(s, "1 + x1", "0"),))
     z1 = phi_step(normalize_linear(JetFrame.from_frame(F, 3)), 1)
     assert z1.field(1) == base_field(s, "1", "0")
     # with a second non-unit component the series shows up
-    F2 = Frame(2, 1, (base_field(s, "1 + x1", "x2"),))
+    F2 = Frame((base_field(s, "1 + x1", "x2"),))
     z2 = phi_step(normalize_linear(JetFrame.from_frame(F2, 3)), 1)
     x1 = Polynomial.variable(s, 0)
     series = 1 - x1 + x1 ** 2 - x1 ** 3
@@ -105,7 +105,7 @@ def test_phi_step_geometric_series():
 
 def test_phi_step_order_zero_is_constant_rescale():
     s = Space(2)
-    F = Frame(2, 1, (base_field(s, "1 + x1", "0"),))
+    F = Frame((base_field(s, "1 + x1", "0"),))
     z = phi_step(normalize_linear(JetFrame.from_frame(F, 0)), 1)
     assert z.field(1) == base_field(s, "1", "0")
 
@@ -125,7 +125,7 @@ def test_psi_step_noop_and_substitution():
     # A^2_1 = x2: X^2 gets replaced by X^2 - x2 X^1
     f1 = base_field(s, "1", "0", "x3")
     f2 = base_field(s, "x2", "1", "0")
-    JF = JetFrame.from_frame(Frame(3, 2, (f1, f2)), 3)
+    JF = JetFrame.from_frame(Frame((f1, f2)), 3)
     z1 = phi_step(normalize_linear(JF), 1)
     v2 = psi_step(z1, 1)
     x2 = Polynomial.variable(s, 1)

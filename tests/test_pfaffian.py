@@ -201,7 +201,7 @@ def test_sparse_recursion_matches_definition_on_every_pivot():
 def test_sparse_derivative_matches_the_differentiated_definition():
     for A, minors in _sparse_cases():
         x1, x2 = (Polynomial.variable(A.space, k) for k in range(2))
-        fields = [VectorField.coordinate(A.space, 0), VectorField([x2, x1 * x1 - 1], "base")]
+        fields = [VectorField.coordinate(A.space, 0), VectorField([x2, x1 * x1 - 1])]
         for I in minors:
             definition = pfaffian_by_definition(A, I)
             for D in fields:
@@ -248,7 +248,7 @@ def test_derivative_general_derivation():
     sp = Space(2)
     rng = random.Random(123)
     A = random_skew(rng, sp, 4)
-    D = VectorField([Polynomial.variable(sp, 1), Polynomial.variable(sp, 0) ** 2], "base")
+    D = VectorField([Polynomial.variable(sp, 1), Polynomial.variable(sp, 0) ** 2])
     I = (1, 2, 3, 4)
     assert pfaffian_derivative(A, I, D) == D.apply(pfaffian_by_definition(A, I))
 

@@ -19,11 +19,11 @@ from singfol.vectorfield import (
 
 
 def base_field(space, *exprs):
-    return VectorField([parse_expression(e, space) for e in exprs], "base")
+    return VectorField([parse_expression(e, space) for e in exprs])
 
 
 def random_base_field(rng, space):
-    return VectorField([random_polynomial(rng, space) for _ in range(space.n)], "base")
+    return VectorField([random_polynomial(rng, space) for _ in range(space.n)])
 
 
 # -- Lie bracket -------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_bracket_matches_the_dense_loop(seed, kind):
 
     def field():
         return VectorField([random_polynomial(rng, space, 3, 2) if rng.random() < 0.5
-                            else Polynomial.zero(space) for _ in range(space.nvars)], kind)
+                            else Polynomial.zero(space) for _ in range(space.nvars)])
 
     X, Y = field(), field()
     assert lie_bracket(X, Y) == reference_lie_bracket(X, Y)
@@ -189,7 +189,7 @@ def test_divergence_examples():
     engel = base_field(s4, "1", "0", "1", "x2")
     assert divergence(engel).is_zero()
     s1 = Space(1)
-    assert divergence(VectorField([Polynomial.variable(s1, 0)], "base")) == Polynomial.constant(s1, 1)
+    assert divergence(VectorField([Polynomial.variable(s1, 0)])) == Polynomial.constant(s1, 1)
 
 
 def test_divergence_of_hamiltonian_fields():
@@ -220,13 +220,25 @@ def test_dilation_equivariance_of_lifted_fields():
 def test_frame_requires_m_less_than_n():
     s = Space(2)
     with pytest.raises(ValueError):
-        Frame(2, 2, (base_field(s, "1", "0"), base_field(s, "0", "1")))
+        Frame((base_field(s, "1", "0"), base_field(s, "0", "1")))
+
+
+def test_frame_rejects_fields_of_two_dimensions_and_phase_fields():
+    # n and m are read from the fields, so they must share one base space
+    s2, s3 = Space(2), Space(3)
+    X = base_field(s3, "1", "0", "0")
+    phase = hamiltonian_vector_field(hamiltonian_lift(base_field(s3, "0", "1", "0")))
+    for fields in ((X, base_field(s2, "0", "1")), (base_field(s2, "0", "1"), X),
+                   (X, phase), (phase,)):
+        with pytest.raises(ValueError, match="base fields in dimension n|1 <= m < n"):
+            Frame(fields)
+    assert (Frame((X,)).n, Frame((X,)).m) == (3, 1)
 
 
 def test_frame_rejects_dependent_fields():
     s = Space(3)
     with pytest.raises(ValueError):
-        Frame(3, 2, (base_field(s, "1", "0", "0"), base_field(s, "2", "0", "0")))
+        Frame((base_field(s, "1", "0", "0"), base_field(s, "2", "0", "0")))
 
 
 def test_frame_normal_form_consistency():
@@ -236,7 +248,7 @@ def test_frame_normal_form_consistency():
     assert F.fields[1] == base_field(s, "0", "1", "x1")
     bad = (base_field(s, "1", "0", "0"), base_field(s, "0", "1", "x2"))
     with pytest.raises(ValueError):
-        Frame(3, 2, bad, tuple(A))
+        Frame(bad, tuple(A))
 
 
 def test_annihilator_basis():
@@ -252,7 +264,7 @@ def test_annihilator_basis():
 
 def test_bracket_generation_depth_diagnostic():
     s = Space(3)
-    heisenberg = Frame(3, 2, (base_field(s, "1", "0", "0"), base_field(s, "0", "1", "x1")))
+    heisenberg = Frame((base_field(s, "1", "0", "0"), base_field(s, "0", "1", "x1")))
     assert heisenberg.bracket_generation_depth([Fraction(0)] * 3) == 2
-    commuting = Frame(3, 2, (base_field(s, "1", "0", "0"), base_field(s, "0", "1", "0")))
+    commuting = Frame((base_field(s, "1", "0", "0"), base_field(s, "0", "1", "0")))
     assert commuting.bracket_generation_depth([Fraction(0)] * 3, max_depth=3) is None
