@@ -187,6 +187,13 @@ class GohMatrix:
                 return T, value
         return None
 
+    @cached_property
+    def normal_partials(self) -> tuple[Polynomial, ...] | None:
+        """d(A_j)/dx_n for each coefficient A_j of a frame in normal form,
+        None for any other frame; computed once, shared by all certificates."""
+        A = self.frame.normal_form
+        return None if A is None else tuple(a.partial(self.frame.n - 1) for a in A)
+
 
 def goh_matrix(F: Frame) -> GohMatrix:
     """Entries h^{ij} = lift of B = [X^i, X^j]; when the frame has an
@@ -435,11 +442,9 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
     base_coeffs = None
     base_residual = None
     if g.Z is not None:
-        if F.normal_form is None:
+        if (dA := goh.normal_partials) is None:
             raise NormalFormError("generator carries a projection but frame has no normal form")
-        space = F.space
-        dA = [A.partial(F.n - 1) for A in F.normal_form]  # d(A_j)/dx_n
-        combo = _sum_products(space, ((dA[j - 1], g.Z.components[j - 1]) for j in g.I))
+        combo = _sum_products(F.space, ((dA[j - 1], g.Z.components[j - 1]) for j in g.I))
         div_z = divergence(g.Z)
         if combo.is_zero():
             base_constant = Fraction(0)
@@ -634,15 +639,17 @@ def _rational_roots(coeffs: Sequence[Fraction]):
                     yield Fraction(s, q)
 
 
-def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...]
-                        ) -> tuple[Fraction, ...] | None:
-    """Try to move one coordinate of x onto the common zero set of minors.
+def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
+                        box: tuple[Fraction, Fraction]) -> tuple[Fraction, ...] | None:
+    """Try to move one coordinate of x onto the common zero set of minors,
+    inside the box.
 
     For each coordinate k in turn, the first minor depending on x_k is
     frozen to a polynomial in x_k, the other coordinates at their exact
-    values.  Its roots, in the order of :func:`_rational_roots`, are checked
-    against ALL minors exactly, and the first at which all vanish gives the
-    returned point.  None when no coordinate reaches the locus.
+    values.  Its roots inside the box, in the order of
+    :func:`_rational_roots`, are checked against ALL minors exactly, and the
+    first at which all vanish gives the returned point.  None when no
+    coordinate reaches the locus inside the box.
     """
     nonzero = [q for q in minors if not q.is_zero()]
     for k in range(len(x)):
@@ -654,6 +661,8 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...]
             coeffs[exps[k]] += c * math.prod(x[pos] ** e for pos, e in enumerate(exps)
                                              if e and pos != k)
         for root in _rational_roots(coeffs):
+            if not box[0] <= root <= box[1]:
+                continue
             point = x[:k] + (root,) + x[k + 1:]
             pair = _exact_pairs(point)
             if not any(pair(q)[0] for q in nonzero):
@@ -668,8 +677,9 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
     Level one comes from exact random sampling; deeper levels are searched
     on the symbolic vanishing loci (corank-1 reduced minors when available)
     by moving samples onto the locus one coordinate at a time, at exact
-    rational roots of a frozen minor, keeping only witnesses where every
-    minor vanishes exactly.  The walk stops at the first level that no seed
+    rational roots of a frozen minor inside ``config.box``, keeping only
+    witnesses where every minor vanishes exactly, so every witness lies in
+    the box.  The walk stops at the first level that no seed
     reaches.  Each seed is an exact witness of the current rank, so some
     minor of that rank is exactly nonzero there: a seed never lies on the
     locus, however small its minors are.  A :class:`SamplingError`
@@ -703,7 +713,7 @@ def stratify(F: Frame, config: SamplerConfig, goh: GohMatrix | None = None) -> S
                 break
             found = []
             for x in seeds:
-                point = _project_onto_locus(minors, x)
+                point = _project_onto_locus(minors, x, config.box)
                 if point is None:
                     continue
                 pair = _exact_pairs(point)

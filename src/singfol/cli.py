@@ -6,6 +6,9 @@ from stdin, with polynomial payloads written in the expression grammar:
     { "dimension": 4, "rank": 3, "normal_form": ["0", "x1", "x2"] }
     { "dimension": 3, "rank": 2, "fields": [["1","0","0"], ["0","1","x1"]] }
 
+Either key only builds the fields, and the frame reads its normal form off
+them, so the second document is the frame of ``"normal_form": ["0", "x1"]``
+and every command reports the same results for the two.
 ``singfol demo <name>`` emits such a document for the built-in fixtures, so
 demos pipe into the other subcommands.  Every report is deterministic:
 identical inputs, flags and seeds produce byte-identical output.  A handler
@@ -128,7 +131,7 @@ def build_frame(spec: dict) -> Frame:
                     except ParseError as exc:
                         raise InputError(f"fields[{i}][{j}]: {exc}") from exc
                 fields.append(VectorField(comps))
-            return Frame(tuple(fields), None, name)
+            return Frame(tuple(fields), name=name)
         raise InputError("frame document needs 'normal_form' or 'fields'")
     except (ValueError, IndexError) as exc:
         raise InputError(str(exc)) from exc
@@ -333,7 +336,7 @@ def cmd_integrate(F: Frame, args):
     from singfol import dynamics
 
     if F.omega is None:
-        raise InputError("integrate needs a corank-1 frame")
+        raise InputError("integrate needs the corank-1 normal form X^i = d_i + A_i d_n")
     if not (math.isfinite(args.h) and args.h > 0):
         raise InputError("--h must be a positive finite number")
     if not (math.isfinite(args.T) and args.T >= 0):
@@ -369,7 +372,7 @@ def cmd_scan_div(F: Frame, args):
     from singfol import dynamics
 
     if F.omega is None:
-        raise InputError("scan-div needs a corank-1 frame")
+        raise InputError("scan-div needs the corank-1 normal form X^i = d_i + A_i d_n")
     if not args.cutoff > 0:
         raise InputError("--cutoff must be positive")
     if args.samples < 0:

@@ -81,7 +81,7 @@ class JetFrame:
 
     def to_frame(self, name: str = "") -> Frame:
         return Frame(tuple(VectorField([js.body for js in row]) for row in self.components),
-                     None, name)
+                     name=name)
 
     def field(self, k: int) -> VectorField:
         """The k-th field (1-based) as a polynomial vector field."""

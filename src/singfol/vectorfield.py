@@ -12,7 +12,7 @@ volume; this is the only metric used anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -141,34 +141,20 @@ class VectorField:
 class Frame:
     """An m-tuple of base vector fields generating a rank-m distribution.
 
-    The dimension n and the rank m are read from the fields.
-    ``normal_form``, when present, holds the n-1 coefficient functions
-    A_1..A_{n-1} of a corank-1 frame X^i = d_i + A_i d_n (so m = n-1); the
-    component data is checked against it on construction.  Linear
-    independence of the fields at the origin is always required.
+    The dimension n, the rank m and :attr:`normal_form` are read from the
+    fields, so a frame is one distribution however it was written down.
+    Linear independence of the fields at the origin is always required.
     :attr:`omega` is the frame's annihilating 1-form when it has one.
     """
 
     fields: tuple[VectorField, ...]
-    normal_form: tuple[Polynomial, ...] | None = None
-    name: str = ""
+    name: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         if not 1 <= self.m < self.n:
             raise ValueError("need 1 <= m < n")
         if self.space.fiber or any(X.space != self.space for X in self.fields):
             raise ValueError("frame fields must be base fields in dimension n")
-        if self.normal_form is not None:
-            if self.m != self.n - 1:
-                raise ValueError("normal form requires corank 1 (m = n-1)")
-            if len(self.normal_form) != self.m:
-                raise ValueError("normal form needs n-1 coefficient functions")
-            for i, (X, A) in enumerate(zip(self.fields, self.normal_form), start=1):
-                expected = VectorField.coordinate(self.space, i - 1) + VectorField(
-                    [Polynomial.zero(self.space)] * (self.n - 1) + [A]
-                )
-                if X != expected:
-                    raise ValueError(f"field {i} inconsistent with its normal form")
         const = [X.constant_part() for X in self.fields]
         if _linalg.rank(const) != self.m:
             raise ValueError("frame fields are linearly dependent at the origin")
@@ -176,16 +162,10 @@ class Frame:
     @classmethod
     def corank1(cls, n: int, coeffs: Sequence[Polynomial], name: str = "") -> "Frame":
         """Build the frame X^i = d_i + A_i d_n from A_1..A_{n-1}."""
-        space = Space(n)
         if len(coeffs) != n - 1:
             raise ValueError(f"corank-1 frame in dimension {n} needs {n - 1} coefficients")
-        fields = []
-        for i, A in enumerate(coeffs):
-            comps = [Polynomial.zero(space) for _ in range(n)]
-            comps[i] = Polynomial.constant(space, 1)
-            comps[n - 1] = comps[n - 1] + A
-            fields.append(VectorField(comps))
-        return cls(tuple(fields), tuple(coeffs), name)
+        return cls(tuple(VectorField(VectorField.coordinate(Space(n), i).components[:-1] + (A,))
+                         for i, A in enumerate(coeffs)), name=name)
 
     @property
     def space(self) -> Space:
@@ -198,6 +178,16 @@ class Frame:
     @property
     def m(self) -> int:
         return len(self.fields)
+
+    @cached_property
+    def normal_form(self) -> tuple[Polynomial, ...] | None:
+        """(A_1, ..., A_{n-1}) when m = n - 1 and every field reads
+        X^i = d_i + A_i d_n, None otherwise; read once from the fields."""
+        if self.m != self.n - 1 or any(
+                X.components[:-1] != VectorField.coordinate(self.space, i).components[:-1]
+                for i, X in enumerate(self.fields)):
+            return None
+        return tuple(X.components[-1] for X in self.fields)
 
     @cached_property
     def omega(self) -> tuple[Polynomial, ...] | None:

@@ -3,6 +3,7 @@ import re
 import time
 from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 
 import pytest
@@ -601,6 +602,29 @@ def test_certificate_dim5_all_four():
         assert divergence_certificate(g, F, goh).ok()
 
 
+def test_certificates_of_a_frame_share_its_normal_form_partials(monkeypatch):
+    # d(A_j)/dx_n is taken once per frame, not once per generator
+    F = demo_frame("dim5")
+    goh = goh_matrix(F)
+    gens = abnormal_generators(F, 2, goh)
+    calls = []
+    original = GohMatrix.normal_partials.func
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GohMatrix, "normal_partials", cached_property(counted))
+    GohMatrix.normal_partials.__set_name__(GohMatrix, "normal_partials")
+    certs = [divergence_certificate(g, F, goh) for g in gens]
+    assert len(gens) == 4 and calls == [goh]
+    assert goh.normal_partials == tuple(A.partial(4) for A in F.normal_form)
+    for g, cert in zip(gens, certs):
+        assert cert.base_coefficients == tuple(goh.normal_partials[j - 1] * cert.base_constant
+                                               for j in g.I)
+    assert goh_matrix(random_general_frame(random.Random(71), 4, 3)).normal_partials is None
+
+
 def test_certificate_dim6():
     F = demo_frame("dim6-cubic")
     goh = goh_matrix(F)
@@ -633,7 +657,8 @@ def test_frames_generators_and_certificates_store_no_derived_value():
     goh = goh_matrix(F)
     g = abnormal_generators(F, 2, goh)[0]
     cert = divergence_certificate(g, F, goh)
-    assert [f.name for f in fields(F)] == ["fields", "normal_form", "name"]
+    assert [f.name for f in fields(F)] == ["fields", "name"]
+    assert [f.name for f in fields(F) if f.kw_only] == ["name"]
     assert [f.name for f in fields(g)] == ["I", "Y", "coefficients", "Z",
                                            "reduced_coefficients", "p_degree"]
     assert [f.name for f in fields(cert)] == ["subject", "phase_divergence", "base_constant",
@@ -1037,8 +1062,8 @@ def test_a_seed_the_locus_search_cannot_move_is_off_the_locus(monkeypatch):
     calls = []
     search = abnormal._project_onto_locus
 
-    def recorded(minors, x):
-        calls.append((minors, x, search(minors, x)))
+    def recorded(minors, x, box):
+        calls.append((minors, x, search(minors, x, box)))
         return calls[-1][2]
 
     monkeypatch.setattr(abnormal, "_project_onto_locus", recorded)
@@ -1062,13 +1087,17 @@ def _minors(*texts):
     return [parse_expression(t, Space(2)) for t in texts]
 
 
+# the sampler's default box
+BOX = (Fraction(-1), Fraction(1))
+
+
 def test_locus_search_moves_onto_exact_rational_roots():
     x = (Fraction(0), Fraction(1, 2))
     # x1 reaches 1/1000003 before x2 is tried
-    assert _project_onto_locus(_minors("(1000003*x1 - 1)*(x2 + 1)"), x) == \
+    assert _project_onto_locus(_minors("(1000003*x1 - 1)*(x2 + 1)"), x, BOX) == \
         (Fraction(1, 1000003), Fraction(1, 2))
     # no rational root: no coordinate moves
-    assert _project_onto_locus(_minors("x1^2 - 2"), x) is None
+    assert _project_onto_locus(_minors("x1^2 - 2"), x, BOX) is None
     # every returned point makes every minor vanish exactly
     rng = random.Random(2)
     reached = 0
@@ -1077,7 +1106,8 @@ def test_locus_search_moves_onto_exact_rational_roots():
                    f"{rng.randint(1, 5)})" for _ in range(3)]
         minors = _minors(f"{factors[0]}*{factors[1]}", f"{factors[0]}*{factors[2]}")
         start = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(2))
-        point = _project_onto_locus(minors, start)
+        # every root of these linear factors lies in [-8, 8]
+        point = _project_onto_locus(minors, start, (Fraction(-8), Fraction(8)))
         if point is not None:
             reached += 1
             assert sum(a != b for a, b in zip(point, start)) <= 1
@@ -1101,11 +1131,27 @@ def test_locus_search_tries_roots_in_the_documented_order():
     # unless another minor rules it out
     minor = "(x1 - 1/3)^2*(x1 + 2/7)*(x2 + 1)"
     x = (Fraction(0), Fraction(1, 2))
-    assert _project_onto_locus(_minors(minor), x) == (third, Fraction(1, 2))
-    assert _project_onto_locus(_minors(minor, "7*x1 + 2"), x) == (-two_sevenths, Fraction(1, 2))
+    assert _project_onto_locus(_minors(minor), x, BOX) == (third, Fraction(1, 2))
+    assert _project_onto_locus(_minors(minor, "7*x1 + 2"), x, BOX) == \
+        (-two_sevenths, Fraction(1, 2))
     # a minor x2 + 1 rules out every root in x1, so x2 moves instead
-    assert _project_onto_locus(_minors(minor, "x2 + 1"), (Fraction(1), Fraction(1, 2))) == \
+    assert _project_onto_locus(_minors(minor, "x2 + 1"), (Fraction(1), Fraction(1, 2)), BOX) == \
         (Fraction(1), Fraction(-1))
+
+
+def test_locus_search_keeps_to_the_box():
+    # a root outside the box is passed over for the next one inside it
+    minors = _minors("(x1 - 1/3)^2*(x1 + 2/7)*(x2 + 1)")
+    quarter, half, three_quarters = Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
+    assert _project_onto_locus(minors, (-quarter, -quarter), (-half, Fraction(0))) == \
+        (Fraction(-2, 7), -quarter)
+    # with no root of x1 inside, x2 moves, and with none of x2 either, nothing
+    assert _project_onto_locus(minors, (-three_quarters,) * 2, (Fraction(-1), -half)) == \
+        (-three_quarters, Fraction(-1))
+    assert _project_onto_locus(minors, (three_quarters,) * 2, (half, Fraction(1))) is None
+    # a box bound is inside the box
+    assert _project_onto_locus(minors, (half, half), (Fraction(1, 3), Fraction(1))) == \
+        (Fraction(1, 3), half)
 
 
 def test_locus_search_work_is_bounded():
@@ -1118,7 +1164,7 @@ def test_locus_search_work_is_bounded():
     assert a == 3272455105920000
     cubic = [parse_expression(f"{a} + x1^2 + {a}*x1^3", Space(1))]
     start = time.perf_counter()
-    assert _project_onto_locus(cubic, (Fraction(0),)) is None
+    assert _project_onto_locus(cubic, (Fraction(0),), (Fraction(-a), Fraction(a))) is None
     assert time.perf_counter() - start < 1
     # the root of a linear polynomial is read off, whatever its coefficients
     for p, q in ((1, a), (10007 * 10009, a), (-a, 10007 * 10009)):

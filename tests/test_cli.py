@@ -522,6 +522,29 @@ def test_stratify_reads_the_box_exactly(capsys, tmp_path, box, shown):
                for w in level["witnesses"] for v in w["x"])
 
 
+@pytest.mark.parametrize("doc, box, dims", [
+    # x2 + x3 = 0 has no point with x2, x3 in [0.5, 0.9]
+    (DEMOS["dim6-cubic"].to_spec(), "0.5,0.9", [1]),
+    (DEMOS["dim6-cubic"].to_spec(), "-0.5,0.5", [1, 3]),
+    # martinet's locus x1 = 0 lies outside the box
+    ({"dimension": 3, "rank": 2, "normal_form": ["0", "x1^2"]}, "0.0156250001,0.05", [0]),
+])
+def test_stratify_keeps_locus_witnesses_inside_the_box(capsys, tmp_path, doc, box, dims):
+    # the walk moves a coordinate only to a root inside --box, so a level
+    # whose locus misses the box is not reported
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "stratify", "--seed", "7", "--samples", "16", f"--box={box}",
+                       "--frame", str(path), "--json")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert results["dims"] == dims
+    lo, hi = (Fraction(float(v)) for v in box.split(","))
+    for level in results["levels"]:
+        assert level["witnesses"]
+        assert all(lo <= Fraction(v) <= hi for w in level["witnesses"] for v in w["x"]), level
+
+
 def test_stratify_makes_no_float_decision(capsys, tmp_path):
     # there is no float screen, so no tolerance to set: a usage error
     with pytest.raises(SystemExit) as exc:
@@ -611,6 +634,55 @@ def test_integrate_below_generic_goh_rank_is_an_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT
     report = json.loads(out)
     assert report["command"] == "integrate" and "singular set" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--from", "0.1,0.1,0.1", "--T", "0.02", "--h", "0.01"],
+    ["scan-div", "--seed", "5", "--samples", "8"],
+], ids=lambda argv: argv[0])
+def test_numeric_commands_name_the_normal_form_they_need(capsys, tmp_path, argv):
+    # GENERAL has corank 1 but its fields do not read X^i = d_i + A_i d_n
+    argv = [*argv, "--frame", general_file(tmp_path)]
+    message = f"{argv[0]} needs the corank-1 normal form X^i = d_i + A_i d_n"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_INPUT and json.loads(out)["error"] == message
+
+
+def _fields_file(tmp_path, name):
+    """The demo's frame written as a ``fields`` document, keeping its name."""
+    F = DEMOS[name].build()
+    path = tmp_path / f"{name}-fields.json"
+    path.write_text(json.dumps({"dimension": F.n, "rank": F.m, "name": name, "fields": [
+        [str(c) for c in X.components] for X in F.fields]}), encoding="utf-8")
+    return str(path)
+
+
+ONE_PATH = [["goh"], ["pfaffian", "--minors", "2"], ["generators"], ["certify"],
+            ["singular-set"], ["stratify", "--seed", "7", "--samples", "16"],
+            ["integrate", "--T", "0.05", "--h", "0.01"],
+            ["scan-div", "--seed", "5", "--samples", "64"]]
+
+
+@pytest.mark.parametrize("argv", ONE_PATH, ids=lambda argv: argv[0])
+def test_a_fields_document_in_normal_form_is_its_normal_form_document(capsys, tmp_path, argv):
+    # the normal form is read off the fields, so both spellings of a demo
+    # take one path: the same text, and the same --json results
+    for name in demo_names():
+        command = argv
+        if argv[0] == "integrate":
+            if name == "martinet":
+                continue  # its generators flow only on the singular set
+            command = [*argv, "--from", ",".join(["0.1"] * DEMOS[name].dimension)]
+        reports = []
+        for frame in (frame_file(tmp_path, name), _fields_file(tmp_path, name)):
+            code, text, err = run(capsys, *command, "--frame", frame)
+            assert (code, err) == (EXIT_OK, ""), (name, err)
+            code, out, _ = run(capsys, *command, "--frame", frame, "--json")
+            assert code == EXIT_OK, name
+            reports.append((text, json.loads(out)["results"]))
+        assert reports[0] == reports[1], name
 
 
 def test_integrate_evaluates_no_costate(capsys, tmp_path):

@@ -590,8 +590,9 @@ def test_float_outputs_depend_only_on_polynomial_values():
     reached = 0
     for _ in range(20):
         x = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(6))
-        point = _project_onto_locus(minors, x)
-        assert point == _project_onto_locus(other, x), x
+        box = (Fraction(-1), Fraction(1))
+        point = _project_onto_locus(minors, x, box)
+        assert point == _project_onto_locus(other, x, box), x
         reached += point is not None
     assert reached
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import matvec, random_general_frame
-from singfol.abnormal import kernel_dim_at, goh_matrix
+from singfol.abnormal import abnormal_generators, divergence_certificate, goh_matrix, kernel_dim_at
 from singfol.demos import demo_frame
 from singfol.exactpoly import JetSeries, Polynomial, Space, parse_expression
 from singfol.normalform import (
@@ -145,6 +145,21 @@ def test_normalize_frame_reaches_normal_stage():
         assert N.is_normal()
         # corank-1 fixtures are already in normal form: fixed points
         assert N.components == JF.components
+
+
+def test_a_normalized_corank1_frame_takes_the_normal_form_path():
+    # the normal form is read off the fields the sweep returns, so the
+    # normalized general frame has an omega and base certificates
+    s = Space(3)
+    F = Frame((base_field(s, "1+x1+x2+x3", "x2", "x3"), base_field(s, "x3", "1+x1-x2", "x1*x3")))
+    assert F.omega is None
+    N = normalize_frame(JetFrame.from_frame(F, 3)).to_frame()
+    assert N.normal_form == tuple(X.components[-1] for X in N.fields)
+    assert N.omega is not None
+    goh = goh_matrix(N)
+    certificates = [divergence_certificate(g, N, goh) for g in abnormal_generators(N, 0, goh)]
+    assert [c.base_constant for c in certificates] == [1, 1]
+    assert all(c.ok() for c in certificates)
 
 
 def test_normalize_random_frames_stage_predicates():

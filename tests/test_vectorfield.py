@@ -246,9 +246,24 @@ def test_frame_normal_form_consistency():
     A = [parse_expression("0", s), parse_expression("x1", s)]
     F = Frame.corank1(3, A)
     assert F.fields[1] == base_field(s, "0", "1", "x1")
-    bad = (base_field(s, "1", "0", "0"), base_field(s, "0", "1", "x2"))
-    with pytest.raises(ValueError):
-        Frame(bad, tuple(A))
+    assert F.normal_form == tuple(A)
+    # the normal form is read off those fields, however they were built
+    other = (base_field(s, "1", "0", "0"), base_field(s, "0", "1", "x2"))
+    assert Frame(other).normal_form == (A[0], parse_expression("x2", s))
+    assert Frame(F.fields, name="heisenberg").normal_form == F.normal_form
+    # fields off the pattern X^i = d_i + A_i d_n have none, nor an omega
+    off = [
+        (base_field(s, "1", "x1", "0"), base_field(s, "0", "1", "x1")),
+        (base_field(s, "0", "1", "x1"), base_field(s, "1", "0", "0")),
+        (base_field(s, "2", "0", "0"), base_field(s, "0", "1", "x1")),
+        (base_field(s, "1", "0", "0"),),
+    ]
+    for fields in off:
+        assert Frame(fields).normal_form is None and Frame(fields).omega is None
+    # a normal form is no argument: the name is keyword-only, so a stale
+    # positional normal form cannot silently become the name
+    with pytest.raises(TypeError):
+        Frame(other, ("x1",))
 
 
 def test_annihilator_basis():
