@@ -45,7 +45,7 @@ from itertools import combinations
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import (Polynomial, SingfolError, _add_terms, _as_fraction, _exact_pairs,
+from singfol.exactpoly import (Polynomial, SingfolError, _as_fraction, _exact_pairs, _Sum,
                                _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
@@ -152,12 +152,12 @@ class GohMatrix:
     def _cyclic_sum(self, T: tuple[int, int, int], partials: dict) -> Polynomial:
         """J(T) = {h^a, H[b,c]} - {h^b, H[a,c]} + {h^c, H[a,b]} for
         T = (a, b, c), a < b < c, each product added straight into one
-        dictionary.  Each bracket differentiates along the Hamiltonian field
+        sum.  Each bracket differentiates along the Hamiltonian field
         of its h^j; the partial of a stored entry H[k,l] in the variable
         ``pos`` is taken only behind a nonzero component of that field, and
         is read from or stored in ``partials`` under (k, l, pos)."""
         a, b, c = T
-        acc: dict = {}
+        acc = _Sum()
         for j, k, l, sign in ((a, b, c, 1), (b, a, c, -1), (c, a, b, 1)):
             entry = self.H.upper.get((k, l))
             if entry is None:
@@ -168,8 +168,8 @@ class GohMatrix:
                     if dg is None:
                         dg = partials[(k, l, pos)] = entry.partial(pos)
                     if dg:
-                        _add_terms(acc, (comp * dg).terms, sign)
-        return Polynomial._trusted(self.H.space, acc)
+                        acc.add_product(comp, dg, sign)
+        return acc.polynomial(self.H.space)
 
     @cached_property
     def jacobi_failure(self) -> tuple[tuple[int, int, int], Polynomial] | None:
@@ -449,11 +449,12 @@ def divergence_certificate(g: AbnormalGenerator, F: Frame,
         if combo.is_zero():
             base_constant = Fraction(0)
             base_residual = div_z
+            base_coeffs = (Polynomial.zero(F.space),) * len(g.I)
         else:
-            exps, coeff = combo.sorted_terms()[0]
+            exps, coeff = combo.leading_term()
             base_constant = div_z.coefficient(exps) / coeff
             base_residual = div_z - combo * base_constant
-        base_coeffs = tuple(dA[j - 1] * base_constant for j in g.I)
+            base_coeffs = tuple(dA[j - 1] * base_constant for j in g.I)
     cert = DivergenceCertificate(g.I, phase_div, base_constant, base_coeffs, base_residual)
     if not phase_div.is_zero():
         raise failure(f"phase divergence of Y_{g.I} is nonzero", phase_div)
@@ -600,7 +601,7 @@ def _divisors(N: int) -> list[int] | None:
     return sorted(divisors + [a * N for a in divisors] if N > 1 else divisors)
 
 
-def _rational_roots(coeffs: Sequence[Fraction]):
+def _rational_roots(coeffs: Sequence[int | Fraction]):
     """The distinct rational roots of sum over i of coeffs[i] t^i, by the
     rational root theorem on its coefficients scaled to coprime ints.
 
@@ -652,14 +653,22 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
     coordinate reaches the locus inside the box.
     """
     nonzero = [q for q in minors if not q.is_zero()]
+    # x = a/D; the coefficients of the frozen minor, all scaled by one
+    # positive int, have the same rational roots
+    ratios = [v.as_integer_ratio() for v in x]
+    D = math.lcm(*(q for _, q in ratios))
+    a = [v * (D // q) for v, q in ratios]
     for k in range(len(x)):
         lead = next((q for q in nonzero if q.degree_in(k) > 0), None)
         if lead is None:
             continue
-        coeffs = [Fraction(0)] * (lead.degree_in(k) + 1)
-        for exps, c in lead.terms.items():
-            coeffs[exps[k]] += c * math.prod(x[pos] ** e for pos, e in enumerate(exps)
-                                             if e and pos != k)
+        top = max(sum(exps) - exps[k] for exps in lead._num)
+        coeffs = [0] * (lead.degree_in(k) + 1)
+        for exps, c in lead._num.items():
+            for pos, e in enumerate(exps):
+                if e and pos != k:
+                    c *= a[pos] ** e
+            coeffs[exps[k]] += c * D ** (top - sum(exps) + exps[k])
         for root in _rational_roots(coeffs):
             if not box[0] <= root <= box[1]:
                 continue

@@ -2,54 +2,56 @@
 
 A polynomial lives in a :class:`Space` holding ``n`` base variables
 ``x1..xn`` and, optionally, ``n`` fiber variables ``p1..pn`` (cotangent
-coordinates).  Terms are stored as a dictionary mapping exponent tuples to
-``Fraction`` coefficients:
+coordinates).  It is stored as integer numerators over one denominator:
+``_num`` maps exponent tuples to nonzero ints, ``_den`` is an int > 0.
 
-    x1^2*p3 - 3/2  ->  {(2,0,0,0,0,1): Fraction(1), (0,...,0): Fraction(-3,2)}
+    x1^2*p3 - 3/2  ->  _num = {(2,0,0,0,0,1): 2, (0,...,0): -3}, _den = 2
 
-Exponent tuples have one slot per variable, base block first.  Zero
-coefficients are never stored, so two polynomials are equal iff their term
-dictionaries are equal.  Coefficients are arbitrary-precision rationals;
-every zero test is exact.
+Exponent tuples have one slot per variable, base block first.  The form is
+canonical: no zero numerator is stored, and ``_den`` shares no factor with
+all the numerators (``_den`` is 1 for the zero polynomial), as in FLINT's
+``fmpq_poly``.  So two polynomials are equal iff their ``(_den, _num)``
+are, and every zero test is exact.  Every ring operation, partial,
+substitution and reshape runs on ints; a ``Fraction`` is built only where a
+coefficient leaves the kernel: printing, :meth:`Polynomial.sorted_terms`,
+:meth:`Polynomial.coefficient` and the :attr:`Polynomial.terms` view, whose
+``len`` and iteration read ``_num`` alone.
 
 Printing sorts terms by descending (total degree, exponent tuple), i.e. a
 graded lexicographic order with x1 < ... < xn < p1 < ... < pn, so output is
 deterministic and round-trips through :func:`parse_expression`.
 
-Term-dictionary invariants.  Every stored dictionary has tuple keys of
-length ``space.nvars`` and nonzero ``Fraction`` values.  The public
-constructor enforces them; ``Polynomial._trusted`` wraps a dictionary that
-already meets them without a check.  One primitive adds one dictionary
-into another in place (:func:`_add_terms`), and one helper sums products
-``a * b`` into one dictionary through it (:func:`_sum_products`); a sign
-sits in a factor (``-a``).  The hottest sums, the Lie bracket
-(``vectorfield``), the Pfaffian recursion and derivative sums
-(``pfaffian``) and the cyclic Jacobi sums (``abnormal``), instead call
-``_add_terms`` with the sign on a fresh dictionary of their own and wrap it
-with ``_trusted``, so that no factor is negated; ``_trusted`` wraps
-otherwise only the disjoint reshape of ``vectorfield.hamiltonian_lift``.
+One accumulator sums polynomials and products (:class:`_Sum`): numerators
+over one denominator, rescaled only when a summand's denominator does not
+divide it, reduced to canonical form once at the end.  Its
+:meth:`_Sum.add_product` multiplies straight into the sum, with the sign as
+an argument, so no product dictionary is built and no factor is negated.
+Every product goes through it, :meth:`Polynomial.__mul__` included, and so
+do the Lie bracket (``vectorfield``), the Pfaffian recursion and derivative
+sums (``pfaffian``), the cyclic Jacobi sums (``abnormal``) and
+:func:`_sum_products`, which sums the products ``a * b`` of given pairs.
+:func:`_polynomial` wraps numerators that need no check; it is the
+constructor of every result.
 
 Every output is a function of the polynomial's value alone: the float layer
 sums terms in the printing order (:meth:`Polynomial._float_terms`), so
 insertion order is never output.
 
 Exact point values run on ints.  A polynomial valued at a rational point
-keeps its integer form in the slot ``_exact``: integer numerators over one
-common denominator, and the nonzero exponents and total degree of each
-term.  The slot is set on first use, never by the constructors, which run
-far more often than points are valued; equality, hashing and printing do not
-read it.  The point is written as integer numerators over one common
-denominator too, so a value is a sum of ints, normalized into one Fraction
-at the end (:func:`_exact_pairs`).  A rational has one canonical Fraction,
-so every value equals the term-by-term Fraction sum.
+keeps, in the slot ``_exact``, its numerators with the nonzero exponents and
+total degree of each term.  The slot is set on first use, never by the
+constructors, which run far more often than points are valued; equality,
+hashing and printing do not read it.  The point is written as integer
+numerators over one common denominator too, so a value is a sum of ints,
+normalized into one Fraction at the end (:func:`_exact_pairs`).  A rational
+has one canonical Fraction, so every value equals the term-by-term Fraction
+sum.
 
 Callers test for zero before they build a product: :func:`_sum_products`
 skips a pair with a zero operand, and the brackets, Pfaffian expansions and
 :meth:`Polynomial.substitute` skip a zero factor lazily, before they
 differentiate or multiply, so a sum is given only the products formed.  An
-empty product adds nothing to a sum.  Subtracting ``a * b`` is adding
-``(-a) * b`` term for term, so a sign may sit in ``_add_terms`` or in a
-factor.
+empty product adds nothing to a sum.
 
 The module also provides truncated power series in the base variables
 (:class:`JetSeries`) and a recursive-descent parser for the expression
@@ -60,9 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from collections.abc import Mapping
+from math import comb, gcd, lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "Space",
@@ -175,82 +178,135 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
-def _add_terms(acc: dict, terms: Mapping[tuple, Fraction], sign: int = 1) -> None:
-    """Add ``terms`` into ``acc`` in place (subtract when ``sign`` < 0); a
-    key whose coefficient cancels is removed."""
-    for exps, coeff in terms.items():
-        old = acc.get(exps)
-        if old is None:
-            acc[exps] = coeff if sign > 0 else -coeff
-            continue
-        new = old + coeff if sign > 0 else old - coeff
-        if new:
-            acc[exps] = new
-        else:
-            del acc[exps]
+def _as_ratio(value) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an int or Fraction, denominator > 0."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.as_integer_ratio()
+    return _as_fraction(value).as_integer_ratio()
 
 
-def _integer_terms(terms: Mapping[tuple, Fraction]) -> tuple[list, int]:
-    """Items with coefficients scaled to ints by the common denominator d."""
-    ratios = [(e, c.as_integer_ratio()) for e, c in terms.items()]
-    d = lcm(*{q for _, (_, q) in ratios})
-    return [(e, p * (d // q)) for e, (p, q) in ratios], d
+def _degree_key(exps: tuple) -> tuple:
+    """The printing order's key: total degree, then the exponent tuple."""
+    return sum(exps), exps
 
 
-def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
-               order: int | None = None) -> dict:
-    """Product of two term dictionaries, skipping every pair whose total
-    degree exceeds ``order`` (when given).
+def _is_constant(num: dict) -> bool:
+    """Whether ``num`` is one term with every exponent 0."""
+    return len(num) == 1 and not any(next(iter(num)))
 
-    Coefficients run on ints scaled by the common denominators; the scale is
-    a nonzero constant, so every zero test agrees with a Fraction loop.
+
+class _Sum:
+    """A sum of polynomials and of products of polynomials, accumulated in
+    place as int numerators ``num`` over one denominator ``den``.
+
+    A summand over d adds its numerators times den/d; ``num`` is rescaled
+    only when d does not divide ``den``.  :meth:`add_product` multiplies
+    straight into the sum, with no product dictionary.  A key whose
+    numerator cancels is removed, so every zero test is exact.
+    :meth:`polynomial` reduces the sum to canonical form; the sum is not
+    used after it.
     """
-    if not a or not b:
-        return {}
-    a_items, da = _integer_terms(a)
-    b_items, db = _integer_terms(b)
-    inner_by_limit: dict[int, list] = {}
-    out: dict = {}
-    for ea, ca in a_items:
-        inner = b_items
-        if order is not None:
-            limit = order - sum(ea)
-            inner = inner_by_limit.get(limit)
-            if inner is None:
-                inner = [(eb, cb) for eb, cb in b_items if sum(eb) <= limit]
-                inner_by_limit[limit] = inner
-        for eb, cb in inner:
-            key = tuple(map(add, ea, eb))
-            old = out.get(key)
+
+    __slots__ = ("num", "den")
+
+    def __init__(self):
+        self.num: dict = {}
+        self.den = 1
+
+    def _factor(self, den: int) -> int:
+        """The factor that puts numerators over ``den`` on the sum's
+        denominator, rescaling the sum first when ``den`` does not divide it."""
+        if den == self.den:
+            return 1
+        new = lcm(self.den, den)
+        if new != self.den:
+            f, num = new // self.den, self.num
+            for e in num:
+                num[e] *= f
+            self.den = new
+        return new // den
+
+    def _add(self, terms: dict, k: int) -> None:
+        """Add k times the numerators ``terms`` (already on ``den``)."""
+        acc = self.num
+        if not acc:
+            self.num = dict(terms) if k == 1 else {e: c * k for e, c in terms.items()}
+            return
+        for e, c in terms.items():
+            old = acc.get(e)
             if old is None:
-                out[key] = ca * cb
-                continue
-            new = old + ca * cb
-            if new:
-                out[key] = new
+                acc[e] = c * k
+            elif new := old + c * k:
+                acc[e] = new
             else:
-                del out[key]
-    scale = da * db
-    if scale == 1:
-        return {e: Fraction(v) for e, v in out.items()}
-    return {e: Fraction(v, scale) for e, v in out.items()}
+                del acc[e]
 
+    def add(self, poly: "Polynomial", sign: int = 1) -> None:
+        """Add ``poly`` (subtract it when ``sign`` is -1)."""
+        if poly._num:
+            self._add(poly._num, self._factor(poly._den) * sign)
 
-def _is_constant(terms: Mapping[tuple, Fraction]) -> bool:
-    """Whether ``terms`` is one term with every exponent 0."""
-    return len(terms) == 1 and not any(next(iter(terms)))
+    def add_product(self, a: "Polynomial", b: "Polynomial", sign: int = 1,
+                    order: int | None = None) -> None:
+        """Add ``sign * a * b``, skipping every pair of terms whose total
+        degree exceeds ``order`` (when given).  A constant operand scales the
+        other one, as a scalar does; callers skip a zero operand."""
+        an, bn = a._num, b._num
+        if order is None:
+            if _is_constant(bn):
+                an, bn = bn, an
+            if _is_constant(an):
+                (c,) = an.values()
+                self._add(bn, self._factor(a._den * b._den) * sign * c)
+                return
+        self._multiply(an, bn, self._factor(a._den * b._den) * sign, order)
+
+    def _multiply(self, an: dict, bn: dict, k: int, order: int | None) -> None:
+        """Add k times the product of the numerators ``an`` and ``bn``: the
+        loop over pairs of terms."""
+        acc = self.num
+        inner_by_limit: dict[int, list] = {}
+        b_items = bn.items()
+        for ea, ca in an.items():
+            ca *= k
+            inner = b_items
+            if order is not None:
+                limit = order - sum(ea)
+                inner = inner_by_limit.get(limit)
+                if inner is None:
+                    inner = inner_by_limit[limit] = [(eb, cb) for eb, cb in b_items
+                                                     if sum(eb) <= limit]
+            for eb, cb in inner:
+                key = tuple(map(add, ea, eb))
+                old = acc.get(key)
+                if old is None:
+                    acc[key] = ca * cb
+                elif new := old + ca * cb:
+                    acc[key] = new
+                else:
+                    del acc[key]
+
+    def polynomial(self, space: Space) -> "Polynomial":
+        return _polynomial(space, self.num, self.den)
 
 
 def _sum_products(space: Space, pairs) -> "Polynomial":
-    """The sum of ``a * b`` over ``pairs``, each product added into one
-    dictionary by :func:`_add_terms`.  A pair with a falsy operand (an
-    empty Polynomial, ``Fraction(0)``) is skipped: its product is empty and
-    would add nothing."""
-    acc: dict = {}
+    """The sum of ``a * b`` over ``pairs``, each operand a Polynomial, an int
+    or a Fraction.  A pair with a falsy operand (an empty Polynomial,
+    ``Fraction(0)``) is skipped: its product is empty and would add nothing;
+    a pair ``(1, b)`` adds ``b``."""
+    acc = _Sum()
     for a, b in pairs:
         if a and b:
-            _add_terms(acc, (a * b).terms)
-    return Polynomial._trusted(space, acc)
+            if type(a) is int and a == 1:
+                acc.add(b)
+            elif isinstance(a, Polynomial) and isinstance(b, Polynomial):
+                acc.add_product(a, b)
+            else:
+                acc.add(a * b)
+    return acc.polynomial(space)
 
 
 def _exact_pairs(point: Sequence):
@@ -263,7 +319,7 @@ def _exact_pairs(point: Sequence):
     ``form`` defaults to the polynomial's cached form.  A point of another
     length raises ``ValueError``.
     """
-    ratios = [(v, 1) if type(v) is int else _as_fraction(v).as_integer_ratio() for v in point]
+    ratios = [_as_ratio(v) for v in point]
     D = lcm(*(q for _, q in ratios))
     nums = [a * (D // q) for a, q in ratios]
     powers: dict[tuple[int, int], int] = {}
@@ -301,51 +357,81 @@ def _eval_float_form(form, point: Sequence[float]) -> float:
     return total
 
 
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms, exponent tuple -> Fraction.
+
+    ``len``, iteration and membership read the int numerators; a Fraction
+    is built per coefficient only when one is read.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, exps) -> Fraction:
+        return Fraction(self._num[exps], self._den)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __contains__(self, exps) -> bool:
+        return exps in self._num
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("space", "terms", "_exact")
+    __slots__ = ("space", "_num", "_den", "_exact")
 
     def __init__(self, space: Space, terms: Mapping[tuple, Fraction] | None = None):
-        object.__setattr__(self, "space", space)
-        clean = {}
+        _set_space(self, space)
+        ratios = {}
         if terms:
             nv = space.nvars
             for exps, coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if coeff == 0:
+                p, q = _as_ratio(coeff)
+                if p == 0:
                     continue
                 if len(exps) != nv:
                     raise SpaceMismatchError(
                         f"exponent tuple of length {len(exps)} in a space with {nv} variables"
                     )
-                clean[tuple(exps)] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, space: Space, terms: dict) -> "Polynomial":
-        """Wrap ``terms`` without validation or copying.
-
-        Only for library code whose dictionary already meets the invariants
-        in the module docstring and is not modified afterwards.
-        """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "space", space)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+                ratios[tuple(exps)] = p, q
+        if not ratios:
+            _set_num(self, {})
+            _set_den(self, 1)
+            return
+        # the lcm of reduced denominators leaves no common factor to divide out
+        den = lcm(*(q for _, q in ratios.values()))
+        _set_num(self, {e: p * (den // q) for e, (p, q) in ratios.items()})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """The terms, exponent tuple -> nonzero Fraction, as a read-only view."""
+        return _Terms(self._num, self._den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, space: Space) -> "Polynomial":
-        return cls._trusted(space, {})
+        return _polynomial(space, {})
 
     @classmethod
     def constant(cls, space: Space, value) -> "Polynomial":
-        return cls(space, {(0,) * space.nvars: _as_fraction(value)})
+        p, q = _as_ratio(value)
+        return _polynomial(space, {(0,) * space.nvars: p} if p else {}, q, reduce=False)
 
     @classmethod
     def variable(cls, space: Space, pos: int) -> "Polynomial":
@@ -353,48 +439,56 @@ class Polynomial:
             raise IndexError(f"variable position {pos} out of range")
         exps = [0] * space.nvars
         exps[pos] = 1
-        return cls(space, {tuple(exps): Fraction(1)})
+        return _polynomial(space, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, space: Space, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(space, {tuple(exps): _as_fraction(coeff)})
+        return cls(space, {tuple(exps): coeff})
 
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        return (self.space == other.space and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
+        return hash((self.space, self._den, frozenset(self._num.items())))
 
     def total_degree(self) -> int:
         """Max total degree over stored terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def degree_in(self, pos: int) -> int:
-        return max((e[pos] for e in self.terms), default=0)
+        return max((e[pos] for e in self._num), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.space.nvars, Fraction(0))
+        return self.coefficient((0,) * self.space.nvars)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._num.get(tuple(exps), 0), self._den)
 
-    def _p_degree(self, exps: tuple) -> int:
+    def leading_term(self) -> tuple[tuple, Fraction]:
+        """The first term in the printing order (:meth:`sorted_terms`); the
+        polynomial must be nonzero."""
+        exps = max(self._num, key=_degree_key)
+        return exps, Fraction(self._num[exps], self._den)
+
+    def _p_degrees(self):
+        """The fiber degree of each term."""
         n = self.space.n
-        return sum(exps[n:]) if self.space.fiber else 0
+        return (sum(e[n:]) for e in self._num) if self.space.fiber else (0 for _ in self._num)
 
     def p_degree(self) -> int:
         """Max degree in the fiber variables; 0 for base polynomials."""
-        return max((self._p_degree(e) for e in self.terms), default=0)
+        return max(self._p_degrees(), default=0)
 
     def p_homogeneous_degree(self) -> int | None:
         """Common fiber degree of all terms, or None.
@@ -403,7 +497,7 @@ class Polynomial:
         None when the degrees are mixed and also for the zero polynomial
         (callers distinguish via :meth:`is_zero`).
         """
-        degs = {self._p_degree(e) for e in self.terms}
+        degs = set(self._p_degrees())
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -420,9 +514,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_space(other)
-        out = dict(self.terms)
-        _add_terms(out, other.terms, sign)
-        return Polynomial._trusted(self.space, out)
+        if not other._num:
+            return self
+        if not self._num:
+            return other if sign > 0 else -other
+        acc = _Sum()
+        acc.add(self)
+        acc.add(other, sign)
+        return acc.polynomial(self.space)
 
     def __add__(self, other) -> "Polynomial":
         return self._plus(other, 1)
@@ -430,7 +529,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.space, {e: -c for e, c in self.terms.items()})
+        return _polynomial(self.space, {e: -c for e, c in self._num.items()}, self._den,
+                           reduce=False)
 
     def __sub__(self, other) -> "Polynomial":
         return self._plus(other, -1)
@@ -441,22 +541,20 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             self._check_space(other)
-            # a constant operand scales the other one, as a scalar does
-            if _is_constant(other.terms):
-                other = next(iter(other.terms.values()))
-            elif _is_constant(self.terms):
-                self, other = other, next(iter(self.terms.values()))
-            else:
-                return Polynomial._trusted(self.space, _mul_terms(self.terms, other.terms))
+            acc = _Sum()
+            if self._num and other._num:
+                acc.add_product(self, other)
+            return acc.polynomial(self.space)
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Polynomial(self.space)
-            if c == 1:
+            p, q = _as_ratio(other)
+            if p == 0:
+                return Polynomial.zero(self.space)
+            if p == q:
                 # immutable, so the product may be self; every calibrated
                 # Pfaffian prefactor is 1
                 return self
-            return Polynomial._trusted(self.space, {e: c * v for e, v in self.terms.items()})
+            return _polynomial(self.space, {e: p * v for e, v in self._num.items()},
+                               q * self._den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -480,12 +578,11 @@ class Polynomial:
         if not 0 <= pos < self.space.nvars:
             raise IndexError(f"variable position {pos} out of range")
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, c in self._num.items():
             e = exps[pos]
-            if e == 0:
-                continue
-            out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = coeff * e
-        return Polynomial._trusted(self.space, out)
+            if e:
+                out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = c * e
+        return _polynomial(self.space, out, self._den)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -512,17 +609,16 @@ class Polynomial:
     def _exact_form(self, store: bool = True) -> tuple[tuple, int, int]:
         """The integer form ``(items, d, top)`` that exact point values read:
         one ``(((pos, e), ...), c, deg)`` per term, with the nonzero
-        exponents, the integer numerator c over the common denominator d and
-        the total degree; ``top`` is the top total degree.
+        exponents, the numerator c over the denominator d and the total
+        degree; ``top`` is the top total degree.
         Cached in the ``_exact`` slot on first use, unless ``store`` is false.
         """
         try:
             return self._exact
         except AttributeError:
-            ints, d = _integer_terms(self.terms)
             items = tuple((tuple((pos, e) for pos, e in enumerate(exps) if e), c, sum(exps))
-                          for exps, c in ints)
-            form = items, d, max((deg for _, _, deg in items), default=0)
+                          for exps, c in self._num.items())
+            form = items, self._den, max((deg for _, _, deg in items), default=0)
             if store:
                 object.__setattr__(self, "_exact", form)
             return form
@@ -543,15 +639,18 @@ class Polynomial:
         """The compiled float form: ``(float(coeff), ((pos, e), ...))`` per
         term in the printing order (:meth:`sorted_terms`), with the nonzero
         exponents only.  Float addition is not associative, so this one
-        order makes every float a function of the polynomial's value.
+        order makes every float a function of the polynomial's value.  The
+        coefficient is the int quotient numerator / denominator, correctly
+        rounded as ``float(Fraction)`` is, with no Fraction built.
 
         Compile once and evaluate many times: ``eval_float`` on one point,
         ``dynamics`` also on arrays of points, with the same arithmetic in
         the same order.  Not memoized: a float form lives as long as its
         caller holds it (the exact integer form is the one that is cached).
         """
-        return [(float(coeff), tuple((pos, e) for pos, e in enumerate(exps) if e))
-                for exps, coeff in self.sorted_terms()]
+        num, den = self._num, self._den
+        return [(num[exps] / den, tuple((pos, e) for pos, e in enumerate(exps) if e))
+                for exps in self._printing_order()]
 
     # -- substitution and reshaping ------------------------------------------
 
@@ -564,51 +663,60 @@ class Polynomial:
                 raise IndexError(f"variable position {pos} out of range")
         # cache powers of each replacement up to its max needed exponent; a
         # zero replacement has zero powers, and a term using one vanishes
-        one = Polynomial._trusted(self.space, {(0,) * self.space.nvars: Fraction(1)})
+        one = Polynomial.constant(self.space, 1)
         pow_cache: dict[int, list[Polynomial]] = {}
         for pos, rep in replacements.items():
-            top = max((e[pos] for e in self.terms), default=0)
             powers = [one]
-            for _ in range(top):
+            for _ in range(self.degree_in(pos)):
                 powers.append(powers[-1] * rep if rep else rep)
             pow_cache[pos] = powers
-        result: dict = {}
-        for exps, coeff in self.terms.items():
+        # the terms grouped by their exponents at the replaced positions: each
+        # group is one polynomial in the kept variables times one product of
+        # powers, whose last factor is multiplied straight into the sum
+        groups: dict[tuple, dict] = {}
+        for exps, c in self._num.items():
             kept = list(exps)
             for pos in replacements:
                 kept[pos] = 0
-            term = {tuple(kept): coeff}
-            for pos in replacements:
-                if exps[pos]:
-                    power = pow_cache[pos][exps[pos]].terms
-                    if not power:
-                        break
-                    term = _mul_terms(term, power)
-            else:
-                _add_terms(result, term)
-        return Polynomial._trusted(self.space, result)
+            groups.setdefault(tuple(exps[pos] for pos in replacements), {})[tuple(kept)] = c
+        acc = _Sum()
+        for es, num in groups.items():
+            factors = [pow_cache[pos][e] for pos, e in zip(replacements, es) if e]
+            if all(factors):
+                rest = _polynomial(self.space, num, self._den, reduce=False)
+                last = factors.pop() if factors else one
+                for power in factors:
+                    rest = rest * power
+                acc.add_product(rest, last)
+        return acc.polynomial(self.space)
 
     def lift_to_phase(self) -> "Polynomial":
         """Re-declare a base polynomial over the phase space (zero fiber block)."""
         if self.space.fiber:
             return self
-        phase = self.space.phase
         pad = (0,) * self.space.n
-        return Polynomial._trusted(phase, {e + pad: c for e, c in self.terms.items()})
+        return _polynomial(self.space.phase, {e + pad: c for e, c in self._num.items()},
+                           self._den, reduce=False)
 
     def truncate_total(self, order: int) -> "Polynomial":
         """Drop every term of total degree exceeding ``order``."""
-        return Polynomial._trusted(
-            self.space, {e: c for e, c in self.terms.items() if sum(e) <= order}
-        )
+        if all(sum(e) <= order for e in self._num):
+            return self
+        return _polynomial(self.space, {e: c for e, c in self._num.items() if sum(e) <= order},
+                           self._den)
 
     # -- printing -----------------------------------------------------------
 
+    def _printing_order(self) -> list[tuple]:
+        """The exponent tuples by descending (total degree, exponents)."""
+        return sorted(self._num, key=_degree_key, reverse=True)
+
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        num, den = self._num, self._den
+        return [(e, Fraction(num[e], den)) for e in self._printing_order()]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         chunks = []
         for exps, coeff in self.sorted_terms():
@@ -641,6 +749,35 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+# the slot setters of Polynomial, bound once: a Polynomial is immutable, so
+# its own __setattr__ raises
+_new = object.__new__
+_set_space = Polynomial.space.__set__
+_set_num = Polynomial._num.__set__
+_set_den = Polynomial._den.__set__
+
+
+def _polynomial(space: Space, num: dict, den: int = 1, reduce: bool = True) -> "Polynomial":
+    """Wrap int numerators over ``den`` > 0 without validation or copying.
+
+    With ``reduce``, the common factor of ``den`` and the numerators is
+    divided out, so the result is canonical whenever ``num`` holds no zero
+    and its keys fit the space; without it, the caller's data must already
+    be canonical.  ``num`` is not modified afterwards.
+    """
+    if den != 1:
+        if not num:
+            den = 1
+        elif reduce and (g := gcd(den, *num.values())) != 1:
+            num = {e: v // g for e, v in num.items()}
+            den //= g
+    poly = _new(Polynomial)
+    _set_space(poly, space)
+    _set_num(poly, num)
+    _set_den(poly, den)
+    return poly
 
 
 class JetSeries:
@@ -715,8 +852,10 @@ class JetSeries:
             return JetSeries(self.body * other, self.order)
         other = self._coerce(other)
         self.body._check_space(other.body)
-        body = _mul_terms(self.body.terms, other.body.terms, self.order)
-        return JetSeries(Polynomial._trusted(self.space, body), self.order)
+        acc = _Sum()
+        if self.body and other.body:
+            acc.add_product(self.body, other.body, order=self.order)
+        return JetSeries(acc.polynomial(self.space), self.order)
 
     __rmul__ = __mul__
 
@@ -730,14 +869,15 @@ class JetSeries:
         if c == 0:
             raise NonUnitError("series has zero constant term")
         w = JetSeries(Polynomial.constant(self.space, 1) - self.body * (1 / c), self.order)
-        acc = JetSeries.constant(self.space, 1, self.order)
-        power = acc
+        power = JetSeries.constant(self.space, 1, self.order)
+        acc = _Sum()
+        acc.add(power.body)
         for _ in range(self.order):
             power = power * w
             if power.is_zero():
                 break
-            acc = acc + power
-        return acc * (1 / c)
+            acc.add(power.body)
+        return JetSeries(acc.polynomial(self.space), self.order) * (1 / c)
 
     def __str__(self) -> str:
         return f"{self.body} + O(deg {self.order + 1})"

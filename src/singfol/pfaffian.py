@@ -37,7 +37,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_pairs, _sum_products
+from singfol.exactpoly import Polynomial, Space, _exact_pairs, _Sum, _sum_products
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -243,7 +243,7 @@ def _proportionality(target: Polynomial, raw: Polynomial) -> Fraction:
         if target.is_zero():
             return Fraction(0)
         raise ArithmeticError("calibration failed: raw sum is zero but target is not")
-    exps, coeff = raw.sorted_terms()[0]
+    exps, coeff = raw.leading_term()
     c = target.coefficient(exps) / coeff
     if raw * c != target:
         raise ArithmeticError("calibration failed: sides are not proportional")
@@ -266,15 +266,15 @@ def _raw_recursion_sum(A: SkewMatrix, I: tuple[int, ...], i0: int,
     """Sum of eps(I,i0) eps(I-i0,j) a_i0j sub(I-i0j) over the j in I with a
     stored entry a_i0j."""
     row, p0 = A._rows[i0], I.index(i0)
-    acc: dict = {}
+    acc = _Sum()
     for p, j in enumerate(I):
         entry = row.get(j)
         if entry is not None:
             phi = sub(_minor_without(I, p0, p))
             if phi:
                 a, sign = entry
-                _add_terms(acc, (a * phi).terms, sign * _cofactor_sign(p0, p))
-    return Polynomial._trusted(A.space, acc)
+                acc.add_product(a, phi, sign * _cofactor_sign(p0, p))
+    return acc.polynomial(A.space)
 
 
 def _recursion_prefactor(r: int) -> Fraction:
@@ -295,7 +295,7 @@ def _raw_derivative_sum(A: SkewMatrix, I: tuple[int, ...], d: Callable[[Polynomi
     """Sum of eps(I,i) eps(I-i,j) sub(I-ij) d(a_ij) over the ordered pairs
     (i, j) of I with a stored entry a_ij; ``d`` is linear, so it is applied
     to the stored value and the entry's sign goes with the product."""
-    acc: dict = {}
+    acc = _Sum()
     for p0, i in enumerate(I):
         row = A._rows[i]
         for p, j in enumerate(I):
@@ -306,8 +306,8 @@ def _raw_derivative_sum(A: SkewMatrix, I: tuple[int, ...], d: Callable[[Polynomi
                 if da:
                     phi = sub(_minor_without(I, p0, p))
                     if phi:
-                        _add_terms(acc, (phi * da).terms, sign * _cofactor_sign(p0, p))
-    return Polynomial._trusted(A.space, acc)
+                        acc.add_product(phi, da, sign * _cofactor_sign(p0, p))
+    return acc.polynomial(A.space)
 
 
 def _derivative_prefactor(r: int) -> Fraction:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _add_terms, _exact_pairs, _sum_products
+from singfol.exactpoly import Polynomial, Space, _exact_pairs, _polynomial, _Sum, _sum_products
 
 __all__ = [
     "VectorField",
@@ -232,7 +233,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
     Component k sums X_j dY_k/dx_j over the support (nonzero components)
     of X, and subtracts Y_j dX_k/dx_j over that of Y, each product added
-    straight into one dictionary; a partial is taken only of a nonzero
+    straight into one sum; a partial is taken only of a nonzero
     component, and a product only with a nonzero partial.
     """
     if X.space != Y.space:
@@ -241,13 +242,13 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     sy = [(j, c) for j, c in enumerate(Y.components) if c]
 
     def component(Xk: Polynomial, Yk: Polynomial) -> Polynomial:
-        acc: dict = {}
+        acc = _Sum()
         for sign, support, f in ((1, sx, Yk), (-1, sy, Xk)):
             if f:
                 for j, c in support:
                     if df := f.partial(j):
-                        _add_terms(acc, (c * df).terms, sign)
-        return Polynomial._trusted(X.space, acc)
+                        acc.add_product(c, df, sign)
+        return acc.polynomial(X.space)
     return VectorField([component(Xk, Yk) for Xk, Yk in zip(X.components, Y.components)])
 
 
@@ -255,16 +256,19 @@ def hamiltonian_lift(X: VectorField) -> Polynomial:
     """The momentum function p . X(x) of a base field (fiber-linear).
 
     Component k contributes its terms with the exponent of p_k raised to 1;
-    terms of different components never share a key.
+    terms of different components never share a key.  The numerators go
+    over the lcm of the components' denominators, which leaves no common
+    factor to divide out.
     """
     if X.space.fiber:
         raise ValueError("lift applies to base fields")
     n = X.space.n
     units = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
-    return Polynomial._trusted(X.space.phase, {
-        exps + unit: coeff
-        for comp, unit in zip(X.components, units) for exps, coeff in comp.terms.items()
-    })
+    den = lcm(*(comp._den for comp in X.components))
+    return _polynomial(X.space.phase, {
+        exps + unit: c * (den // comp._den)
+        for comp, unit in zip(X.components, units) for exps, c in comp._num.items()
+    }, den, reduce=False)
 
 
 def hamiltonian_vector_field(h: Polynomial) -> VectorField:

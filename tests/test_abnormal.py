@@ -543,14 +543,14 @@ def test_certify_path_forms_no_empty_product(monkeypatch):
     rng = random.Random(3)
     frames += [random_corank1_frame(rng, 7), random_corank1_frame(rng, 9)]
     products = {"all": 0, "empty": 0}
-    mul_terms = exactpoly._mul_terms
+    add_product = exactpoly._Sum.add_product
 
-    def counting(a, b, order=None):
+    def counting(acc, a, b, sign=1, order=None):
         products["all"] += 1
         products["empty"] += not a or not b
-        return mul_terms(a, b, order)
+        return add_product(acc, a, b, sign, order)
 
-    monkeypatch.setattr(exactpoly, "_mul_terms", counting)
+    monkeypatch.setattr(exactpoly._Sum, "add_product", counting)
     for F in frames:
         goh = goh_matrix(F)
         for r in range(0, F.m, 2):

@@ -541,7 +541,7 @@ def test_integrate_field_edge_cases_match_the_reference():
 
 
 def _reversed(poly):
-    return Polynomial(poly.space, dict(reversed(poly.terms.items())))
+    return Polynomial(poly.space, dict(reversed(list(poly.terms.items()))))
 
 
 def _inserted_otherwise(a, b):

@@ -418,28 +418,29 @@ def test_product_matches_reference_small_and_large():
 
 
 def test_constant_operand_scales_the_other(monkeypatch):
-    # a product with a constant polynomial is the _mul_terms product, terms
-    # in the same order, with the constant on either side
+    # a product with a constant polynomial, on either side, is the scalar
+    # product, terms in the same order, and runs no loop over term pairs
+    constant_operands = []
+    multiply = exactpoly._Sum._multiply
+
+    def counted(acc, an, bn, k, order):
+        if exactpoly._is_constant(an) or exactpoly._is_constant(bn):
+            constant_operands.append((an, bn))
+        return multiply(acc, an, bn, k, order)
+
+    monkeypatch.setattr(exactpoly._Sum, "_multiply", counted)
     rng = random.Random(8)
     space = Space(3)
-    constants = [Polynomial.constant(space, c) for c in (1, -1, Fraction(-7, 3), Fraction(5, 2))]
     for _ in range(30):
         f = random_polynomial(rng, space, rng.choice((1, 4, 12)), 3, _RATIONAL)
-        for c in constants + [Polynomial.zero(space)]:
-            want = exactpoly._mul_terms(f.terms, c.terms)
+        for value in (1, -1, Fraction(-7, 3), Fraction(5, 2), 0):
+            want = f * value
+            c = Polynomial.constant(space, value)
             for got in (f * c, c * f):
-                assert got.terms == want and list(got.terms) == list(want)
+                assert got == want and list(got.terms) == list(want.terms)
+    assert constant_operands == []
     # goh_matrix on a dense-4 frame like the dense-kernel workload's multiplies
     # by the constant component 1 of its fields through the scalar branch
-    constant_operands = []
-    mul_terms = exactpoly._mul_terms
-
-    def counted(a, b, order=None):
-        if exactpoly._is_constant(a) or exactpoly._is_constant(b):
-            constant_operands.append((a, b))
-        return mul_terms(a, b, order)
-
-    monkeypatch.setattr(exactpoly, "_mul_terms", counted)
     s4 = Space(4)
     F = Frame.corank1(4, [parse_expression(t, s4) for t in ("x2", "x4", "(2*x1 - x2 + x3 - 1)^16")])
     goh_matrix(F)
@@ -467,14 +468,76 @@ def test_in_place_sums_match_reference(seed, space):
     # cancel the first terms again, then bring one of them back
     signed += [(-sign, term) for sign, term in signed[:2]] + signed[:1]
     want = reference_sum(space, signed)
-    acc: dict = {}
+    acc = exactpoly._Sum()
     for sign, term in signed:
-        exactpoly._add_terms(acc, term.terms, sign)
-    assert acc == want.terms
+        acc.add(term, sign)
+    # a cancelled key is removed in place
+    assert set(acc.num) == set(want.terms) and 0 not in acc.num.values()
+    assert acc.polynomial(space) == want
     got = Polynomial.zero(space)
     for sign, term in signed:
         got = got + term if sign > 0 else got - term
     assert got == want
+
+
+def _assert_canonical(f: Polynomial):
+    """Int numerators, nonzero, over a denominator > 0 that shares no
+    factor with all of them (1 for zero); the constructor's Fraction path
+    gives the same polynomial, with the same hash."""
+    num, den = f._num, f._den
+    assert type(den) is int and den > 0 and math.gcd(den, *num.values()) == 1
+    assert all(type(c) is int and c for c in num.values())
+    assert all(type(e) is tuple and len(e) == f.space.nvars for e in num)
+    twin = Polynomial(f.space, dict(f.terms))
+    assert twin == f and hash(twin) == hash(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), _spaces)
+def test_every_operation_keeps_the_canonical_form(seed, space):
+    rng = random.Random(seed)
+    f, g = (random_polynomial(rng, space, rng.choice((1, 3, 8)), 3, _RATIONAL) for _ in range(2))
+    c = Fraction(rng.randint(-6, 6), rng.choice(_RATIONAL))
+    constant = Polynomial(space, {(0,) * space.nvars: c})
+    pos = rng.randrange(space.nvars)
+    order = rng.randint(0, 3)
+    reps = {p: random_polynomial(rng, space, 2, 1, _RATIONAL)
+            for p in rng.sample(range(space.nvars), 2)}
+    # substitution term by term on the reference product
+    substituted = []
+    for exps, coeff in f.terms.items():
+        kept = [0 if p in reps else e for p, e in enumerate(exps)]
+        term = Polynomial(space, {tuple(kept): coeff})
+        for p, rep in reps.items():
+            for _ in range(exps[p]):
+                term = reference_product(term, rep)
+        substituted.append((1, term))
+    cases = [
+        (f + g, reference_sum(space, [(1, f), (1, g)])),
+        (f - g, reference_sum(space, [(1, f), (-1, g)])),
+        (f - f, Polynomial.zero(space)),
+        (f * g, reference_product(f, g)),
+        (f * c, reference_product(f, constant)),
+        (c * f, reference_product(constant, f)),
+        (f * constant, reference_product(f, constant)),
+        (f ** 3, reference_product(reference_product(f, f), f)),
+        (f.partial(pos), Polynomial(space, {e[:pos] + (e[pos] - 1,) + e[pos + 1:]: v * e[pos]
+                                            for e, v in f.terms.items() if e[pos]})),
+        (f.substitute(reps), reference_sum(space, substituted)),
+        (f.truncate_total(order), Polynomial(space, {e: v for e, v in f.terms.items()
+                                                     if sum(e) <= order})),
+    ]
+    if not space.fiber:
+        pad = (0,) * space.n
+        product = reference_product(f, g)
+        cases += [
+            (f.lift_to_phase(), Polynomial(space.phase, {e + pad: v for e, v in f.terms.items()})),
+            ((JetSeries(f, order) * JetSeries(g, order)).body,
+             Polynomial(space, {e: v for e, v in product.terms.items() if sum(e) <= order})),
+        ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got == want
 
 
 @settings(max_examples=60, deadline=None)
