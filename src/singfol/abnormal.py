@@ -601,7 +601,7 @@ def _divisors(N: int) -> list[int] | None:
     return sorted(divisors + [a * N for a in divisors] if N > 1 else divisors)
 
 
-def _rational_roots(coeffs: Sequence[int | Fraction]):
+def _rational_roots(coeffs: Sequence[Fraction]):
     """The distinct rational roots of sum over i of coeffs[i] t^i, by the
     rational root theorem on its coefficients scaled to coprime ints.
 
@@ -653,22 +653,14 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
     coordinate reaches the locus inside the box.
     """
     nonzero = [q for q in minors if not q.is_zero()]
-    # x = a/D; the coefficients of the frozen minor, all scaled by one
-    # positive int, have the same rational roots
-    ratios = [v.as_integer_ratio() for v in x]
-    D = math.lcm(*(q for _, q in ratios))
-    a = [v * (D // q) for v, q in ratios]
     for k in range(len(x)):
         lead = next((q for q in nonzero if q.degree_in(k) > 0), None)
         if lead is None:
             continue
-        top = max(sum(exps) - exps[k] for exps in lead._num)
-        coeffs = [0] * (lead.degree_in(k) + 1)
-        for exps, c in lead._num.items():
-            for pos, e in enumerate(exps):
-                if e and pos != k:
-                    c *= a[pos] ** e
-            coeffs[exps[k]] += c * D ** (top - sum(exps) + exps[k])
+        coeffs = [Fraction(0)] * (lead.degree_in(k) + 1)
+        for exps, c in lead.terms.items():
+            coeffs[exps[k]] += c * math.prod(x[pos] ** e for pos, e in enumerate(exps)
+                                             if e and pos != k)
         for root in _rational_roots(coeffs):
             if not box[0] <= root <= box[1]:
                 continue

@@ -252,8 +252,10 @@ class _Sum:
                     order: int | None = None) -> None:
         """Add ``sign * a * b``, skipping every pair of terms whose total
         degree exceeds ``order`` (when given).  A constant operand scales the
-        other one, as a scalar does; callers skip a zero operand."""
+        other one, as a scalar does; a zero operand adds nothing."""
         an, bn = a._num, b._num
+        if not an or not bn:
+            return
         if order is None:
             if _is_constant(bn):
                 an, bn = bn, an
@@ -542,8 +544,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_space(other)
             acc = _Sum()
-            if self._num and other._num:
-                acc.add_product(self, other)
+            acc.add_product(self, other)
             return acc.polynomial(self.space)
         if isinstance(other, (int, Fraction)):
             p, q = _as_ratio(other)
@@ -683,7 +684,7 @@ class Polynomial:
         for es, num in groups.items():
             factors = [pow_cache[pos][e] for pos, e in zip(replacements, es) if e]
             if all(factors):
-                rest = _polynomial(self.space, num, self._den, reduce=False)
+                rest = _polynomial(self.space, num, self._den)
                 last = factors.pop() if factors else one
                 for power in factors:
                     rest = rest * power
