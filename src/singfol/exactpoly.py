@@ -30,6 +30,8 @@ Every product goes through it, :meth:`Polynomial.__mul__` included, and so
 do the Lie bracket (``vectorfield``), the Pfaffian recursion and derivative
 sums (``pfaffian``), the cyclic Jacobi sums (``abnormal``) and
 :func:`_sum_products`, which sums the products ``a * b`` of given pairs.
+A power is one pass over its base's terms by the multinomial theorem
+(:meth:`_Sum.add_power`), not a chain of products.
 :func:`_polynomial` wraps numerators that need no check; it is the
 constructor of every result.
 
@@ -83,12 +85,12 @@ MAX_EXPONENT = 4096
 # ... and "((((x1))))" or "----x1" nested deeper than the parser recurses.
 MAX_NESTING = 100
 # The parser rejects a power whose result may have more terms than this
-# ((t terms)^k has at most C(k+t-1, t-1) of them), and a product or sum
-# that has more.
+# ((t terms)^k has at most C(k+t-1, t-1) of them, a count that also bounds
+# its expansion's work), and a product or sum that has more.
 MAX_TERMS = 10 ** 4
-# ... and a product, or one multiplication of a power's square-and-multiply
-# schedule, that multiplies more term pairs than this (about a second of
-# work): two powers within MAX_TERMS can still multiply 3*10^7 pairs.
+# ... and a product that multiplies more term pairs than this (about a
+# second of work): two powers within MAX_TERMS can still multiply 3*10^7
+# pairs.
 MAX_PRODUCT_PAIRS = 10 ** 6
 
 
@@ -203,10 +205,10 @@ class _Sum:
 
     A summand over d adds its numerators times den/d; ``num`` is rescaled
     only when d does not divide ``den``.  :meth:`add_product` multiplies
-    straight into the sum, with no product dictionary.  A key whose
-    numerator cancels is removed, so every zero test is exact.
-    :meth:`polynomial` reduces the sum to canonical form; the sum is not
-    used after it.
+    straight into the sum, with no product dictionary; :meth:`add_power`
+    expands a power.  A key whose numerator cancels is removed, so every
+    zero test is exact.  :meth:`polynomial` reduces the sum to canonical
+    form; the sum is not used after it.
     """
 
     __slots__ = ("num", "den")
@@ -289,6 +291,42 @@ class _Sum:
                     acc[key] = new
                 else:
                     del acc[key]
+
+    def add_power(self, base: "Polynomial", k: int) -> None:
+        """Add ``base ** k`` (k >= 1, base nonzero) by the multinomial theorem.
+
+        A state (r, m) is the exponent r not yet given out and the monomial m.
+        Each base term c x^e but the last moves it to (r - j, m + j e), j <= r,
+        with weight C(r, j) c^j, the binomial updated step by step; the last
+        term takes all of r.  States that meet merge, so the work is within a
+        small multiple of the C(k+t-1, t-1) compositions of k over t terms."""
+        *head, (e_last, c_last) = base._num.items()
+        states = {(k, (0,) * len(e_last)): self._factor(base._den ** k)}
+        done = []  # (monomial, numerator) of each finished term
+        for e, c in head:
+            nxt = {}
+            for (r, m), w in states.items():
+                if not w:
+                    continue
+                for j in range(r):
+                    key = (r - j, m)
+                    nxt[key] = nxt.get(key, 0) + w
+                    w = w * (r - j) // (j + 1) * c
+                    m = tuple(map(add, m, e))
+                done.append((m, w))
+            states = nxt
+        for (r, m), w in states.items():
+            if w:
+                done.append((tuple(a + r * v for a, v in zip(m, e_last)), w * c_last ** r))
+        acc = self.num
+        for key, w in done:
+            old = acc.get(key)
+            if old is None:
+                acc[key] = w
+            elif new := old + w:
+                acc[key] = new
+            else:
+                del acc[key]
 
     def polynomial(self, space: Space) -> "Polynomial":
         return _polynomial(space, self.num, self.den)
@@ -563,14 +601,13 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        result = Polynomial.constant(self.space, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return Polynomial.constant(self.space, 1)
+        if k == 1 or not self._num:
+            return self
+        acc = _Sum()
+        acc.add_power(self, k)
+        return acc.polynomial(self.space)
 
     # -- calculus -----------------------------------------------------------
 
@@ -994,33 +1031,8 @@ class _Scanner:
             if bound > MAX_TERMS:
                 raise ParseError(f"a {t}-term base to the power {k} may have up to "
                                  f"{bound} terms, above the limit {MAX_TERMS}", at)
-            pairs = self.power_pairs(t, k) if t else 0
-            if pairs > MAX_PRODUCT_PAIRS:
-                raise ParseError(f"a {t}-term base to the power {k} may multiply {pairs} "
-                                 f"term pairs in one step, above the limit "
-                                 f"{MAX_PRODUCT_PAIRS}", at)
             return base ** k
         return base
-
-    @staticmethod
-    def power_pairs(t: int, k: int) -> int:
-        """The most term pairs one multiplication of ``Polynomial.__pow__``
-        may multiply for a t-term base (t >= 1) to the power k: its
-        square-and-multiply schedule, with (t terms)^e bounded by
-        C(e+t-1, t-1) terms."""
-        def bound(e: int) -> int:
-            return comb(e + t - 1, t - 1)
-
-        most, done, base = 0, 0, 1  # exponents of the result and of the base
-        while k:
-            if k & 1:
-                most = max(most, bound(done) * bound(base))
-                done += base
-            if k > 1:
-                most = max(most, bound(base) ** 2)
-                base *= 2
-            k >>= 1
-        return most
 
     def atom(self) -> Polynomial:
         ch = self.peek()
@@ -1056,10 +1068,9 @@ def parse_expression(text: str, space: Space) -> Polynomial:
 
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
     unknown variables, oversized exponents, '(' and unary '-' nested more
-    than ``MAX_NESTING`` deep, powers that may exceed ``MAX_TERMS`` terms,
-    products and steps of a power that may multiply more than
-    ``MAX_PRODUCT_PAIRS`` term pairs, and products and sums of more than
-    ``MAX_TERMS`` terms.
+    than ``MAX_NESTING`` deep, powers ``(t terms)^k`` with C(k+t-1, t-1) >
+    ``MAX_TERMS``, products that may multiply more than ``MAX_PRODUCT_PAIRS``
+    term pairs, and products and sums of more than ``MAX_TERMS`` terms.
     """
     scanner = _Scanner(text, space)
     value = scanner.expr()

@@ -6,6 +6,7 @@ failure can be replayed from its seed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -233,7 +234,8 @@ def reference_product(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def reference_power(f: Polynomial, k: int) -> Polynomial:
-    """Square-and-multiply, as in Polynomial.__pow__, on the reference loop."""
+    """Square-and-multiply on the reference loop: a schedule independent of
+    the multinomial expansion of Polynomial.__pow__."""
     result, base = Polynomial.constant(f.space, 1), f
     while k:
         if k & 1:
@@ -241,6 +243,28 @@ def reference_power(f: Polynomial, k: int) -> Polynomial:
         base = reference_product(base, base) if k > 1 else base
         k >>= 1
     return result
+
+
+# bases aimed at the multinomial expansion of Polynomial.__pow__, each with
+# the space it is parsed in: monomials that collide in every power; terms
+# that cancel, since 2 + 2*x1 - x1^2 squares to no x1^2 term, so a partial
+# sum of the expansion cancels before the last term (x2) or the last two
+# (x2, x1^3) are given out, and the power has no x1^2*x2^(k-2) term; mixed
+# denominators; fiber variables
+_POWER_BASES = ("1 + x1 + x1^2 + x1^3 + x1^4 + x1^5 + x1^6 + x1^7 + x1^8 + x1^9",
+                "2 + 2*x1 - x1^2 + x2", "2 + 2*x1 - x1^2 + x2 + x1^3",
+                "1/2*x1^3 - 2/3*x1*x2 + 5/7")
+POWER_CASES = ([(space, text) for space in (Space(2), Space(3, True)) for text in _POWER_BASES]
+               + [(Space(2, True), "1/2*x1*p1 - p2 + 3/7*p1^2*x2")])
+POWERS = (0, 1, 7, 16)
+
+
+def power_terms_bound(f: Polynomial, k: int) -> int:
+    """A bound on the terms of f^k read off f alone: C(k+t-1, t-1) for t
+    terms, and the monomials of the box of its degrees times k."""
+    t = len(f.terms)
+    box = math.prod(k * f.degree_in(pos) + 1 for pos in range(f.space.nvars))
+    return min(math.comb(k + t - 1, t - 1) if t else 1, box)
 
 
 def reference_add(f: Polynomial, g: Polynomial, sign: int = 1) -> Polynomial:

@@ -950,7 +950,7 @@ MALFORMED = [
     json.dumps({"dimension": 3.7, "rank": 2, "normal_form": ["0", "x1"]}),
     json.dumps({"dimension": 3, "rank": True, "fields": [["1", "0", "0"]]}),
     json.dumps({"dimension": 4, "rank": 3, "normal_form": ["0", "x1", f"{10 ** 400}/3*x2^2"]}),
-    json.dumps({"dimension": 3, "rank": 2, "normal_form": ["(x1+x2+1)^139", "0"]}),
+    json.dumps({"dimension": 3, "rank": 2, "normal_form": ["(x1+x2+1)^140", "0"]}),
 ]
 
 

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    POWER_CASES,
+    POWERS,
+    power_terms_bound,
     random_polynomial,
     random_rational_point,
     reference_add,
@@ -218,17 +221,25 @@ def test_parse_power_term_budget():
         parse_expression("(x1+x2+x3+1)^60", s)
     assert err.value.offset == 13
     assert math.comb(60 + 3, 3) == 39711 > exactpoly.MAX_TERMS
-    # ... and each multiplication of its square-and-multiply schedule by
-    # its term pairs: ^139 has 9870 terms, but squares a 2145-term power,
-    # and ^120 multiplies the 1653-term ^56 by that power; the largest step
-    # of (x1+x2+x3+1)^30 is 680 x 969 = 658920 pairs
+    # ... and that count is the only bound on a power, since it also bounds
+    # the multinomial expansion's work: ^139 is within it and parses, ^140
+    # is refused at once
     assert math.comb(139 + 2, 2) == 9870 <= exactpoly.MAX_TERMS
-    for text, pairs in (("(x1+x2+1)^139", 2145 * 2145), ("(x1+x2+1)^120", 1653 * 2145)):
-        with pytest.raises(ParseError, match=f"{pairs} term pairs") as err:
-            parse_expression(text, s)
-        assert err.value.offset == 10
-    assert math.comb(64 + 2, 2) == 2145 and math.comb(56 + 2, 2) == 1653
-    assert 680 * 969 == 658920 <= exactpoly.MAX_PRODUCT_PAIRS
+    # (x1+x2+1)^139 is checked term by term against the trinomial
+    # coefficients: reference_power would square a 2145-term power in
+    # Fractions for half a minute
+    power = parse_expression("(x1+x2+1)^139", s)
+    assert len(power.terms) == 9870
+    assert all(c == math.comb(139, a + b) * math.comb(a + b, a)
+               for (a, b, _), c in power.terms.items())
+    assert math.comb(140 + 2, 2) == 10011 > exactpoly.MAX_TERMS
+    with pytest.raises(ParseError, match="10011 terms") as err:
+        parse_expression("(x1+x2+1)^140", s)
+    assert err.value.offset == 10
+    # a binomial to the largest exponent: one term per power of x1
+    power = parse_expression("(x1+1)^4096", s)
+    assert len(power.terms) == 4097
+    assert power.coefficient((2048, 0, 0)) == math.comb(4096, 2048)
     # a product is bounded by its term pairs, checked before multiplying
     s4 = Space(4)
     assert len(parse_expression("(x1+x2+x3+1)^30*x4", s4).terms) == 5456
@@ -457,6 +468,17 @@ def test_product_matches_reference_loop(seed, na, nb, space):
         assert a * b == reference_product(a, b)
     for k in (2, 3, 5):
         assert f ** k == reference_power(f, k)
+    # ... and every k of POWERS whose reference squarings stay small
+    for k in POWERS:
+        if power_terms_bound(f, k) <= 500:
+            assert f ** k == reference_power(f, k)
+
+
+@pytest.mark.parametrize("space, text", POWER_CASES)
+def test_power_matches_reference_on_aimed_bases(space, text):
+    base = parse_expression(text, space)
+    for k in POWERS:
+        assert base ** k == reference_power(base, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial, random_skew
+from conftest import POWER_CASES, POWERS, power_terms_bound, random_polynomial, random_skew
 from singfol.abnormal import SamplerConfig, stratify
 from singfol.cli import build_frame
 from singfol.demos import demo_frame
@@ -43,6 +43,13 @@ def assert_equal(f: Polynomial, expr, syms: list):
     assert got == want
 
 
+def assert_power(f: Polynomial, k: int, syms: list):
+    """f^k equals the power of f as a sympy Poly."""
+    want = (sympy.Poly(to_sympy(f, syms), *syms) ** k).as_dict()
+    got = {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in (f ** k).terms.items()}
+    assert got == {exps: c for exps, c in want.items() if c}
+
+
 def polys(seed: int, space: Space, count: int, max_terms: int = 4, max_degree: int = 3):
     rng = random.Random(seed)
     return [random_polynomial(rng, space, max_terms, max_degree, DENOMINATORS)
@@ -63,6 +70,17 @@ def test_product_and_power(seed, space, size):
     assert_equal((f + g) * (f - g), (F + G) * (F - G), syms)
     for k in range(4):
         assert_equal(f ** k, F ** k, syms)
+    # ... and every k of POWERS where the power stays small
+    for k in POWERS:
+        if power_terms_bound(f, k) <= 500:
+            assert_power(f, k, syms)
+
+
+@pytest.mark.parametrize("space, text", POWER_CASES)
+def test_power_on_aimed_bases(space, text):
+    syms = symbols(space)
+    for k in POWERS:
+        assert_power(parse_expression(text, space), k, syms)
 
 
 # expression text in the parser's grammar: a power's base is a variable, an
