@@ -38,15 +38,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import (Polynomial, SingfolError, _as_fraction, _exact_pairs, _Sum,
-                               _sum_products)
+from singfol.exactpoly import (Polynomial, SingfolError, _as_fraction, _exact_pairs, _Record,
+                               _Sum, _sum_products)
 from singfol.pfaffian import (
     SkewMatrix,
     _cofactors,
@@ -120,8 +119,7 @@ class SamplingError(SingfolError, RuntimeError):
     """No valid annihilator sample could be drawn."""
 
 
-@dataclass(frozen=True)
-class GohMatrix:
+class GohMatrix(_Record):
     """The skew matrix of pairwise bracket momenta of a frame.
 
     ``hamiltonians`` holds the momentum functions h^i, and ``ham_fields``
@@ -136,10 +134,11 @@ class GohMatrix:
     first failing triple and its sum.
     """
 
-    frame: Frame
-    H: SkewMatrix
-    hamiltonians: tuple[Polynomial, ...]
-    reduced: SkewMatrix | None = None
+    _fields = ("frame", "H", "hamiltonians", "reduced")
+
+    def __init__(self, frame: Frame, H: SkewMatrix, hamiltonians: tuple[Polynomial, ...],
+                 reduced: SkewMatrix | None = None):
+        self.__dict__.update(frame=frame, H=H, hamiltonians=hamiltonians, reduced=reduced)
 
     @property
     def m(self) -> int:
@@ -263,8 +262,7 @@ def _combination(coeffs: Sequence[Polynomial], fields: Sequence[VectorField]) ->
     ])
 
 
-@dataclass(frozen=True)
-class AbnormalGenerator:
+class AbnormalGenerator(_Record):
     """A kernel generator realized as a phase-space vector field.
 
     ``coefficients`` are the frame coefficients eps(I,j) phi(H, I minus j)
@@ -274,12 +272,14 @@ class AbnormalGenerator:
     (x-block, p-block).  The rank r is |I| - 1.
     """
 
-    I: tuple[int, ...]
-    Y: VectorField
-    coefficients: tuple[Polynomial, ...]
-    Z: VectorField | None = None
-    reduced_coefficients: tuple[Polynomial, ...] | None = None
-    p_degree: tuple[int | None, int | None] = (None, None)
+    _fields = ("I", "Y", "coefficients", "Z", "reduced_coefficients", "p_degree")
+
+    def __init__(self, I: tuple[int, ...], Y: VectorField, coefficients: tuple[Polynomial, ...],
+                 Z: VectorField | None = None,
+                 reduced_coefficients: tuple[Polynomial, ...] | None = None,
+                 p_degree: tuple[int | None, int | None] = (None, None)):
+        self.__dict__.update(I=I, Y=Y, coefficients=coefficients, Z=Z,
+                             reduced_coefficients=reduced_coefficients, p_degree=p_degree)
 
     @property
     def rank(self) -> int:
@@ -324,7 +324,7 @@ def project_corank1(g: AbnormalGenerator, F: Frame, goh: GohMatrix | None = None
     if goh is None:
         goh = goh_matrix(F)
     Z, reduced = _project(g.I, g.Y, F, goh, *_projection_substitution(F, g.rank))
-    return replace(g, Z=Z, reduced_coefficients=reduced)
+    return AbnormalGenerator(g.I, g.Y, g.coefficients, Z, reduced, g.p_degree)
 
 
 def _projection_substitution(F: Frame, r: int) -> tuple[dict[int, Polynomial], Polynomial]:
@@ -383,8 +383,7 @@ def kernel_residual(g: AbnormalGenerator, goh: GohMatrix) -> tuple[Polynomial, .
                  for i in range(1, Ht.size + 1))
 
 
-@dataclass(frozen=True)
-class DivergenceCertificate:
+class DivergenceCertificate(_Record):
     """Exact residual data certifying controlled divergence of a generator.
 
     The certificate is valid iff every stored residual polynomial is zero:
@@ -399,12 +398,16 @@ class DivergenceCertificate:
     """
 
     bracket_order = "{h^j,{h^k,h^l}}"
+    _fields = ("subject", "phase_divergence", "base_constant", "base_coefficients",
+               "base_residual")
 
-    subject: tuple[int, ...]
-    phase_divergence: Polynomial
-    base_constant: Fraction | None = None
-    base_coefficients: tuple[Polynomial, ...] | None = None
-    base_residual: Polynomial | None = None
+    def __init__(self, subject: tuple[int, ...], phase_divergence: Polynomial,
+                 base_constant: Fraction | None = None,
+                 base_coefficients: tuple[Polynomial, ...] | None = None,
+                 base_residual: Polynomial | None = None):
+        self.__dict__.update(subject=subject, phase_divergence=phase_divergence,
+                             base_constant=base_constant, base_coefficients=base_coefficients,
+                             base_residual=base_residual)
 
     @property
     def jacobi_expansion(self) -> Polynomial:
@@ -489,8 +492,7 @@ MAX_LEVELS = 4
 ROOT_SEARCH_LIMIT = 10 ** 4
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(_Record):
     """Reproducible sampling plan for annihilator points.
 
     ``box`` bounds every base coordinate; samples are exact rationals on the
@@ -499,17 +501,17 @@ class SamplerConfig:
     grid values raises :class:`SamplingError`.
     """
 
-    seed: int
-    count: int = 256
-    box: tuple[Fraction, Fraction] = (Fraction(-1), Fraction(1))
+    _fields = ("seed", "count", "box")
 
-    def __post_init__(self):
-        lo, hi = _grid_numerators(self.box)
+    def __init__(self, seed: int, count: int = 256,
+                 box: tuple[Fraction, Fraction] = (Fraction(-1), Fraction(1))):
+        lo, hi = _grid_numerators(box)
         if hi - lo < 1:
-            lo, hi = map(_decimal_name, self.box)
+            lo, hi = map(_decimal_name, box)
             raise SamplingError(
                 f"box [{lo}, {hi}] holds fewer than two sample values "
                 f"k/{SAMPLE_DENOMINATOR}: every sample would be one point")
+        self.__dict__.update(seed=seed, count=count, box=box)
 
 
 def _decimal_name(v: Fraction) -> Fraction:
@@ -522,27 +524,27 @@ def _decimal_name(v: Fraction) -> Fraction:
         return v
 
 
-@dataclass(frozen=True)
-class Witness:
-    x: tuple[Fraction, ...]
-    p: tuple[Fraction, ...]
-    kernel_dim: int
-    exact: bool
+class Witness(_Record):
+    _fields = ("x", "p", "kernel_dim", "exact")
+
+    def __init__(self, x: tuple[Fraction, ...], p: tuple[Fraction, ...], kernel_dim: int,
+                 exact: bool):
+        self.__dict__.update(x=x, p=p, kernel_dim=kernel_dim, exact=exact)
 
 
-@dataclass(frozen=True)
-class Stratum:
-    dim: int
-    rank: int
-    has_interior: bool
-    sample_count: int
-    witnesses: tuple[Witness, ...]
-    vanishing_locus: tuple[Polynomial, ...]
-    parity_ok: bool
+class Stratum(_Record):
+    _fields = ("dim", "rank", "has_interior", "sample_count", "witnesses", "vanishing_locus",
+               "parity_ok")
+
+    def __init__(self, dim: int, rank: int, has_interior: bool, sample_count: int,
+                 witnesses: tuple[Witness, ...], vanishing_locus: tuple[Polynomial, ...],
+                 parity_ok: bool):
+        self.__dict__.update(dim=dim, rank=rank, has_interior=has_interior,
+                             sample_count=sample_count, witnesses=witnesses,
+                             vanishing_locus=vanishing_locus, parity_ok=parity_ok)
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(_Record):
     """Observed kernel-dimension levels with loci and witnesses.
 
     Only the top level (minimal dimension) is an open stratum; for
@@ -551,16 +553,17 @@ class Stratification:
     deeper levels are reported as locus levels rather than open strata.
 
     ``unconfirmed`` is always empty: no float decides a level.  The
-    benchmark still reads it; ROADMAP item 13 deletes it together with the
+    benchmark still reads it; ROADMAP item 27 deletes it together with the
     ``abnormal.unconfirmed`` bench counter.
     """
 
-    frame_name: str
-    m: int
-    dims: tuple[int, ...]
-    strata: tuple[Stratum, ...]
-    config: SamplerConfig
-    unconfirmed: tuple[tuple[float, ...], ...] = ()
+    _fields = ("frame_name", "m", "dims", "strata", "config", "unconfirmed")
+
+    def __init__(self, frame_name: str, m: int, dims: tuple[int, ...],
+                 strata: tuple[Stratum, ...], config: SamplerConfig,
+                 unconfirmed: tuple[tuple[float, ...], ...] = ()):
+        self.__dict__.update(frame_name=frame_name, m=m, dims=dims, strata=strata, config=config,
+                             unconfirmed=unconfirmed)
 
 
 def _grid_numerators(box) -> tuple[int, int]:

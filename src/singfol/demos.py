@@ -7,21 +7,19 @@ construction.  They double as ground-truth fixtures for the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from singfol.exactpoly import Space, parse_expression
+from singfol.exactpoly import Space, _Record, parse_expression
 from singfol.vectorfield import Frame
 
 __all__ = ["DemoFrame", "DEMOS", "demo_frame", "demo_names"]
 
 
-@dataclass(frozen=True)
-class DemoFrame:
-    name: str
-    dimension: int
-    coefficients: tuple[str, ...]
-    description: str
-    caveat: str = ""
+class DemoFrame(_Record):
+    _fields = ("name", "dimension", "coefficients", "description", "caveat")
+
+    def __init__(self, name: str, dimension: int, coefficients: tuple[str, ...],
+                 description: str, caveat: str = ""):
+        self.__dict__.update(name=name, dimension=dimension, coefficients=coefficients,
+                             description=description, caveat=caveat)
 
     def build(self) -> Frame:
         space = Space(self.dimension)

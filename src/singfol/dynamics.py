@@ -48,13 +48,12 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from singfol.abnormal import (AbnormalGenerator, CertificateError, GohMatrix, goh_matrix,
                               kernel_residual)
-from singfol.exactpoly import Polynomial, SingfolError, _eval_float_form
+from singfol.exactpoly import Polynomial, SingfolError, _eval_float_form, _Record
 from singfol.vectorfield import Frame, VectorField, divergence
 
 if TYPE_CHECKING:
@@ -86,8 +85,7 @@ class BlowUpError(SingfolError, RuntimeError):
         self.last_valid_time = last_valid_time
 
 
-@dataclass
-class Trajectory:
+class Trajectory(_Record):
     """A fixed-step trajectory: the states of the compiled RK4 loop as one
     flat ``array('d')``, n coordinates per state, state i at time i * h.
 
@@ -96,12 +94,17 @@ class Trajectory:
     generator passed the exact kernel check; ``certified`` says so.  The
     numpy views ``states``, ``times`` and ``costates`` are built on first
     read, so a caller that reads none of them never imports numpy.
+    The one mutable record: it compares by value but does not hash.
     """
 
-    flat: array = field(repr=False)
-    n: int
-    h: float
-    omega_forms: list | None = field(default=None, repr=False)
+    _fields = ("flat", "n", "h", "omega_forms")
+    _unshown = ("flat", "omega_forms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, flat: array, n: int, h: float, omega_forms: list | None = None):
+        self.__dict__.update(flat=flat, n=n, h=h, omega_forms=omega_forms)
 
     @property
     def certified(self) -> bool:
@@ -327,8 +330,7 @@ def abnormal_trajectory(F: Frame, g: AbnormalGenerator, x0: Sequence[float],
     return Trajectory(traj.flat, traj.n, h, [w._float_terms() for w in F.omega])
 
 
-@dataclass(frozen=True)
-class DivergenceScan:
+class DivergenceScan(_Record):
     """Empirical estimate of sup |div Z| / |Z|_inf over a box.
 
     ``div`` is the exact divergence of Z that the scan evaluates.
@@ -340,15 +342,15 @@ class DivergenceScan:
     double (finite terms can sum to inf) raises ``OverflowError``.
     """
 
-    box: tuple[float, float]
-    samples: int
-    seed: int
-    cutoff: float
-    ratio_sup: float
-    argmax: tuple[float, ...] | None
-    offenders: tuple[tuple[float, ...], ...]
-    skipped: int
-    div: Polynomial
+    _fields = ("box", "samples", "seed", "cutoff", "ratio_sup", "argmax", "offenders", "skipped",
+               "div")
+
+    def __init__(self, box: tuple[float, float], samples: int, seed: int, cutoff: float,
+                 ratio_sup: float, argmax: tuple[float, ...] | None,
+                 offenders: tuple[tuple[float, ...], ...], skipped: int, div: Polynomial):
+        self.__dict__.update(box=box, samples=samples, seed=seed, cutoff=cutoff,
+                             ratio_sup=ratio_sup, argmax=argmax, offenders=offenders,
+                             skipped=skipped, div=div)
 
 
 def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int,
@@ -386,8 +388,7 @@ def divergence_ratio_scan(Z: VectorField, box: tuple[float, float], samples: int
                           tuple(offenders), skipped, div)
 
 
-@dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(_Record):
     """Per-time volume weights exp(integral of div Z) along a trajectory cloud.
 
     ``weights[i, t]`` is the Liouville volume factor of cloud point i at
@@ -395,10 +396,12 @@ class VolumeReport:
     sup-norm length of trajectory i at the final time.
     """
 
-    times: np.ndarray
-    weights: np.ndarray
-    lengths: np.ndarray
-    min_weights: np.ndarray
+    _fields = ("times", "weights", "lengths", "min_weights")
+
+    def __init__(self, times: np.ndarray, weights: np.ndarray, lengths: np.ndarray,
+                 min_weights: np.ndarray):
+        self.__dict__.update(times=times, weights=weights, lengths=lengths,
+                             min_weights=min_weights)
 
     def min_final_weight(self) -> float:
         return float(self.min_weights[-1])

@@ -62,11 +62,11 @@ grammar used by the CLI input format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Mapping
+from functools import cached_property
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Sequence
 
 __all__ = [
@@ -121,20 +121,73 @@ class ParseError(SingfolError, ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Space:
+class _Record:
+    """A value object over the fields named in ``_fields``, in the order of
+    its ``__init__``'s parameters.  ``__init__`` checks them and stores them
+    in the instance ``__dict__``, past the refusing ``__setattr__``.
+
+    Two records are equal when they are of one class with equal fields.  A
+    record hashes by its fields, prints as ``Class(field=value, ...)`` without
+    the fields in ``_unshown``, and refuses assignment with
+    ``AttributeError``.  A mutable subclass sets ``__setattr__`` and
+    ``__delattr__`` back to object's, and ``__hash__`` to None.  The methods
+    are written out, not generated, so importing the package execs no
+    generated source and loads no class-generating module (nor ``inspect``,
+    which that module imports): a CLI child starts sooner.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _unshown: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    # identity first, in __ne__ too rather than through __eq__: most
+    # comparisons are space != space on one object (see Space.phase)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) != self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                          if name not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Space(_Record):
     """Variable layout shared by a family of polynomials.
 
     ``n`` is the base dimension.  With ``fiber=True`` the space also carries
     the n cotangent variables ``p1..pn`` after the base block.
     """
 
-    n: int
-    fiber: bool = False
+    _fields = ("n", "fiber")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, fiber: bool = False):
+        if n < 1:
             raise ValueError("base dimension must be >= 1")
+        self.__dict__.update(n=n, fiber=fiber)
 
     @property
     def nvars(self) -> int:
@@ -161,15 +214,16 @@ class Space:
             return f"x{pos + 1}"
         return f"p{pos - self.n + 1}"
 
-    @property
+    @cached_property
     def base(self) -> "Space":
-        """The same space without fiber variables."""
-        return Space(self.n, False)
+        """The same space without fiber variables, one object per space."""
+        return Space(self.n, False) if self.fiber else self
 
-    @property
+    @cached_property
     def phase(self) -> "Space":
-        """The same space with fiber variables."""
-        return Space(self.n, True)
+        """The same space with fiber variables, one object per space, so
+        that the polynomials of a frame's phase space share it."""
+        return self if self.fiber else Space(self.n, True)
 
 
 def _as_fraction(value) -> Fraction:

@@ -25,10 +25,9 @@ Stage bookkeeping: "raw" (anything), "V(j)" (components below j cleared),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from singfol import _linalg
-from singfol.exactpoly import JetSeries, NonUnitError, Polynomial, Space, _sum_products
+from singfol.exactpoly import JetSeries, NonUnitError, Polynomial, Space, _Record, _sum_products
 from singfol.vectorfield import Frame, VectorField
 
 __all__ = [
@@ -45,8 +44,7 @@ class StageError(ValueError):
     """A normalization step was applied to a frame in the wrong stage."""
 
 
-@dataclass(frozen=True)
-class JetFrame:
+class JetFrame(_Record):
     """Order-d jets of an m-field frame in dimension n.
 
     ``components[k][i]`` is the coefficient of d_{i+1} in the (k+1)-th
@@ -55,18 +53,17 @@ class JetFrame:
     ones (identity until :func:`normalize_linear` runs).
     """
 
-    n: int
-    m: int
-    order: int
-    components: tuple[tuple[JetSeries, ...], ...]
-    stage: str = "raw"
-    chart: tuple[tuple[Fraction, ...], ...] | None = None
+    _fields = ("n", "m", "order", "components", "stage", "chart")
 
-    def __post_init__(self):
-        if not 1 <= self.m < self.n:
+    def __init__(self, n: int, m: int, order: int,
+                 components: tuple[tuple[JetSeries, ...], ...], stage: str = "raw",
+                 chart: tuple[tuple[Fraction, ...], ...] | None = None):
+        if not 1 <= m < n:
             raise ValueError("need 1 <= m < n")
-        if len(self.components) != self.m or any(len(row) != self.n for row in self.components):
+        if len(components) != m or any(len(row) != n for row in components):
             raise ValueError("component array must be m x n")
+        self.__dict__.update(n=n, m=m, order=order, components=components, stage=stage,
+                             chart=chart)
 
     @property
     def space(self) -> Space:

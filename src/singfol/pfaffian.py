@@ -30,14 +30,13 @@ at a rational point is the exact rank of the evaluated matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Callable, Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _exact_pairs, _Sum, _sum_products
+from singfol.exactpoly import Polynomial, Space, _exact_pairs, _Record, _Sum, _sum_products
 from singfol.vectorfield import VectorField
 
 __all__ = [
@@ -437,13 +436,13 @@ def minor_determinant(A: SkewMatrix, rows: Sequence[int], cols: Sequence[int] | 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelGenerator:
+class KernelGenerator(_Record):
     """The vector Z_I = sum over i in I of eps(I,i) phi(A, I minus i) e_i."""
 
-    I: tuple[int, ...]
-    size: int
-    coefficients: tuple[Polynomial, ...]
+    _fields = ("I", "size", "coefficients")
+
+    def __init__(self, I: tuple[int, ...], size: int, coefficients: tuple[Polynomial, ...]):
+        self.__dict__.update(I=I, size=size, coefficients=coefficients)
 
     def vector(self) -> list[Polynomial]:
         """Z_I embedded as a length-``size`` coefficient vector."""

@@ -12,14 +12,14 @@ volume; this is the only metric used anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import Polynomial, Space, _exact_pairs, _polynomial, _Sum, _sum_products
+from singfol.exactpoly import (Polynomial, Space, _exact_pairs, _polynomial, _Record, _Sum,
+                               _sum_products)
 
 __all__ = [
     "VectorField",
@@ -138,8 +138,7 @@ class VectorField:
         return f"VectorField{self}"
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """An m-tuple of base vector fields generating a rank-m distribution.
 
     The dimension n, the rank m and :attr:`normal_form` are read from the
@@ -148,10 +147,10 @@ class Frame:
     :attr:`omega` is the frame's annihilating 1-form when it has one.
     """
 
-    fields: tuple[VectorField, ...]
-    name: str = field(default="", kw_only=True)
+    _fields = ("fields", "name")
 
-    def __post_init__(self):
+    def __init__(self, fields: tuple[VectorField, ...], *, name: str = ""):
+        self.__dict__.update(fields=fields, name=name)
         if not 1 <= self.m < self.n:
             raise ValueError("need 1 <= m < n")
         if self.space.fiber or any(X.space != self.space for X in self.fields):
@@ -165,7 +164,8 @@ class Frame:
         """Build the frame X^i = d_i + A_i d_n from A_1..A_{n-1}."""
         if len(coeffs) != n - 1:
             raise ValueError(f"corank-1 frame in dimension {n} needs {n - 1} coefficients")
-        return cls(tuple(VectorField(VectorField.coordinate(Space(n), i).components[:-1] + (A,))
+        space = Space(n)
+        return cls(tuple(VectorField(VectorField.coordinate(space, i).components[:-1] + (A,))
                          for i, A in enumerate(coeffs)), name=name)
 
     @property

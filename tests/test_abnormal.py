@@ -1,7 +1,7 @@
+import inspect
 import random
 import re
 import time
-from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -657,12 +657,15 @@ def test_frames_generators_and_certificates_store_no_derived_value():
     goh = goh_matrix(F)
     g = abnormal_generators(F, 2, goh)[0]
     cert = divergence_certificate(g, F, goh)
-    assert [f.name for f in fields(F)] == ["fields", "name"]
-    assert [f.name for f in fields(F) if f.kw_only] == ["name"]
-    assert [f.name for f in fields(g)] == ["I", "Y", "coefficients", "Z",
-                                           "reduced_coefficients", "p_degree"]
-    assert [f.name for f in fields(cert)] == ["subject", "phase_divergence", "base_constant",
-                                              "base_coefficients", "base_residual"]
+    def parameters(x):
+        return inspect.signature(type(x)).parameters.values()
+
+    assert [p.name for p in parameters(F)] == ["fields", "name"]
+    assert [p.name for p in parameters(F) if p.kind is p.KEYWORD_ONLY] == ["name"]
+    assert [p.name for p in parameters(g)] == ["I", "Y", "coefficients", "Z",
+                                               "reduced_coefficients", "p_degree"]
+    assert [p.name for p in parameters(cert)] == ["subject", "phase_divergence", "base_constant",
+                                                  "base_coefficients", "base_residual"]
     assert (F.n, F.m, g.rank) == (5, 4, 2)
     assert cert.jacobi_expansion == Polynomial.zero(F.space.phase)
     assert cert.bracket_order == "{h^j,{h^k,h^l}}"

@@ -701,13 +701,15 @@ def test_integrate_evaluates_no_costate(capsys, tmp_path):
 
 def test_cli_commands_start_without_numpy():
     # no command loads numpy: integrate prints the flat states of the RK4
-    # loop, and scan-div evaluates one point at a time
+    # loop, and scan-div evaluates one point at a time; and none loads
+    # dataclasses or inspect, whose import is a large share of a child's
+    # start-up (demo builds DemoFrame records, normalform JetFrame ones)
     script = (
         "import io, json, sys\n"
         "from singfol import cli\n"
         "sys.stdin = io.StringIO(sys.argv[1])\n"
         "code = cli.main(json.loads(sys.argv[2]))\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(singfol.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -717,12 +719,13 @@ def test_cli_commands_start_without_numpy():
                        ("dim6-cubic", ["stratify", "--seed", "7", "--samples", "16"]),
                        ("dim5", integrate), ("dim5", integrate + ["--json"]),
                        ("dim4", ["scan-div", "--seed", "7", "--samples", "64"]),
-                       ("dim4", ["scan-div", "--seed", "7", "--samples", "64", "--json"])):
+                       ("dim4", ["scan-div", "--seed", "7", "--samples", "64", "--json"]),
+                       ("dim4", ["demo", "dim4"]), ("dim4", ["normalform"])):
         doc = json.dumps(DEMOS[name].to_spec())
         done = subprocess.run([sys.executable, "-c", script, doc, json.dumps(argv)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 False", argv
+        assert done.stdout.splitlines()[-1] == "0 []", argv
 
 
 def test_early_closed_pipe_exits_1_without_traceback():
