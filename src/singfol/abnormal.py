@@ -661,7 +661,7 @@ def _project_onto_locus(minors: list[Polynomial], x: tuple[Fraction, ...],
         if lead is None:
             continue
         coeffs = [Fraction(0)] * (lead.degree_in(k) + 1)
-        for exps, c in lead.terms.items():
+        for exps, c in lead.sorted_terms():
             coeffs[exps[k]] += c * math.prod(x[pos] ** e for pos, e in enumerate(exps)
                                              if e and pos != k)
         for root in _rational_roots(coeffs):

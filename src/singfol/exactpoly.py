@@ -3,19 +3,26 @@
 A polynomial lives in a :class:`Space` holding ``n`` base variables
 ``x1..xn`` and, optionally, ``n`` fiber variables ``p1..pn`` (cotangent
 coordinates).  It is stored as integer numerators over one denominator:
-``_num`` maps exponent tuples to nonzero ints, ``_den`` is an int > 0.
+``_num`` maps one int key per monomial to a nonzero int, ``_den`` is an
+int > 0.  A key packs the exponents, base block first, into
+``FIELD_BITS``-bit fields ``[total degree | e_1 | ... | e_nvars | fiber
+degree]``: ``Space._units[pos]`` is the key of the variable at ``pos``, and
+a monomial's key is the sum of e times the unit over its variables.
 
-    x1^2*p3 - 3/2  ->  _num = {(2,0,0,0,0,1): 2, (0,...,0): -3}, _den = 2
+    x1^2*p3 - 3/2  ->  _num = {2*u_x1 + u_p3: 2, 0: -3}, _den = 2
 
-Exponent tuples have one slot per variable, base block first.  The form is
-canonical: no zero numerator is stored, and ``_den`` shares no factor with
-all the numerators (``_den`` is 1 for the zero polynomial), as in FLINT's
-``fmpq_poly``.  So two polynomials are equal iff their ``(_den, _num)``
-are, and every zero test is exact.  Every ring operation, partial,
+So a product of monomials adds keys, a partial subtracts a unit, and
+descending key order is the printing order.  No field carries up to total
+degree ``MAX_DEGREE``; a result past it raises :class:`DegreeLimitError`.
+Exponent tuples appear only in the public API and in compiled point forms.
+The form is canonical: no zero numerator is stored, and ``_den`` shares no
+factor with all the numerators (``_den`` is 1 for the zero polynomial), as
+in FLINT's ``fmpq_poly``.  So two polynomials are equal iff their ``(_den,
+_num)`` are, and every zero test is exact.  Every ring operation, partial,
 substitution and reshape runs on ints; a ``Fraction`` is built only where a
 coefficient leaves the kernel: printing, :meth:`Polynomial.sorted_terms`,
 :meth:`Polynomial.coefficient` and the :attr:`Polynomial.terms` view, whose
-``len`` and iteration read ``_num`` alone.
+``len`` reads ``_num`` alone.
 
 Printing sorts terms by descending (total degree, exponent tuple), i.e. a
 graded lexicographic order with x1 < ... < xn < p1 < ... < pn, so output is
@@ -66,7 +73,9 @@ from fractions import Fraction
 from collections.abc import Mapping
 from functools import cached_property
 from math import comb, gcd, lcm
-from operator import add, attrgetter
+from operator import attrgetter, mul
+from struct import Struct
+from bisect import bisect_left
 from typing import Sequence
 
 __all__ = [
@@ -74,6 +83,7 @@ __all__ = [
     "Polynomial",
     "JetSeries",
     "SpaceMismatchError",
+    "DegreeLimitError",
     "NonUnitError",
     "SingfolError",
     "ParseError",
@@ -92,6 +102,10 @@ MAX_TERMS = 10 ** 4
 # second of work): two powers within MAX_TERMS can still multiply 3*10^7
 # pairs.
 MAX_PRODUCT_PAIRS = 10 ** 6
+# The width of a field of a monomial key (struct's "I"), and the largest
+# total degree, up to which no field carries; it also masks one field.
+FIELD_BITS = 32
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 
 class SpaceMismatchError(ValueError):
@@ -108,6 +122,15 @@ class SingfolError(Exception):
 
     exit_code = 1
     detail = None
+
+
+class DegreeLimitError(SingfolError, ValueError):
+    """Raised when a term's total degree would pass ``MAX_DEGREE``."""
+
+
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEGREE:
+        raise DegreeLimitError(f"a term of total degree {deg}, above the limit {MAX_DEGREE}")
 
 
 class ParseError(SingfolError, ValueError):
@@ -179,7 +202,8 @@ class Space(_Record):
     """Variable layout shared by a family of polynomials.
 
     ``n`` is the base dimension.  With ``fiber=True`` the space also carries
-    the n cotangent variables ``p1..pn`` after the base block.
+    the n cotangent variables ``p1..pn`` after the base block, and fixes
+    the layout of the monomial keys.
     """
 
     _fields = ("n", "fiber")
@@ -187,7 +211,26 @@ class Space(_Record):
     def __init__(self, n: int, fiber: bool = False):
         if n < 1:
             raise ValueError("base dimension must be >= 1")
-        self.__dict__.update(n=n, fiber=fiber)
+        nvars = 2 * n if fiber else n
+        shifts = tuple((nvars - pos) * FIELD_BITS for pos in range(nvars))
+        deg_shift = (nvars + 1) * FIELD_BITS
+        units = tuple((1 << deg_shift) + (1 << s) + (pos >= n) for pos, s in enumerate(shifts))
+        self.__dict__.update(n=n, fiber=fiber, _shifts=shifts, _deg_shift=deg_shift,
+                             _units=units, _struct=Struct(f">{nvars + 2}I"))
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        """The key of an exponent sequence, checked."""
+        if len(exps) != self.nvars:
+            raise SpaceMismatchError(
+                f"exponent tuple of length {len(exps)} in a space with {self.nvars} variables")
+        if not all(isinstance(e, int) and e >= 0 for e in exps):
+            raise ValueError(f"exponents must be nonnegative ints, got {tuple(exps)}")
+        _check_degree(sum(exps))
+        return sum(map(mul, exps, self._units))
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        return self._struct.unpack(key.to_bytes(self._struct.size, "big"))[1:-1]
 
     @property
     def nvars(self) -> int:
@@ -243,14 +286,9 @@ def _as_ratio(value) -> tuple[int, int]:
     return _as_fraction(value).as_integer_ratio()
 
 
-def _degree_key(exps: tuple) -> tuple:
-    """The printing order's key: total degree, then the exponent tuple."""
-    return sum(exps), exps
-
-
 def _is_constant(num: dict) -> bool:
     """Whether ``num`` is one term with every exponent 0."""
-    return len(num) == 1 and not any(next(iter(num)))
+    return len(num) == 1 and 0 in num
 
 
 class _Sum:
@@ -319,25 +357,26 @@ class _Sum:
                 (c,) = an.values()
                 self._add(bn, self._factor(a._den * b._den) * sign * c)
                 return
-        self._multiply(an, bn, self._factor(a._den * b._den) * sign, order)
+        s = a.space._deg_shift
+        _check_degree((max(an) >> s) + (max(bn) >> s))
+        bound = None if order is None else (order + 1) << s
+        self._multiply(an, bn, self._factor(a._den * b._den) * sign, bound)
 
-    def _multiply(self, an: dict, bn: dict, k: int, order: int | None) -> None:
+    def _multiply(self, an: dict, bn: dict, k: int, bound: int | None) -> None:
         """Add k times the product of the numerators ``an`` and ``bn``: the
-        loop over pairs of terms."""
+        loop over pairs of terms, keeping only the keys below ``bound``
+        (when given).  Keys ascend with the degree field, so the pairs kept
+        for one term of ``an`` are a prefix of ``bn``'s sorted terms."""
         acc = self.num
-        inner_by_limit: dict[int, list] = {}
         b_items = bn.items()
+        if bound is not None:
+            b_items = sorted(b_items)
+            b_keys = [eb for eb, _ in b_items]
         for ea, ca in an.items():
             ca *= k
-            inner = b_items
-            if order is not None:
-                limit = order - sum(ea)
-                inner = inner_by_limit.get(limit)
-                if inner is None:
-                    inner = inner_by_limit[limit] = [(eb, cb) for eb, cb in b_items
-                                                     if sum(eb) <= limit]
+            inner = b_items if bound is None else b_items[:bisect_left(b_keys, bound - ea)]
             for eb, cb in inner:
-                key = tuple(map(add, ea, eb))
+                key = ea + eb
                 old = acc.get(key)
                 if old is None:
                     acc[key] = ca * cb
@@ -354,8 +393,9 @@ class _Sum:
         with weight C(r, j) c^j, the binomial updated step by step; the last
         term takes all of r.  States that meet merge, so the work is within a
         small multiple of the C(k+t-1, t-1) compositions of k over t terms."""
+        _check_degree(k * (max(base._num) >> base.space._deg_shift))
         *head, (e_last, c_last) = base._num.items()
-        states = {(k, (0,) * len(e_last)): self._factor(base._den ** k)}
+        states = {(k, 0): self._factor(base._den ** k)}
         done = []  # (monomial, numerator) of each finished term
         for e, c in head:
             nxt = {}
@@ -366,12 +406,12 @@ class _Sum:
                     key = (r - j, m)
                     nxt[key] = nxt.get(key, 0) + w
                     w = w * (r - j) // (j + 1) * c
-                    m = tuple(map(add, m, e))
+                    m += e
                 done.append((m, w))
             states = nxt
         for (r, m), w in states.items():
             if w:
-                done.append((tuple(a + r * v for a, v in zip(m, e_last)), w * c_last ** r))
+                done.append((m + r * e_last, w * c_last ** r))
         acc = self.num
         for key, w in done:
             old = acc.get(key)
@@ -454,27 +494,29 @@ def _eval_float_form(form, point: Sequence[float]) -> float:
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms, exponent tuple -> Fraction.
 
-    ``len``, iteration and membership read the int numerators; a Fraction
-    is built per coefficient only when one is read.
+    ``len`` reads the int numerators, iteration unpacks their keys, and a
+    lookup packs its exponent tuple; a Fraction is built per coefficient
+    only when one is read.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_space", "_num", "_den")
 
-    def __init__(self, num: dict, den: int):
+    def __init__(self, space: Space, num: dict, den: int):
+        self._space = space
         self._num = num
         self._den = den
 
     def __getitem__(self, exps) -> Fraction:
-        return Fraction(self._num[exps], self._den)
+        try:
+            return Fraction(self._num[self._space._pack(exps)], self._den)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(exps) from None
 
     def __len__(self) -> int:
         return len(self._num)
 
     def __iter__(self):
-        return iter(self._num)
-
-    def __contains__(self, exps) -> bool:
-        return exps in self._num
+        return map(self._space._unpack, self._num)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -489,16 +531,11 @@ class Polynomial:
         _set_space(self, space)
         ratios = {}
         if terms:
-            nv = space.nvars
             for exps, coeff in terms.items():
+                key = space._pack(exps)
                 p, q = _as_ratio(coeff)
-                if p == 0:
-                    continue
-                if len(exps) != nv:
-                    raise SpaceMismatchError(
-                        f"exponent tuple of length {len(exps)} in a space with {nv} variables"
-                    )
-                ratios[tuple(exps)] = p, q
+                if p:
+                    ratios[key] = p, q
         if not ratios:
             _set_num(self, {})
             _set_den(self, 1)
@@ -514,7 +551,7 @@ class Polynomial:
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
         """The terms, exponent tuple -> nonzero Fraction, as a read-only view."""
-        return _Terms(self._num, self._den)
+        return _Terms(self.space, self._num, self._den)
 
     # -- constructors -------------------------------------------------------
 
@@ -525,15 +562,13 @@ class Polynomial:
     @classmethod
     def constant(cls, space: Space, value) -> "Polynomial":
         p, q = _as_ratio(value)
-        return _polynomial(space, {(0,) * space.nvars: p} if p else {}, q, reduce=False)
+        return _polynomial(space, {0: p} if p else {}, q, reduce=False)
 
     @classmethod
     def variable(cls, space: Space, pos: int) -> "Polynomial":
         if not 0 <= pos < space.nvars:
             raise IndexError(f"variable position {pos} out of range")
-        exps = [0] * space.nvars
-        exps[pos] = 1
-        return _polynomial(space, {tuple(exps): 1})
+        return _polynomial(space, {space._units[pos]: 1})
 
     @classmethod
     def monomial(cls, space: Space, exps: Sequence[int], coeff=1) -> "Polynomial":
@@ -558,31 +593,27 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Max total degree over stored terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self._num), default=0)
+        return max(self._num, default=0) >> self.space._deg_shift
 
     def degree_in(self, pos: int) -> int:
-        return max((e[pos] for e in self._num), default=0)
+        s = self.space._shifts[pos]
+        return max((key >> s & MAX_DEGREE for key in self._num), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.space.nvars)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(exps), 0), self._den)
+        return Fraction(self._num.get(self.space._pack(exps), 0), self._den)
 
     def leading_term(self) -> tuple[tuple, Fraction]:
         """The first term in the printing order (:meth:`sorted_terms`); the
         polynomial must be nonzero."""
-        exps = max(self._num, key=_degree_key)
-        return exps, Fraction(self._num[exps], self._den)
-
-    def _p_degrees(self):
-        """The fiber degree of each term."""
-        n = self.space.n
-        return (sum(e[n:]) for e in self._num) if self.space.fiber else (0 for _ in self._num)
+        key = max(self._num)
+        return self.space._unpack(key), Fraction(self._num[key], self._den)
 
     def p_degree(self) -> int:
         """Max degree in the fiber variables; 0 for base polynomials."""
-        return max(self._p_degrees(), default=0)
+        return max((key & MAX_DEGREE for key in self._num), default=0)
 
     def p_homogeneous_degree(self) -> int | None:
         """Common fiber degree of all terms, or None.
@@ -591,7 +622,7 @@ class Polynomial:
         None when the degrees are mixed and also for the zero polynomial
         (callers distinguish via :meth:`is_zero`).
         """
-        degs = set(self._p_degrees())
+        degs = {key & MAX_DEGREE for key in self._num}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -669,11 +700,11 @@ class Polynomial:
         """Exact formal partial derivative with respect to variable ``pos``."""
         if not 0 <= pos < self.space.nvars:
             raise IndexError(f"variable position {pos} out of range")
+        s, unit = self.space._shifts[pos], self.space._units[pos]
         out = {}
-        for exps, c in self._num.items():
-            e = exps[pos]
-            if e:
-                out[exps[:pos] + (e - 1,) + exps[pos + 1:]] = c * e
+        for key, c in self._num.items():
+            if e := key >> s & MAX_DEGREE:
+                out[key - unit] = c * e
         return _polynomial(self.space, out, self._den)
 
     # -- evaluation ---------------------------------------------------------
@@ -708,9 +739,10 @@ class Polynomial:
         try:
             return self._exact
         except AttributeError:
-            items = tuple((tuple((pos, e) for pos, e in enumerate(exps) if e), c, sum(exps))
-                          for exps, c in self._num.items())
-            form = items, self._den, max((deg for _, _, deg in items), default=0)
+            unpack, s = self.space._unpack, self.space._deg_shift
+            items = tuple((tuple((pos, e) for pos, e in enumerate(unpack(key)) if e), c, key >> s)
+                          for key, c in self._num.items())
+            form = items, self._den, self.total_degree()
             if store:
                 object.__setattr__(self, "_exact", form)
             return form
@@ -740,9 +772,9 @@ class Polynomial:
         the same order.  Not memoized: a float form lives as long as its
         caller holds it (the exact integer form is the one that is cached).
         """
-        num, den = self._num, self._den
-        return [(num[exps] / den, tuple((pos, e) for pos, e in enumerate(exps) if e))
-                for exps in self._printing_order()]
+        num, den, unpack = self._num, self._den, self.space._unpack
+        return [(num[key] / den, tuple((pos, e) for pos, e in enumerate(unpack(key)) if e))
+                for key in sorted(num, reverse=True)]
 
     # -- substitution and reshaping ------------------------------------------
 
@@ -765,12 +797,12 @@ class Polynomial:
         # the terms grouped by their exponents at the replaced positions: each
         # group is one polynomial in the kept variables times one product of
         # powers, whose last factor is multiplied straight into the sum
+        shifts = [self.space._shifts[pos] for pos in replacements]
+        units = [self.space._units[pos] for pos in replacements]
         groups: dict[tuple, dict] = {}
-        for exps, c in self._num.items():
-            kept = list(exps)
-            for pos in replacements:
-                kept[pos] = 0
-            groups.setdefault(tuple(exps[pos] for pos in replacements), {})[tuple(kept)] = c
+        for key, c in self._num.items():
+            es = tuple(key >> s & MAX_DEGREE for s in shifts)
+            groups.setdefault(es, {})[key - sum(map(mul, es, units))] = c
         acc = _Sum()
         for es, num in groups.items():
             factors = [pow_cache[pos][e] for pos, e in zip(replacements, es) if e]
@@ -786,26 +818,25 @@ class Polynomial:
         """Re-declare a base polynomial over the phase space (zero fiber block)."""
         if self.space.fiber:
             return self
-        pad = (0,) * self.space.n
-        return _polynomial(self.space.phase, {e + pad: c for e, c in self._num.items()},
+        shift = self.space.n * FIELD_BITS
+        return _polynomial(self.space.phase, {key << shift: c for key, c in self._num.items()},
                            self._den, reduce=False)
 
     def truncate_total(self, order: int) -> "Polynomial":
         """Drop every term of total degree exceeding ``order``."""
-        if all(sum(e) <= order for e in self._num):
+        bound = (order + 1) << self.space._deg_shift
+        if max(self._num, default=0) < bound:
             return self
-        return _polynomial(self.space, {e: c for e, c in self._num.items() if sum(e) <= order},
+        return _polynomial(self.space, {key: c for key, c in self._num.items() if key < bound},
                            self._den)
 
     # -- printing -----------------------------------------------------------
 
-    def _printing_order(self) -> list[tuple]:
-        """The exponent tuples by descending (total degree, exponents)."""
-        return sorted(self._num, key=_degree_key, reverse=True)
-
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        num, den = self._num, self._den
-        return [(e, Fraction(num[e], den)) for e in self._printing_order()]
+        """The terms by descending (total degree, exponents), which is
+        descending key order."""
+        num, den, unpack = self._num, self._den, self.space._unpack
+        return [(unpack(key), Fraction(num[key], den)) for key in sorted(num, reverse=True)]
 
     def __str__(self) -> str:
         if not self._num:
@@ -1051,7 +1082,10 @@ class _Scanner:
                 raise ParseError(f"a product of {len(value.terms)} and {len(other.terms)} terms "
                                  f"multiplies {pairs} term pairs, above the limit "
                                  f"{MAX_PRODUCT_PAIRS}", at)
-            value = value * other
+            try:
+                value = value * other
+            except DegreeLimitError as exc:
+                raise ParseError(str(exc), at) from None
             self.check_size(value, "a product", at)
         return value
 
@@ -1085,7 +1119,10 @@ class _Scanner:
             if bound > MAX_TERMS:
                 raise ParseError(f"a {t}-term base to the power {k} may have up to "
                                  f"{bound} terms, above the limit {MAX_TERMS}", at)
-            return base ** k
+            try:
+                return base ** k
+            except DegreeLimitError as exc:
+                raise ParseError(str(exc), at) from None
         return base
 
     def atom(self) -> Polynomial:
@@ -1121,7 +1158,8 @@ def parse_expression(text: str, space: Space) -> Polynomial:
     """Parse an expression into a canonical Polynomial over ``space``.
 
     Raises :class:`ParseError` (carrying the byte offset) on syntax errors,
-    unknown variables, oversized exponents, '(' and unary '-' nested more
+    unknown variables, oversized exponents, terms of total degree above
+    ``MAX_DEGREE``, '(' and unary '-' nested more
     than ``MAX_NESTING`` deep, powers ``(t terms)^k`` with C(k+t-1, t-1) >
     ``MAX_TERMS``, products that may multiply more than ``MAX_PRODUCT_PAIRS``
     term pairs, and products and sums of more than ``MAX_TERMS`` terms.

@@ -18,8 +18,8 @@ from math import lcm
 from typing import Sequence
 
 from singfol import _linalg
-from singfol.exactpoly import (Polynomial, Space, _exact_pairs, _polynomial, _Record, _Sum,
-                               _sum_products)
+from singfol.exactpoly import (FIELD_BITS, Polynomial, Space, _check_degree, _exact_pairs,
+                               _polynomial, _Record, _Sum, _sum_products)
 
 __all__ = [
     "VectorField",
@@ -161,10 +161,10 @@ class Frame(_Record):
 
     @classmethod
     def corank1(cls, n: int, coeffs: Sequence[Polynomial], name: str = "") -> "Frame":
-        """Build the frame X^i = d_i + A_i d_n from A_1..A_{n-1}."""
+        """Build the frame X^i = d_i + A_i d_n from A_1..A_{n-1}, over their space."""
         if len(coeffs) != n - 1:
             raise ValueError(f"corank-1 frame in dimension {n} needs {n - 1} coefficients")
-        space = Space(n)
+        space = coeffs[0].space if coeffs and coeffs[0].space == Space(n) else Space(n)
         return cls(tuple(VectorField(VectorField.coordinate(space, i).components[:-1] + (A,))
                          for i, A in enumerate(coeffs)), name=name)
 
@@ -255,20 +255,20 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def hamiltonian_lift(X: VectorField) -> Polynomial:
     """The momentum function p . X(x) of a base field (fiber-linear).
 
-    Component k contributes its terms with the exponent of p_k raised to 1;
+    Component k contributes its terms lifted to the phase space, times p_k;
     terms of different components never share a key.  The numerators go
     over the lcm of the components' denominators, which leaves no common
     factor to divide out.
     """
     if X.space.fiber:
         raise ValueError("lift applies to base fields")
-    n = X.space.n
-    units = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+    phase, n = X.space.phase, X.space.n
     den = lcm(*(comp._den for comp in X.components))
-    return _polynomial(X.space.phase, {
-        exps + unit: c * (den // comp._den)
-        for comp, unit in zip(X.components, units) for exps, c in comp._num.items()
-    }, den, reduce=False)
+    shift = n * FIELD_BITS
+    num = {(key << shift) + unit: c * (den // comp._den)
+           for comp, unit in zip(X.components, phase._units[n:]) for key, c in comp._num.items()}
+    _check_degree(max(num, default=0) >> phase._deg_shift)
+    return _polynomial(phase, num, den, reduce=False)
 
 
 def hamiltonian_vector_field(h: Polynomial) -> VectorField:

@@ -342,6 +342,9 @@ def test_schema_validation_errors(capsys, tmp_path):
                       ({"dimension": 4, "rank": 3,
                         "normal_form": ["(x1+x2+1)^20*(x3+x4+1)^20", "0", "0"]},
                        "a product with 53361 terms"),
+                      # a term of total degree 2^36, past a key field's width
+                      ({"dimension": 3, "rank": 2,
+                        "normal_form": ["0", "((x1^4096)^4096)^4096"]}, "total degree"),
                       # nesting deeper than the parser recurses
                       ({"dimension": 3, "rank": 2,
                         "normal_form": ["0", "(" * 3000 + "x1" + ")" * 3000]}, "nested"),

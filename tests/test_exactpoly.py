@@ -30,7 +30,8 @@ from singfol.exactpoly import (
     parse_expression,
 )
 from singfol.abnormal import goh_matrix
-from singfol.vectorfield import Frame, VectorField, divergence, lie_bracket, poisson_bracket
+from singfol.vectorfield import (Frame, VectorField, divergence, hamiltonian_lift, lie_bracket,
+                                 poisson_bracket)
 
 PHASE3 = Space(3, True)
 BASE2 = Space(2)
@@ -77,6 +78,60 @@ def test_public_constructor_validates_terms():
     with pytest.raises(TypeError):
         Polynomial(BASE2, {(1, 0): 0.5})
     assert Polynomial(BASE2, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): Fraction(2)}
+    # an exponent is a nonnegative int, which one key field holds
+    for exps in [(-1, 0), (1.5, 0), (0, "1")]:
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            Polynomial.monomial(BASE2, exps, 3)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            Polynomial(BASE2, {exps: 1})
+
+
+def test_total_degree_is_bounded_by_the_key_fields():
+    # every field of a key holds up to MAX_DEGREE; a result of higher total
+    # degree is refused, never wrapped into a neighbouring field
+    top = exactpoly.MAX_DEGREE
+    assert top == 2 ** exactpoly.FIELD_BITS - 1
+    x1 = var(BASE2, "x1")
+    assert (x1 ** top).total_degree() == top
+    assert str(Polynomial.monomial(PHASE3, (0, 0, 0, 0, 0, top))) == f"p3^{top}"
+    half = x1 ** (2 ** (exactpoly.FIELD_BITS - 1))
+    assert (half * var(BASE2, "x2") ** (top - half.total_degree())).total_degree() == top
+    refused = [lambda: x1 ** 2 ** exactpoly.FIELD_BITS, lambda: (x1 + 1) ** (top + 1),
+               lambda: half * half, lambda: Polynomial.monomial(BASE2, (top, 1)),
+               lambda: hamiltonian_lift(VectorField([x1 ** top, x1]))]
+    for make in refused:
+        with pytest.raises(exactpoly.DegreeLimitError, match="above the limit"):
+            make()
+    assert issubclass(exactpoly.DegreeLimitError, exactpoly.SingfolError)
+    # the parser refuses such a term as it refuses a large exponent
+    with pytest.raises(ParseError, match="total degree 68719476736") as err:
+        parse_expression("((x1^4096)^4096)^4096", Space(3))
+    assert err.value.offset == 17
+    half = "((x1^4096)^4096)^128"
+    assert parse_expression(f"{half} * x2", Space(3)).total_degree() == 2 ** 31 + 1
+    with pytest.raises(ParseError, match="total degree 4294967296") as err:
+        parse_expression(f"{half} * {half}", Space(3))
+    assert err.value.offset == len(half) + 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 10 ** 6))
+def test_packed_key_order_is_the_printing_order(n, fiber, seed):
+    # descending key order is descending (total degree, exponent tuple), on
+    # small exponents and on ones near the field width; the terms view
+    # unpacks every key back to its exponent tuple
+    space = Space(n, fiber)
+    rng = random.Random(seed)
+    cap = exactpoly.MAX_DEGREE // space.nvars
+    exps = {tuple(rng.choice((0, 1, 2, rng.randint(0, cap))) for _ in range(space.nvars))
+            for _ in range(12)}
+    want = sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+    keys = {space._pack(e): e for e in exps}
+    assert [keys[k] for k in sorted(keys, reverse=True)] == want
+    f = Polynomial(space, {e: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for e in exps})
+    assert [e for e, _ in f.sorted_terms()] == want and f.leading_term()[0] == want[0]
+    assert set(f.terms) == exps and Polynomial(space, dict(f.terms)) == f
+    _assert_canonical(f)
 
 
 # -- derivatives ------------------------------------------------------------
@@ -494,7 +549,7 @@ def test_in_place_sums_match_reference(seed, space):
     for sign, term in signed:
         acc.add(term, sign)
     # a cancelled key is removed in place
-    assert set(acc.num) == set(want.terms) and 0 not in acc.num.values()
+    assert set(map(space._unpack, acc.num)) == set(want.terms) and 0 not in acc.num.values()
     assert acc.polynomial(space) == want
     got = Polynomial.zero(space)
     for sign, term in signed:
@@ -506,10 +561,18 @@ def _assert_canonical(f: Polynomial):
     """Int numerators, nonzero, over a denominator > 0 that shares no
     factor with all of them (1 for zero); the constructor's Fraction path
     gives the same polynomial, with the same hash."""
-    num, den = f._num, f._den
+    num, den, space = f._num, f._den, f.space
     assert type(den) is int and den > 0 and math.gcd(den, *num.values()) == 1
     assert all(type(c) is int and c for c in num.values())
-    assert all(type(e) is tuple and len(e) == f.space.nvars for e in num)
+    # every key is nvars exponent fields below 2^FIELD_BITS that pack back
+    # to it, with the degree and fiber-degree fields their sums
+    for key in num:
+        assert type(key) is int and 0 <= key < 1 << (space.nvars + 2) * exactpoly.FIELD_BITS
+        exps = space._unpack(key)
+        assert len(exps) == space.nvars and all(0 <= e <= exactpoly.MAX_DEGREE for e in exps)
+        assert space._pack(exps) == key
+        assert key >> space._deg_shift == sum(exps)
+        assert key & exactpoly.MAX_DEGREE == sum(exps[space.n:])
     twin = Polynomial(f.space, dict(f.terms))
     assert twin == f and hash(twin) == hash(f)
 

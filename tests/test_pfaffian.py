@@ -216,6 +216,15 @@ def test_skew_matrix_equality_compares_the_space():
     assert SkewMatrix(Space(2), 3, {(1, 2): x}) != SkewMatrix(Space(2), 3, {(1, 3): x})
 
 
+def test_skew_matrix_prints_its_rows():
+    # every entry, the lower triangle negated, rows joined by ";  "
+    s = Space(2)
+    upper = {(1, 2): Polynomial.monomial(s, (2, 0)), (1, 3): Polynomial.constant(s, Fraction(1, 2)),
+             (2, 3): Polynomial(s, {(1, 1): 1, (0, 0): Fraction(-3, 4)})}
+    assert str(SkewMatrix(s, 3, upper)) == ("SkewMatrix3([0, x1^2, 1/2];  [-1*x1^2, 0, x1*x2 - 3/4];"
+                                            "  [-1/2, -x1*x2 + 3/4, 0])")
+
+
 # -- derivative ---------------------------------------------------------------------
 
 

@@ -241,6 +241,17 @@ def test_frame_rejects_dependent_fields():
         Frame((base_field(s, "1", "0", "0"), base_field(s, "2", "0", "0")))
 
 
+def test_corank1_frame_holds_the_coefficients_space():
+    # one Space object per frame: the coordinate fields are built over the
+    # coefficients' space, so every component and the phase space share it
+    s = Space(3)
+    A = [parse_expression("x2", s), parse_expression("x1", s)]
+    F = Frame.corank1(3, A)
+    assert F.space is A[0].space
+    assert all(c.space is s for X in F.fields for c in X.components)
+    assert F.space.phase is s.phase
+
+
 def test_frame_normal_form_consistency():
     s = Space(3)
     A = [parse_expression("0", s), parse_expression("x1", s)]
